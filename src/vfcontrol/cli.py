@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -38,17 +39,56 @@ CONFIG_SCHEMA = "vfcontrol-config-v1"
 RUN_SCHEMA = "vfcontrol-run-v1"
 
 
+# sections that do not map onto a config dataclass, with their fixed keys
+SECTION_KEYS = {
+    "model": {"name", "params"},
+    "kernel": {"gamma", "gamma_structured"},
+    "evaluate": {"testset", "counts", "horizon"},
+}
+
+
 class ConfigError(ValueError):
     pass
 
 
+def _check_keys(spec: dict, known, section: str) -> None:
+    unknown = set(spec) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {section} options {sorted(unknown)}")
+
+
+def _from_section(cls, spec: dict, section: str, **given):
+    """A config dataclass from one JSON section plus the fields the caller gives.
+
+    A key that names no other field of ``cls`` is an error.
+    """
+    _check_keys(spec, {f.name for f in fields(cls)} - set(given), section)
+    return cls(**spec, **given)
+
+
+def explore_from_config(cfg: dict) -> ExploreConfig:
+    section = {k: v for k, v in cfg.get("explore", {}).items() if k != "candidates"}
+    solver = _from_section(OpenLoopConfig, section.pop("solver", {}), "explore.solver")
+    return _from_section(ExploreConfig, section, "explore", solver=solver)
+
+
+def vkoga_from_config(cfg: dict) -> VkogaConfig:
+    # checkpoints come from evaluate.counts, not from the fit section
+    return _from_section(VkogaConfig, cfg.get("fit", {}), "fit", checkpoints=())
+
+
 def load_config(path) -> dict:
+    """Read and validate a config: every command rejects a typo in any section."""
     with open(path) as fh:
         cfg = json.load(fh)
     if cfg.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}, expected {CONFIG_SCHEMA!r}")
     if "model" not in cfg or "name" not in cfg["model"]:
         raise ConfigError("config needs a model section with a name")
+    for section, known in SECTION_KEYS.items():
+        _check_keys(cfg.get(section, {}), known, section)
+    explore_from_config(cfg)
+    vkoga_from_config(cfg)
     return cfg
 
 
@@ -87,25 +127,6 @@ def candidates_from_config(spec: dict, model) -> np.ndarray:
     raise ConfigError(f"unknown candidate kind {kind!r}")
 
 
-def solver_from_config(spec: dict) -> OpenLoopConfig:
-    known = set(OpenLoopConfig.__dataclass_fields__)
-    extra = set(spec) - known
-    if extra:
-        raise ConfigError(f"unknown solver options {sorted(extra)}")
-    return OpenLoopConfig(**spec)
-
-
-def vkoga_from_config(spec: dict, max_centers=None, checkpoints=()) -> VkogaConfig:
-    return VkogaConfig(
-        max_centers=int(max_centers if max_centers is not None else spec.get("max_centers", 100)),
-        eps_tol_f=float(spec.get("eps_tol_f", 0.0)),
-        cg_tol=float(spec.get("cg_tol", 1e-10)),
-        cg_max_iter=spec.get("cg_max_iter"),
-        nugget=float(spec.get("nugget", 0.0)),
-        checkpoints=checkpoints,
-    )
-
-
 def _testset_states(cfg: dict, model) -> np.ndarray:
     section = cfg.get("evaluate", {})
     spec = section.get("testset")
@@ -121,18 +142,8 @@ def cmd_explore(args) -> int:
     cfg = load_config(args.config)
     model = model_from_config(cfg)
     qm = quadratic_matrix(model)
-    section = cfg.get("explore", {})
-    candidates = candidates_from_config(section.get("candidates", {}), model)
-    horizon = section.get("horizon")
-    explore_cfg = ExploreConfig(
-        n_trajectories=int(section.get("n_trajectories", 40)),
-        eps_tol_d=float(section.get("eps_tol_d", 0.0)),
-        horizon=None if horizon is None else float(horizon),
-        hjb_tol=float(section.get("hjb_tol", 1e-6)),
-        monotone_tol=float(section.get("monotone_tol", 1e-9)),
-        solver=solver_from_config(section.get("solver", {})),
-    )
-    dataset = run_exploration(model, candidates, qm, explore_cfg)
+    candidates = candidates_from_config(cfg.get("explore", {}).get("candidates", {}), model)
+    dataset = run_exploration(model, candidates, qm, explore_from_config(cfg))
     save_dataset(dataset, args.out)
     print(json.dumps({"trajectories": dataset.n_trajectories, "samples": dataset.n_samples, "out": args.out}))
     return 0
@@ -146,7 +157,9 @@ def cmd_fit(args) -> int:
     kernel = kernel_from_config(cfg, model.dim_state, structured)
     qm = quadratic_matrix(model) if structured else None
     pts, vals, gds = dataset.flattened(include_origin=not structured)
-    config = vkoga_from_config(cfg.get("fit", {}), max_centers=args.centers)
+    config = vkoga_from_config(cfg)
+    if args.centers is not None:
+        config = replace(config, max_centers=args.centers)
     result = run_vkoga(kernel, pts, vals, gds, config=config, q_matrix=qm)
     save_surrogate(result.surrogate, args.out)
     if args.trace:
@@ -171,7 +184,7 @@ def cmd_cv(args) -> int:
     structured = args.variant == "structured"
     kernel = kernel_from_config(cfg, model.dim_state, structured)
     qm = quadratic_matrix(model) if structured else None
-    config = vkoga_from_config(cfg.get("fit", {}))
+    config = vkoga_from_config(cfg)
     report = cross_validate(
         kernel,
         dataset,
@@ -192,8 +205,7 @@ def cmd_evaluate(args) -> int:
     dataset = load_dataset(getattr(args, "in"))
     section = cfg.get("evaluate", {})
     states = _testset_states(cfg, model)
-    solver = solver_from_config(cfg.get("explore", {}).get("solver", {}))
-    references = solve_testset(model, states, qm, solver, threads=args.threads)
+    references = solve_testset(model, states, qm, explore_from_config(cfg).solver, threads=args.threads)
     counts = section.get("counts", [10, 20, 40, 80])
     horizon = section.get("horizon")
     kernel_plain = kernel_from_config(cfg, model.dim_state, structured=False)
@@ -206,7 +218,7 @@ def cmd_evaluate(args) -> int:
         qm,
         counts,
         references,
-        config=vkoga_from_config(cfg.get("fit", {})),
+        config=vkoga_from_config(cfg),
         horizon=None if horizon is None else float(horizon),
         threads=args.threads,
     )

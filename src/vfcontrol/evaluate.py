@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,13 +85,15 @@ def simulate_feedback(
     horizon: float,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
-    escape_factor: float = 10.0,
-    method: str = "LSODA",
 ) -> ClosedLoopRun:
-    """Integrate the closed loop under the surrogate feedback, accumulating cost."""
+    """Integrate the closed loop under the surrogate feedback, accumulating cost.
+
+    LSODA switches to BDF when the loop is stiff.  The run stops once the
+    state leaves the radius 10 (1 + ||x0||).
+    """
     x0 = np.asarray(x0, dtype=float)
     n = model.dim_state
-    radius = escape_factor * (1.0 + float(np.linalg.norm(x0)))
+    radius = 10.0 * (1.0 + float(np.linalg.norm(x0)))
 
     def rhs(_t, y):
         x = y[:n]
@@ -107,7 +109,7 @@ def simulate_feedback(
     y0 = np.concatenate([x0, [0.0]])
     try:
         sol = integrate_ivp(
-            rhs, y0, (0.0, float(horizon)), rel_tol=rel_tol, abs_tol=abs_tol, stop=escaped, method=method
+            rhs, y0, (0.0, float(horizon)), rel_tol=rel_tol, abs_tol=abs_tol, stop=escaped, method="LSODA"
         )
     except IvpFailure as err:
         last = np.asarray(err.last_state, dtype=float)
@@ -157,15 +159,15 @@ def evaluate_surrogate(
     references: Sequence,
     horizon: Optional[float] = None,
     threads: int = 1,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-10,
 ):
-    """Closed-loop MRL2 of one surrogate against reference solutions."""
+    """Closed-loop MRL2 of one surrogate against reference solutions.
+
+    Each rollout starts from its reference's first state.
+    """
     def run_one(ref):
         t_last = float(np.asarray(ref.times)[-1])
         t_end = t_last if horizon is None else min(horizon, t_last)
-        return simulate_feedback(model, surrogate, np.asarray(ref.x0 if hasattr(ref, "x0") else ref.states[0]),
-                                 t_end, rel_tol=rel_tol, abs_tol=abs_tol)
+        return simulate_feedback(model, surrogate, np.asarray(ref.states[0]), t_end)
 
     runs = parallel_map(run_one, references, threads)
     return mrl2_error(references, runs, horizon=horizon), runs
@@ -271,15 +273,7 @@ def center_curve(
 ):
     """MRL2 versus center count for both surrogate variants and the quadratic baseline."""
     counts = sorted(set(int(c) for c in counts))
-    cfg = VkogaConfig(
-        max_centers=max(counts),
-        eps_tol_f=config.eps_tol_f,
-        cg_tol=config.cg_tol,
-        cg_max_iter=config.cg_max_iter,
-        nugget=config.nugget,
-        warm_start=config.warm_start,
-        checkpoints=counts,
-    )
+    cfg = replace(config, max_centers=max(counts), checkpoints=counts)
     pts, vals, gds = dataset.flattened(include_origin=True)
     plain = run_vkoga(kernel_plain, pts, vals, gds, config=cfg)
     pts_s, vals_s, gds_s = dataset.flattened(include_origin=False)

@@ -5,9 +5,11 @@ Sobol points for low dimension, a parametric family of smooth fields sampled
 on the reaction-diffusion grid for the high-dimensional model).  Exploration
 repeatedly promotes the candidate farthest from everything already covered,
 with the equilibrium at the origin counting as covered from the start, solves
-the open-loop problem there warm-started from the nearest solved neighbor,
-and keeps the thinned trajectory.  Solutions that fail their sanity checks
-are quarantined: the candidate is dropped and exploration moves on.
+the open-loop problem there from scratch, and keeps the thinned trajectory.
+Each solve is independent of the others, so a stored trajectory depends only
+on its start state, not on which states were explored before it.  Solutions
+that fail their sanity checks are quarantined: the candidate is dropped and
+exploration moves on.
 
 The recorded selection distances are the fill-distance estimates of the
 covered region; they decrease as the candidate set gets eaten.
@@ -212,7 +214,7 @@ def run_exploration(
     q_matrix: np.ndarray,
     config: ExploreConfig = ExploreConfig(),
 ) -> Dataset:
-    """Algorithmic core: farthest-first start states, warm-started solves, checks."""
+    """Algorithmic core: farthest-first start states, independent solves, checks."""
     candidates = np.asarray(candidates, dtype=float)
     m = candidates.shape[0]
     dataset = Dataset(
@@ -224,8 +226,6 @@ def run_exploration(
         },
     )
     dmin = np.linalg.norm(candidates, axis=1)
-    solutions: list[BvpSolution] = []
-    starts: list[np.ndarray] = []
 
     while dataset.n_trajectories < config.n_trajectories and np.any(dmin > -np.inf):
         best = int(np.argmax(dmin))
@@ -235,12 +235,8 @@ def run_exploration(
         x0 = candidates[best]
         dmin[best] = -np.inf
 
-        warm = None
-        if starts:
-            nearest = int(np.argmin(np.linalg.norm(np.asarray(starts) - x0, axis=1)))
-            warm = solutions[nearest]
         try:
-            sol = solve_open_loop(model, x0, q_matrix, config.solver, warm=warm)
+            sol = solve_open_loop(model, x0, q_matrix, config.solver)
         except BvpFailure as err:
             dataset.meta["quarantined"].append({"index": best, "reason": str(err)})
             continue
@@ -257,8 +253,6 @@ def run_exploration(
 
         dataset.trajectories.append(traj)
         dataset.eps_history.append(gap)
-        solutions.append(sol)
-        starts.append(x0)
         dmin = np.minimum(dmin, np.linalg.norm(candidates - x0, axis=1))
 
     alive = dmin[dmin > -np.inf]
@@ -288,7 +282,7 @@ def solve_testset(
     config: OpenLoopConfig = OpenLoopConfig(),
     threads: int = 1,
 ) -> list[BvpSolution]:
-    """Reference open-loop solutions for a batch of start states, cold-started."""
+    """Reference open-loop solutions for a batch of start states, solved as in exploration."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     return parallel_map(lambda x0: solve_open_loop(model, x0, q_matrix, config), states, threads)
 

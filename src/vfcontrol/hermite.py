@@ -255,9 +255,8 @@ def fit(
     max_iter: Optional[int] = None,
     nugget: float = 0.0,
     x0: Optional[np.ndarray] = None,
-    precondition: bool = True,
 ):
-    """Solve the interpolation system by preconditioned CG.
+    """Solve the interpolation system by Jacobi-preconditioned CG.
 
     Returns ``(alphas, betas, info)`` where info records iterations and the
     final relative residual.  Centers must be pairwise distinct; a duplicate
@@ -282,7 +281,7 @@ def fit(
         return out
 
     op = LinearOperator(dim=n * (1 + dim), apply=apply)
-    diag = _jacobi_diag(kernel, centers) + nugget if precondition else None
+    diag = _jacobi_diag(kernel, centers) + nugget
     try:
         res = cg_solve(op, rhs, tol=cg_tol, max_iter=max_iter, x0=x0, diag=diag)
     except CgError as err:

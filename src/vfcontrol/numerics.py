@@ -198,7 +198,6 @@ def integrate_ivp(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
     stop: Optional[Callable[[float, np.ndarray], float]] = None,
-    max_step: float = np.inf,
     method: str = "RK45",
 ) -> IvpResult:
     """Integrate x' = rhs(t, x) with an adaptive scipy solver.
@@ -231,7 +230,6 @@ def integrate_ivp(
             atol=abs_tol,
             dense_output=True,
             events=events,
-            max_step=max_step,
         )
     if out.status == -1 or not np.all(np.isfinite(out.y)):
         finite = np.all(np.isfinite(out.y), axis=0)

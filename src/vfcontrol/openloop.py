@@ -21,7 +21,7 @@ the solve repeats on the refined mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -335,28 +335,15 @@ def solve_open_loop(
     x0: np.ndarray,
     q_matrix: np.ndarray,
     config: OpenLoopConfig = OpenLoopConfig(),
-    warm: Optional[BvpSolution] = None,
 ) -> BvpSolution:
     """Full pipeline for one start state: guess, solve, refine until the defect is small.
 
-    ``warm`` reuses a neighboring solution as the first iterate (its states
-    need not start at x0; the boundary residual pulls them over).  If that
-    iterate fails to converge the solve restarts once from the quadratic-value
-    rollout.
+    The first iterate is always the quadratic-value rollout of
+    :func:`initial_guess`, so the answer does not depend on any other solve.
     """
     taus = graded_mesh(config.n_nodes, config.grading_power, 1.0 - config.delta_tau)
-
-    def first_iterate():
-        return initial_guess(model, x0, taus, q_matrix, config.escape_factor)
-
-    if warm is not None:
-        guess = _interp_nodes(warm.taus, warm.z, taus)
-        try:
-            sol = solve_pmp(model, x0, taus, guess, config)
-        except BvpFailure:
-            sol = solve_pmp(model, x0, taus, first_iterate(), config)
-    else:
-        sol = solve_pmp(model, x0, taus, first_iterate(), config)
+    guess = initial_guess(model, x0, taus, q_matrix, config.escape_factor)
+    sol = solve_pmp(model, x0, taus, guess, config)
 
     rounds = 0
     for rounds in range(config.refine_rounds + 1):
@@ -408,14 +395,7 @@ def to_trajectory(
     """
     if horizon is not None:
         inside = solution.times <= horizon
-        solution = BvpSolution(
-            taus=solution.taus[inside],
-            z=solution.z[inside],
-            converged=solution.converged,
-            newton_iterations=solution.newton_iterations,
-            residual_norm=solution.residual_norm,
-            dim_state=solution.dim_state,
-        )
+        solution = replace(solution, taus=solution.taus[inside], z=solution.z[inside])
     states = solution.states
     seg = np.linalg.norm(np.diff(states, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])

@@ -41,7 +41,6 @@ class VkogaConfig:
     cg_tol: float = 1e-10
     cg_max_iter: Optional[int] = None
     nugget: float = 0.0
-    warm_start: bool = True
     checkpoints: Sequence[int] = ()
 
 
@@ -139,7 +138,7 @@ def run_vkoga(
             centers=centers if structured else None,
         )
         x0 = None
-        if config.warm_start and surrogate.n_centers:
+        if surrogate.n_centers:
             x0 = stack_coeffs(
                 np.append(surrogate.alphas, 0.0),
                 np.vstack([surrogate.betas, np.zeros((1, dim))]),

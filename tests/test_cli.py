@@ -123,18 +123,29 @@ def test_missing_kernel_gamma_is_reported(tmp_path, capsys):
     assert "kernel.gamma" in err["error"]
 
 
-def test_unknown_solver_option_is_rejected(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        explore={
-            "n_trajectories": 2,
-            "candidates": {"kind": "grid", "bounds": [[-1.0, 1.0]], "n_per_axis": 3},
-            "solver": {"n_steps": 10},
-        },
-    )
+@pytest.mark.parametrize(
+    "section, typo",
+    [
+        ("explore.solver", "n_steps"),
+        ("explore", "n_trajectory"),
+        ("fit", "max_centre"),
+        ("kernel", "gama"),
+        ("evaluate", "count"),
+        ("model", "param"),
+    ],
+)
+def test_unknown_config_key_is_rejected(tmp_path, capsys, section, typo):
+    config = write_config(tmp_path)
+    cfg = json.loads((tmp_path / "config.json").read_text())
+    spec = cfg
+    for key in section.split("."):
+        spec = spec[key]
+    spec[typo] = 1
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
     assert main(["explore", "--config", config, "--out", str(tmp_path / "x.json")]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert "n_steps" in err["error"]
+    assert typo in err["error"] and section in err["error"]
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_unknown_candidate_kind_is_rejected(tmp_path, capsys):

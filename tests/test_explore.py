@@ -1,8 +1,10 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vfcontrol.cli import candidates_from_config, explore_from_config, load_config, model_from_config
 from vfcontrol.explore import (
     Dataset,
     ExploreConfig,
@@ -16,7 +18,7 @@ from vfcontrol.explore import (
     solve_testset,
 )
 from vfcontrol.models import build_linear
-from vfcontrol.openloop import OpenLoopConfig, Trajectory
+from vfcontrol.openloop import OpenLoopConfig, Trajectory, solve_open_loop, to_trajectory
 from vfcontrol.riccati import quadratic_matrix
 
 
@@ -207,3 +209,24 @@ def test_testset_solves_match_exploration_quality(lqr_setup):
     threaded = solve_testset(model, np.array([[0.5], [-0.25]]), qm, solver, threads=2)
     np.testing.assert_array_equal(threaded[0].z, refs[0].z)
     np.testing.assert_array_equal(threaded[1].z, refs[1].z)
+
+
+def test_each_stored_trajectory_is_its_own_solve():
+    """Exploration adds nothing to a solve: every stored trajectory is bit for
+    bit the one a lone solve from its start state gives."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "lqr.json")
+    model = model_from_config(cfg)
+    qm = quadratic_matrix(model)
+    config = explore_from_config(cfg)
+    candidates = candidates_from_config(cfg["explore"]["candidates"], model)
+    data = run_exploration(model, candidates, qm, config)
+    assert data.n_trajectories == config.n_trajectories
+    for traj in data.trajectories:
+        alone = to_trajectory(
+            solve_open_loop(model, traj.x0, qm, config.solver),
+            samples=config.solver.samples,
+            min_spacing=config.solver.min_spacing,
+            horizon=config.horizon,
+        )
+        for name in ("x0", "times", "states", "grads", "values"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name), err_msg=name)

@@ -1,5 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import dense_hermite_matrix, lattice_centers
 from vfcontrol.hermite import (
@@ -296,3 +301,53 @@ def test_load_surrogate_rejects_unknown_schema(tmp_path):
     path.write_text('{"schema": "something-else"}\n')
     with pytest.raises(ValueError, match="schema"):
         load_surrogate(path)
+
+
+@st.composite
+def structured_surrogates(draw, max_centers=4):
+    """Structured surrogates over generated centers, coefficients and SPD Q,
+    with a batch of probe points in the same dimension."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, max_centers))
+    coords = st.floats(-2.0, 2.0, allow_nan=False)
+    coeffs = st.floats(-10.0, 10.0, allow_nan=False)
+    factor = draw(arrays(float, (dim, dim), elements=coords))
+    sur = Surrogate(
+        kernel=StructuredKernel(WendlandC4(dim=dim, gamma=draw(st.floats(0.1, 3.0)))),
+        centers=draw(arrays(float, (n, dim), elements=coords)),
+        alphas=draw(arrays(float, n, elements=coeffs)),
+        betas=draw(arrays(float, (n, dim), elements=coeffs)),
+        variant="structured",
+        q_matrix=factor @ factor.T + 0.1 * np.eye(dim),
+    )
+    probes = draw(arrays(float, (draw(st.integers(1, 8)), dim), elements=st.floats(-3.0, 3.0, allow_nan=False)))
+    return sur, probes
+
+
+@settings(max_examples=60, deadline=None)
+@given(structured_surrogates())
+def test_structured_surrogate_properties_hold_for_generated_inputs(case):
+    sur, probes = case
+    v, g = sur.value_and_gradient(np.zeros((1, sur.centers.shape[1])))
+    assert v[0] == 0.0
+    assert np.all(g[0] == 0.0)
+    assert np.all(sur.value(probes) >= 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(structured_surrogates(), st.booleans(), st.data())
+def test_save_load_roundtrips_generated_arrays_bit_for_bit(tmp_path_factory, case, plain, data):
+    sur, _ = case
+    # any finite double, not just the tame range the evaluation tests need
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    sur = replace(sur, alphas=data.draw(arrays(float, sur.alphas.shape, elements=finite)))
+    if plain:
+        sur = replace(sur, kernel=sur.kernel.base, variant="plain", q_matrix=None)
+    path = tmp_path_factory.mktemp("sur") / "sur.json"
+    save_surrogate(sur, path)
+    again = load_surrogate(path)
+    assert (again.variant, again.kernel) == (sur.variant, sur.kernel)
+    assert plain == (again.q_matrix is None)
+    for name in ("centers", "alphas", "betas") + (() if plain else ("q_matrix",)):
+        a, b = getattr(sur, name), getattr(again, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name

@@ -108,15 +108,6 @@ def test_value_is_consistent_with_the_accumulated_cost(scalar_lqr):
     assert np.max(np.abs(recovered - sol.values[0])) <= 1e-4 * (1.0 + sol.values[0])
 
 
-def test_warm_start_reuses_a_neighbor(scalar_lqr):
-    model, qm, config, sol = scalar_lqr
-    warm = solve_open_loop(model, np.array([0.78]), qm, config, warm=sol)
-    assert warm.converged
-    assert warm.states[0, 0] == pytest.approx(0.78, abs=1e-9)
-    q = qm[0, 0]
-    assert warm.values[0] == pytest.approx(q * 0.78**2, abs=1e-8)
-
-
 def test_trajectory_thinning_respects_the_horizon(scalar_lqr):
     model, qm, config, sol = scalar_lqr
     traj = to_trajectory(sol, samples=12, horizon=5.0)

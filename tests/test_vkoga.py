@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_hermite_matrix
-from vfcontrol.hermite import Surrogate, assemble_rhs, stack_coeffs, unstack_coeffs
+from vfcontrol.hermite import Surrogate, assemble_rhs, unstack_coeffs
 from vfcontrol.kernels import StructuredKernel, WendlandC4
 from vfcontrol.numerics import dense_solve
 from vfcontrol.vkoga import VkogaConfig, run_vkoga, write_trace
@@ -157,22 +157,6 @@ def test_fit_metadata_lands_on_the_surrogate():
     result = run_vkoga(kern, points, values, grads, config)
     assert result.surrogate.meta["nugget"] == 1e-11
     assert result.surrogate.meta["cg_tol"] == 1e-9
-
-
-def test_warm_start_does_not_change_the_answer():
-    rng = np.random.default_rng(60)
-    kern = WendlandC4(dim=2, gamma=0.5)
-    points, values, grads = sample_bump(rng, 12, 2)
-    warm = run_vkoga(kern, points, values, grads, VkogaConfig(max_centers=5, cg_tol=1e-12))
-    cold = run_vkoga(
-        kern, points, values, grads, VkogaConfig(max_centers=5, cg_tol=1e-12, warm_start=False)
-    )
-    assert warm.selected_indices == cold.selected_indices
-    np.testing.assert_allclose(
-        stack_coeffs(warm.surrogate.alphas, warm.surrogate.betas),
-        stack_coeffs(cold.surrogate.alphas, cold.surrogate.betas),
-        atol=1e-8,
-    )
 
 
 def test_trace_roundtrips_through_csv(tmp_path):
