@@ -45,6 +45,12 @@ SECTION_KEYS = {
     "kernel": {"gamma", "gamma_structured"},
     "evaluate": {"testset", "counts", "horizon"},
 }
+# keys of a candidate-pool spec besides "kind", per kind
+CANDIDATE_KEYS = {
+    "grid": {"bounds", "n_per_axis"},
+    "sobol": {"bounds", "n", "seed"},
+    "modes": {"grid_side", "amplitude_range", "n_amplitude", "frequencies"},
+}
 
 
 class ConfigError(ValueError):
@@ -87,6 +93,10 @@ def load_config(path) -> dict:
         raise ConfigError("config needs a model section with a name")
     for section, known in SECTION_KEYS.items():
         _check_keys(cfg.get(section, {}), known, section)
+    if "candidates" in cfg.get("explore", {}):
+        _candidate_kind(cfg["explore"]["candidates"], "explore.candidates")
+    if "testset" in cfg.get("evaluate", {}):
+        _candidate_kind(cfg["evaluate"]["testset"], "evaluate.testset", extra=("size",))
     explore_from_config(cfg)
     vkoga_from_config(cfg)
     return cfg
@@ -108,31 +118,33 @@ def kernel_from_config(cfg: dict, dim: int, structured: bool):
     return WendlandC4(dim=dim, gamma=gamma)
 
 
-def candidates_from_config(spec: dict, model) -> np.ndarray:
+def _candidate_kind(spec: dict, section: str, extra=()) -> str:
+    """The kind of a candidate-pool spec, after checking its keys against that kind's."""
     kind = spec.get("kind")
+    if kind not in CANDIDATE_KEYS:
+        raise ConfigError(f"unknown candidate kind {kind!r}")
+    _check_keys(spec, CANDIDATE_KEYS[kind] | {"kind", *extra}, section)
+    return kind
+
+
+def candidates_from_config(spec: dict, model) -> np.ndarray:
+    kind = _candidate_kind(spec, "candidate")
     if kind == "grid":
         return candidate_grid(spec["bounds"], int(spec["n_per_axis"]))
     if kind == "sobol":
         return candidate_sobol(spec["bounds"], int(spec["n"]), int(spec.get("seed", 0)))
-    if kind == "modes":
-        grid_side = int(spec.get("grid_side", model.params.get("grid_side", 0)))
-        if grid_side <= 0:
-            raise ConfigError("mode candidates need a grid side")
-        return candidate_modes(
-            grid_side,
-            amplitude_range=tuple(spec.get("amplitude_range", (-0.25, 0.5))),
-            n_amplitude=int(spec.get("n_amplitude", 7)),
-            frequencies=tuple(spec.get("frequencies", (1, 2))),
-        )
-    raise ConfigError(f"unknown candidate kind {kind!r}")
+    options = {k: v for k, v in spec.items() if k not in ("kind", "grid_side")}
+    grid_side = int(spec.get("grid_side", model.params.get("grid_side", 0)))
+    if grid_side <= 0:
+        raise ConfigError("mode candidates need a grid side")
+    return candidate_modes(grid_side, **options)
 
 
 def _testset_states(cfg: dict, model) -> np.ndarray:
-    section = cfg.get("evaluate", {})
-    spec = section.get("testset")
+    spec = cfg.get("evaluate", {}).get("testset")
     if spec is None:
         raise ConfigError("config needs evaluate.testset")
-    pool = candidates_from_config(spec, model)
+    pool = candidates_from_config({k: v for k, v in spec.items() if k != "size"}, model)
     size = int(spec.get("size", min(8, pool.shape[0])))
     idx, _ = farthest_point_order(pool, size)
     return pool[idx]
@@ -220,7 +232,6 @@ def cmd_evaluate(args) -> int:
         references,
         config=vkoga_from_config(cfg),
         horizon=None if horizon is None else float(horizon),
-        threads=args.threads,
     )
     write_curves(rows, args.out)
     print(json.dumps(rows[-1]))
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--in", dest="in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="threads for the reference open-loop solves")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("simulate", help="closed-loop rollout under a fitted surrogate")

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .explore import Dataset, parallel_map
+from .explore import Dataset
 from .hermite import Surrogate, quadratic_surrogate
 from .models import ControlAffineModel, optimal_control
 from .numerics import IvpFailure, integrate_ivp
@@ -108,9 +108,7 @@ def simulate_feedback(
 
     y0 = np.concatenate([x0, [0.0]])
     try:
-        sol = integrate_ivp(
-            rhs, y0, (0.0, float(horizon)), rel_tol=rel_tol, abs_tol=abs_tol, stop=escaped, method="LSODA"
-        )
+        sol = integrate_ivp(rhs, y0, (0.0, float(horizon)), rel_tol=rel_tol, abs_tol=abs_tol, stop=escaped)
     except IvpFailure as err:
         last = np.asarray(err.last_state, dtype=float)
         times = np.array([0.0, err.last_time if err.last_time > 0 else 1e-12])
@@ -158,18 +156,19 @@ def evaluate_surrogate(
     surrogate: Surrogate,
     references: Sequence,
     horizon: Optional[float] = None,
-    threads: int = 1,
 ):
     """Closed-loop MRL2 of one surrogate against reference solutions.
 
-    Each rollout starts from its reference's first state.
+    Each rollout starts from its reference's first state.  Rollouts run one
+    after another: LSODA keeps one global handle, so concurrent rollouts
+    would only take turns on it.
     """
     def run_one(ref):
         t_last = float(np.asarray(ref.times)[-1])
         t_end = t_last if horizon is None else min(horizon, t_last)
         return simulate_feedback(model, surrogate, np.asarray(ref.states[0]), t_end)
 
-    runs = parallel_map(run_one, references, threads)
+    runs = [run_one(ref) for ref in references]
     return mrl2_error(references, runs, horizon=horizon), runs
 
 
@@ -269,7 +268,6 @@ def center_curve(
     references: Sequence,
     config: VkogaConfig = VkogaConfig(),
     horizon: Optional[float] = None,
-    threads: int = 1,
 ):
     """MRL2 versus center count for both surrogate variants and the quadratic baseline."""
     counts = sorted(set(int(c) for c in counts))
@@ -280,14 +278,14 @@ def center_curve(
     structured = run_vkoga(kernel_structured, pts_s, vals_s, gds_s, config=cfg, q_matrix=q_matrix)
 
     quad = quadratic_surrogate(q_matrix)
-    mrl2_quad, _ = evaluate_surrogate(model, quad, references, horizon=horizon, threads=threads)
+    mrl2_quad, _ = evaluate_surrogate(model, quad, references, horizon=horizon)
 
     rows = []
     for count in counts:
         sp = plain.checkpoints.get(count, plain.surrogate)
         ss = structured.checkpoints.get(count, structured.surrogate)
-        mrl2_p, _ = evaluate_surrogate(model, sp, references, horizon=horizon, threads=threads)
-        mrl2_s, _ = evaluate_surrogate(model, ss, references, horizon=horizon, threads=threads)
+        mrl2_p, _ = evaluate_surrogate(model, sp, references, horizon=horizon)
+        mrl2_s, _ = evaluate_surrogate(model, ss, references, horizon=horizon)
         rows.append(
             {
                 "n_centers": count,

@@ -38,12 +38,14 @@ __all__ = [
     "Dataset",
     "run_exploration",
     "solve_testset",
-    "parallel_map",
     "save_dataset",
     "load_dataset",
 ]
 
 DATASET_SCHEMA = "vfcontrol-dataset-v1"
+# stored values may rise or dip below zero by this much, relative to
+# 1 + max|v|, before a trajectory is quarantined
+MONOTONE_TOL = 1e-9
 
 
 def candidate_grid(bounds: Sequence[tuple[float, float]], n_per_axis: int) -> np.ndarray:
@@ -124,7 +126,6 @@ class ExploreConfig:
     eps_tol_d: float = 0.0
     horizon: Optional[float] = None
     hjb_tol: float = 1e-6
-    monotone_tol: float = 1e-9
     solver: OpenLoopConfig = field(default_factory=OpenLoopConfig)
 
 
@@ -196,9 +197,9 @@ class Dataset:
 
 def _trajectory_checks(model: ControlAffineModel, traj: Trajectory, config: ExploreConfig) -> Optional[str]:
     scale = 1.0 + float(np.max(np.abs(traj.values)))
-    if np.any(traj.values < -config.monotone_tol * scale):
+    if np.any(traj.values < -MONOTONE_TOL * scale):
         return "negative value sample"
-    if np.any(np.diff(traj.values) > config.monotone_tol * scale):
+    if np.any(np.diff(traj.values) > MONOTONE_TOL * scale):
         return "value increases along the trajectory"
     resid = np.abs(hjb_residual(model, traj.states, traj.grads))
     bound = config.hjb_tol * (1.0 + model.r(traj.states))
@@ -240,12 +241,7 @@ def run_exploration(
         except BvpFailure as err:
             dataset.meta["quarantined"].append({"index": best, "reason": str(err)})
             continue
-        traj = to_trajectory(
-            sol,
-            samples=config.solver.samples,
-            min_spacing=config.solver.min_spacing,
-            horizon=config.horizon,
-        )
+        traj = to_trajectory(sol, samples=config.solver.samples, horizon=config.horizon)
         reason = _trajectory_checks(model, traj, config)
         if reason is not None:
             dataset.meta["quarantined"].append({"index": best, "reason": reason})
@@ -267,14 +263,6 @@ def run_exploration(
     return dataset
 
 
-def parallel_map(fn, items, threads: int = 1):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def solve_testset(
     model: ControlAffineModel,
     states: np.ndarray,
@@ -282,9 +270,19 @@ def solve_testset(
     config: OpenLoopConfig = OpenLoopConfig(),
     threads: int = 1,
 ) -> list[BvpSolution]:
-    """Reference open-loop solutions for a batch of start states, solved as in exploration."""
+    """Reference open-loop solutions for a batch of start states, solved as in exploration.
+
+    ``threads`` solves run concurrently; the answers do not depend on it.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    return parallel_map(lambda x0: solve_open_loop(model, x0, q_matrix, config), states, threads)
+
+    def solve(x0):
+        return solve_open_loop(model, x0, q_matrix, config)
+
+    if threads <= 1 or len(states) <= 1:
+        return [solve(x0) for x0 in states]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(solve, states))
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -37,12 +37,11 @@ from typing import Optional
 import numpy as np
 
 from .kernels import StructuredKernel, WendlandC4, kernel_from_spec, kernel_to_spec
-from .numerics import CgError, LinearOperator, cg_solve
+from .numerics import CgError, cg_solve
 
 __all__ = [
     "hermite_apply",
     "HermiteOperator",
-    "matvec_M",
     "stack_coeffs",
     "unstack_coeffs",
     "assemble_rhs",
@@ -50,7 +49,6 @@ __all__ = [
     "FitError",
     "Surrogate",
     "quadratic_surrogate",
-    "native_norm_sq",
     "save_surrogate",
     "load_surrogate",
 ]
@@ -187,15 +185,6 @@ def unstack_coeffs(stacked: np.ndarray, n: int, dim: int):
     return stacked[:n], stacked[n:].reshape(n, dim)
 
 
-def matvec_M(kernel, centers, stacked: np.ndarray) -> np.ndarray:
-    """Product of the Hermite interpolation matrix with stacked [alpha; vec(beta)]."""
-    centers = np.asarray(centers, dtype=float)
-    n, dim = centers.shape
-    alphas, betas = unstack_coeffs(stacked, n, dim)
-    vals, grads = hermite_apply(kernel, centers, alphas, betas, centers)
-    return stack_coeffs(vals, grads)
-
-
 def assemble_rhs(values, grads, variant: str = "plain", q_matrix=None, centers=None) -> np.ndarray:
     """Right-hand side of the interpolation system.
 
@@ -280,10 +269,9 @@ def fit(
             out = out + nugget * vec
         return out
 
-    op = LinearOperator(dim=n * (1 + dim), apply=apply)
     diag = _jacobi_diag(kernel, centers) + nugget
     try:
-        res = cg_solve(op, rhs, tol=cg_tol, max_iter=max_iter, x0=x0, diag=diag)
+        res = cg_solve(apply, rhs, diag, tol=cg_tol, max_iter=max_iter, x0=x0)
     except CgError as err:
         raise FitError(
             f"CG stalled at relative residual {err.residual:.3e} after {err.iterations} iterations"
@@ -333,12 +321,16 @@ class Surrogate:
         return self.value_and_gradient(points)[1]
 
 
-def quadratic_surrogate(q_matrix: np.ndarray, dim: Optional[int] = None, gamma: float = 1.0) -> Surrogate:
-    """The pure quadratic model x^T Q x as a structured surrogate with no centers."""
+def quadratic_surrogate(q_matrix: np.ndarray) -> Surrogate:
+    """The pure quadratic model x^T Q x as a structured surrogate with no centers.
+
+    With no centers the kernel never enters an evaluation; its width is a
+    placeholder.
+    """
     qm = np.asarray(q_matrix, dtype=float)
-    dim = qm.shape[0] if dim is None else dim
+    dim = qm.shape[0]
     return Surrogate(
-        kernel=StructuredKernel(WendlandC4(dim=dim, gamma=gamma)),
+        kernel=StructuredKernel(WendlandC4(dim=dim, gamma=1.0)),
         centers=np.zeros((0, dim)),
         alphas=np.zeros(0),
         betas=np.zeros((0, dim)),
@@ -346,16 +338,6 @@ def quadratic_surrogate(q_matrix: np.ndarray, dim: Optional[int] = None, gamma: 
         q_matrix=qm,
         meta={"baseline": "quadratic"},
     )
-
-
-def native_norm_sq(surrogate: Surrogate) -> float:
-    """Squared native-space norm of a plain surrogate: c^T M c."""
-    if surrogate.variant != "plain":
-        raise ValueError("native norm is defined for the plain variant only")
-    stacked = stack_coeffs(surrogate.alphas, surrogate.betas)
-    if stacked.size == 0:
-        return 0.0
-    return float(stacked @ matvec_M(surrogate.kernel, surrogate.centers, stacked))
 
 
 def save_surrogate(surrogate: Surrogate, path) -> None:

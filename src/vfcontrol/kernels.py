@@ -1,4 +1,4 @@
-"""Compactly supported Wendland kernels and their first-order Hermite derivative actions.
+"""Compactly supported Wendland kernels: the radial profile and its first two derivatives.
 
 The kernel is translation invariant, k(x, y) = Phi(gamma * ||x - y||), with the
 dimension-dependent C4 Wendland polynomial
@@ -16,6 +16,9 @@ r = gamma * sqrt(s):
 with m = l + 2, c1 = -(m+2)(m^2-1), c0 = -(m+1)(m+2).  In particular
 psi'(0) = gamma^2 Phi''(0) / 2 and psi''(0) = gamma^4 Phi''''(0) / 12 hold
 exactly, with Phi''(0) = -(l+3)(l+4) and Phi''''(0) = 3(l+1)(l+2)(l+3)(l+4).
+All three vanish beyond ||x - y|| = 1 / gamma.  The Hermite Gram actions in
+``hermite`` are built from these profiles, evaluated on whole tables of
+pairwise squared distances.
 
 The structured variant multiplies the base kernel by <x, y>^2 so that every
 surrogate built from it vanishes with vanishing gradient at the origin.
@@ -30,10 +33,6 @@ import numpy as np
 __all__ = [
     "WendlandC4",
     "StructuredKernel",
-    "kernel_eval",
-    "kernel_grad1",
-    "kernel_grad2",
-    "ek_apply",
     "kernel_to_spec",
     "kernel_from_spec",
 ]
@@ -55,11 +54,6 @@ class WendlandC4:
     @property
     def smoothness_degree(self) -> int:
         return self.dim // 2 + 3
-
-    @property
-    def support_radius(self) -> float:
-        """Distance beyond which the kernel and its derivatives vanish."""
-        return 1.0 / self.gamma
 
     def profile(self, s):
         """psi, psi', psi'' of the squared radius, evaluated elementwise.
@@ -92,15 +86,6 @@ class WendlandC4:
         ddpsi = (0.25 * g ** 4 * m * (m * m - 1) * (m + 2)) * t_m2
         return psi, dpsi, ddpsi
 
-    def psi(self, s):
-        return self.profile(s)[0]
-
-    def dpsi(self, s):
-        return self.profile(s)[1]
-
-    def ddpsi(self, s):
-        return self.profile(s)[2]
-
 
 @dataclass(frozen=True)
 class StructuredKernel:
@@ -130,74 +115,6 @@ def _int_power(base: np.ndarray, exponent: int) -> np.ndarray:
         if e:
             square = square * square
     return np.ones_like(base) if result is None else result
-
-
-def _sqdist(x, y):
-    d = x - y
-    return float(d @ d)
-
-
-def kernel_eval(kernel, x: np.ndarray, y: np.ndarray) -> float:
-    """k(x, y) for a single pair of points."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if isinstance(kernel, StructuredKernel):
-        ip = float(x @ y)
-        return ip * ip * kernel_eval(kernel.base, x, y)
-    return float(kernel.psi(_sqdist(x, y)))
-
-
-def kernel_grad1(kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of k with respect to the first argument, at (x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if isinstance(kernel, StructuredKernel):
-        ip = float(x @ y)
-        base = kernel.base
-        return 2.0 * ip * y * kernel_eval(base, x, y) + ip * ip * kernel_grad1(base, x, y)
-    dpsi = float(kernel.dpsi(_sqdist(x, y)))
-    return 2.0 * dpsi * (x - y)
-
-
-def kernel_grad2(kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of k with respect to the second argument; equals grad1 with arguments swapped."""
-    return kernel_grad1(kernel, np.asarray(y, float), np.asarray(x, float))
-
-
-def ek_apply(kernel, x: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Action of the mixed second-derivative block E_k(x, y) on a vector b.
-
-    E_k has entries d/dy_i d/dx_j k(x, y): rows differentiate the second
-    argument, the contraction with b runs over derivatives of the first.
-    This is the orientation the Hermite system needs when the first argument
-    is the column (coefficient) point and the second the row (condition)
-    point; for the radial base kernel
-
-        E_k(x, y) b = -2 psi'(s) b + 4 psi''(s) (x - y) <y - x, b>,
-
-    and the structured product adds four rank-one correction terms.  Cost is
-    O(dim); the matrix itself is never formed.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if isinstance(kernel, StructuredKernel):
-        base = kernel.base
-        ip = float(x @ y)
-        k = kernel_eval(base, x, y)
-        g1 = kernel_grad1(base, x, y)
-        yb = float(y @ b)
-        return (
-            2.0 * k * yb * x
-            + 2.0 * ip * k * b
-            + 2.0 * ip * yb * (-g1)
-            + 2.0 * ip * float(g1 @ b) * x
-            + ip * ip * ek_apply(base, x, y, b)
-        )
-    s = _sqdist(x, y)
-    _, dpsi, ddpsi = kernel.profile(s)
-    d = x - y
-    return -2.0 * float(dpsi) * b - 4.0 * float(ddpsi) * d * float(d @ b)
 
 
 def kernel_to_spec(kernel) -> dict:

@@ -23,7 +23,7 @@ Bundled models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "optimal_control",
     "pmp_rhs",
     "hjb_residual",
-    "split_state",
     "AmpParameters",
     "build_amp",
     "amp_value_factor",
@@ -75,12 +74,6 @@ def optimal_control(model: ControlAffineModel, x: np.ndarray, p: np.ndarray) -> 
     """Pointwise minimizer of the Hamiltonian: u = -1/2 R^{-1} g(x)^T p."""
     w = model.gT_apply(np.asarray(x, float), np.asarray(p, float))
     return -0.5 * w @ model.R_inv
-
-
-def split_state(z: np.ndarray, dim: int):
-    """Split stacked [x; p; v] into its three parts."""
-    z = np.asarray(z, dtype=float)
-    return z[..., :dim], z[..., dim : 2 * dim], z[..., 2 * dim]
 
 
 def pmp_rhs(model: ControlAffineModel, z: np.ndarray) -> np.ndarray:
@@ -366,32 +359,35 @@ def build_linear(
 
 
 def build_model(name: str, params: Optional[dict] = None) -> ControlAffineModel:
-    """Construct a bundled model by registry name: "amp", "nhe" or "lqr"."""
+    """Construct a bundled model by registry name: "amp", "nhe" or "lqr".
+
+    ``params`` holds fields of :class:`AmpParameters` or :class:`NheParameters`,
+    or for ``lqr`` the matrices ``A`` and ``B`` with optional ``cost`` and
+    ``R``.  A key the model does not know, or a missing lqr matrix, is a
+    ValueError naming it.
+    """
     params = dict(params or {})
     if name == "amp":
-        return build_amp(
-            AmpParameters(
-                dim=int(params.get("dim", 2)),
-                alpha=float(params.get("alpha", 1.0e5)),
-                beta=float(params.get("beta", 1.0)),
-            )
-        )
+        known = {f.name for f in fields(AmpParameters)}
+    elif name == "nhe":
+        known = {f.name for f in fields(NheParameters)}
+    elif name == "lqr":
+        known = {"A", "B", "cost", "R"}
+        missing = {"A", "B"} - set(params)
+        if missing:
+            raise ValueError(f"model.params for model 'lqr' needs {sorted(missing)}")
+    else:
+        raise ValueError(f"unknown model {name!r}; expected one of: amp, nhe, lqr")
+    unknown = set(params) - known
+    if unknown:
+        raise ValueError(f"unknown model.params {sorted(unknown)} for model {name!r}")
+    if name == "amp":
+        return build_amp(AmpParameters(**params))
     if name == "nhe":
-        return build_nhe(
-            NheParameters(
-                grid_side=int(params.get("grid_side", 10)),
-                diffusivity=float(params.get("diffusivity", 5.0)),
-                reaction=float(params.get("reaction", 0.5)),
-                control_low=tuple(params.get("control_low", (0.25, 0.25))),
-                control_high=tuple(params.get("control_high", (0.75, 0.75))),
-                control_penalty=float(params.get("control_penalty", 1.0e-3)),
-            )
-        )
-    if name == "lqr":
-        return build_linear(
-            params["A"],
-            params["B"],
-            cost_matrix=params.get("cost"),
-            control_weight=params.get("R"),
-        )
-    raise ValueError(f"unknown model {name!r}; expected one of: amp, nhe, lqr")
+        return build_nhe(NheParameters(**params))
+    return build_linear(
+        params["A"],
+        params["B"],
+        cost_matrix=params.get("cost"),
+        control_weight=params.get("R"),
+    )

@@ -10,11 +10,11 @@ grid stops one step delta_tau short of tau = 1, and the missing step is closed
 by an explicit Euler extrapolation whose p and v components must land on zero.
 That extrapolated condition is the far-end boundary residual.
 
-Discretization is trapezoid collocation on a mesh graded toward both ends
-(fast initial transients live near tau = 0, the algebraic tail near tau = 1),
-solved by a damped Newton method.  The Jacobian couples each node only to its
-neighbor, so it is assembled from per-node finite-difference blocks into a
-block-sparse matrix and factored directly.  A midpoint-rule defect flags
+Discretization is Hermite-Simpson collocation on a mesh graded toward both
+ends (fast initial transients live near tau = 0, the algebraic tail near
+tau = 1), solved by a damped Newton method.  The Jacobian couples each node
+only to its neighbor, so it is assembled from per-node finite-difference
+blocks into a block-sparse matrix and factored directly.  A midpoint-rule defect flags
 intervals whose local truncation error is still large; those get split and
 the solve repeats on the refined mesh.
 """
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .models import ControlAffineModel, optimal_control, pmp_rhs, split_state
+from .models import ControlAffineModel, optimal_control, pmp_rhs
 from .numerics import IvpFailure, integrate_ivp
 
 __all__ = [
@@ -45,6 +45,14 @@ __all__ = [
     "Trajectory",
     "to_trajectory",
 ]
+
+# Newton stops once the max-norm residual is below NEWTON_TOL * (1 + max|z|)
+NEWTON_TOL = 1e-11
+# relative central-difference step of the collocation Jacobian
+FD_STEP = 1e-6
+# stored samples closer than this in state space would make the
+# interpolation system singular
+MIN_SPACING = 1e-8
 
 
 def time_stretch(tau):
@@ -92,12 +100,12 @@ def bvp_residual(model: ControlAffineModel, taus: np.ndarray, z: np.ndarray, x0:
     return np.concatenate([z[0, :n] - x0, tail, coll.ravel()])
 
 
-def _batched_jacobians(model: ControlAffineModel, z: np.ndarray, fd_step: float) -> np.ndarray:
+def _batched_jacobians(model: ControlAffineModel, z: np.ndarray) -> np.ndarray:
     """dF/dz at every row of z by central differences, one batched rhs call per column."""
     n_nodes, nz = z.shape
     jac = np.empty((n_nodes, nz, nz))
     for j in range(nz):
-        step = fd_step * (1.0 + np.abs(z[:, j]))
+        step = FD_STEP * (1.0 + np.abs(z[:, j]))
         zp = z.copy()
         zp[:, j] += step
         zm = z.copy()
@@ -106,19 +114,19 @@ def _batched_jacobians(model: ControlAffineModel, z: np.ndarray, fd_step: float)
     return jac
 
 
-def _assemble_jacobian(model, taus, z, delta_tau, fd_step):
+def _assemble_jacobian(model, taus, z, delta_tau):
     n = model.dim_state
     nz = z.shape[1]
     n_nodes = z.shape[0]
     k_intervals = n_nodes - 1
     rate = time_stretch_rate(taus)
-    a = rate[:, None, None] * _batched_jacobians(model, z, fd_step)
+    a = rate[:, None, None] * _batched_jacobians(model, z)
 
     ft = rate[:, None] * pmp_rhs(model, z)
     h = np.diff(taus)[:, None]
     z_mid = 0.5 * (z[:-1] + z[1:]) + (h / 8.0) * (ft[:-1] - ft[1:])
     mid_rate = time_stretch_rate(0.5 * (taus[:-1] + taus[1:]))
-    a_mid = mid_rate[:, None, None] * _batched_jacobians(model, z_mid, fd_step)
+    a_mid = mid_rate[:, None, None] * _batched_jacobians(model, z_mid)
 
     eye = np.eye(nz)
     data = np.empty((2 * n_nodes, nz, nz))
@@ -152,16 +160,11 @@ def _assemble_jacobian(model, taus, z, delta_tau, fd_step):
 @dataclass(frozen=True)
 class OpenLoopConfig:
     n_nodes: int = 240
-    grading_power: float = 1.0
     delta_tau: float = 1e-3
-    newton_tol: float = 1e-11
     newton_max_iter: int = 40
-    fd_step: float = 1e-6
     refine_rounds: int = 2
     refine_tol: float = 1e-8
-    escape_factor: float = 10.0
     samples: int = 40
-    min_spacing: float = 1e-8
 
 
 class BvpFailure(RuntimeError):
@@ -199,19 +202,19 @@ class BvpSolution:
         return self.z[:, 2 * self.dim_state]
 
 
-def initial_guess(model: ControlAffineModel, x0: np.ndarray, taus: np.ndarray, q_matrix: np.ndarray, escape_factor: float = 10.0) -> np.ndarray:
+def initial_guess(model: ControlAffineModel, x0: np.ndarray, taus: np.ndarray, q_matrix: np.ndarray) -> np.ndarray:
     """Closed-loop rollout under the quadratic-value feedback as a first iterate.
 
     States come from integrating x' = f + g u with u fed back from the value
     model x^T Q x; costates and values are that model's gradient and value.
-    If the rollout escapes (the quadratic feedback need not stabilize far
-    out), everything past the escape time is padded with zeros, which is the
-    correct asymptote anyway.
+    If the rollout escapes the radius 10 (1 + ||x0||) (the quadratic feedback
+    need not stabilize far out), everything past the escape time is padded
+    with zeros, which is the correct asymptote anyway.
     """
     x0 = np.asarray(x0, dtype=float)
     n = model.dim_state
     qm = np.asarray(q_matrix, dtype=float)
-    radius = escape_factor * (1.0 + float(np.linalg.norm(x0)))
+    radius = 10.0 * (1.0 + float(np.linalg.norm(x0)))
 
     def rhs(_t, x):
         u = optimal_control(model, x, 2.0 * x @ qm)
@@ -222,9 +225,7 @@ def initial_guess(model: ControlAffineModel, x0: np.ndarray, taus: np.ndarray, q
 
     times = time_stretch(taus)
     try:
-        sol = integrate_ivp(
-            rhs, x0, (0.0, float(times[-1])), rel_tol=1e-10, abs_tol=1e-12, stop=escaped, method="LSODA"
-        )
+        sol = integrate_ivp(rhs, x0, (0.0, float(times[-1])), rel_tol=1e-10, abs_tol=1e-12, stop=escaped)
     except IvpFailure as err:
         sol = None
         t_reached = err.last_time
@@ -260,18 +261,16 @@ def solve_pmp(
     if not np.isfinite(norm):
         raise BvpFailure("initial iterate produces a non-finite residual", residual=norm)
 
-    for iteration in range(1, config.newton_max_iter + 1):
-        scale = 1.0 + float(np.max(np.abs(z)))
-        if norm <= config.newton_tol * scale:
-            return BvpSolution(
-                taus=taus,
-                z=z,
-                converged=True,
-                newton_iterations=iteration - 1,
-                residual_norm=norm,
-                dim_state=model.dim_state,
+    iteration = 0
+    while norm > NEWTON_TOL * (1.0 + float(np.max(np.abs(z)))):
+        if iteration == config.newton_max_iter:
+            raise BvpFailure(
+                f"no convergence in {iteration} Newton iterations (residual {norm:.3e})",
+                residual=norm,
+                iterations=iteration,
             )
-        jac = _assemble_jacobian(model, taus, z, config.delta_tau, config.fd_step)
+        iteration += 1
+        jac = _assemble_jacobian(model, taus, z, config.delta_tau)
         try:
             lu = splu(jac.tocsc())
         except RuntimeError as err:
@@ -296,20 +295,13 @@ def solve_pmp(
                 f"line search stalled at residual {norm:.3e}", residual=norm, iterations=iteration
             )
 
-    scale = 1.0 + float(np.max(np.abs(z)))
-    if norm <= config.newton_tol * scale:
-        return BvpSolution(
-            taus=taus,
-            z=z,
-            converged=True,
-            newton_iterations=config.newton_max_iter,
-            residual_norm=norm,
-            dim_state=model.dim_state,
-        )
-    raise BvpFailure(
-        f"no convergence in {config.newton_max_iter} Newton iterations (residual {norm:.3e})",
-        residual=norm,
-        iterations=config.newton_max_iter,
+    return BvpSolution(
+        taus=taus,
+        z=z,
+        converged=True,
+        newton_iterations=iteration,
+        residual_norm=norm,
+        dim_state=model.dim_state,
     )
 
 
@@ -341,8 +333,8 @@ def solve_open_loop(
     The first iterate is always the quadratic-value rollout of
     :func:`initial_guess`, so the answer does not depend on any other solve.
     """
-    taus = graded_mesh(config.n_nodes, config.grading_power, 1.0 - config.delta_tau)
-    guess = initial_guess(model, x0, taus, q_matrix, config.escape_factor)
+    taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
+    guess = initial_guess(model, x0, taus, q_matrix)
     sol = solve_pmp(model, x0, taus, guess, config)
 
     rounds = 0
@@ -380,7 +372,6 @@ class Trajectory:
 def to_trajectory(
     solution: BvpSolution,
     samples: int = 40,
-    min_spacing: float = 1e-8,
     horizon: Optional[float] = None,
 ) -> Trajectory:
     """Thin a solution to samples spread evenly along the state-space path.
@@ -390,7 +381,7 @@ def to_trajectory(
     become data).  Node times crowd where the mesh is dense, not where the
     state moves, so the selection walks the cumulative chord length of the
     state path and keeps one node per equal arc increment, skipping any node
-    closer than ``min_spacing`` to the previously kept one (near-duplicate
+    closer than ``MIN_SPACING`` to the previously kept one (near-duplicate
     centers make the interpolation system singular).
     """
     if horizon is not None:
@@ -409,7 +400,7 @@ def to_trajectory(
         keep = []
         for i in idx:
             i = int(i)
-            if keep and np.linalg.norm(states[i] - states[keep[-1]]) < min_spacing:
+            if keep and np.linalg.norm(states[i] - states[keep[-1]]) < MIN_SPACING:
                 continue
             if keep and i <= keep[-1]:
                 continue

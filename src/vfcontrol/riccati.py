@@ -18,10 +18,11 @@ __all__ = [
     "RiccatiError",
     "care_residual",
     "solve_are",
-    "quadratic_value",
-    "quadratic_gradient",
     "quadratic_matrix",
 ]
+
+# bound on the algebraic residual of an accepted solution, relative to 1 + |Q|
+RESIDUAL_TOL = 1e-9
 
 
 class RiccatiError(RuntimeError):
@@ -42,12 +43,11 @@ def solve_are(
     b: np.ndarray,
     cost: np.ndarray,
     rw: np.ndarray,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Stabilizing ARE solution, symmetrized and residual-checked.
 
-    ``tol`` bounds the algebraic residual relative to ``1 + |Q|``; violations
-    raise :class:`RiccatiError` carrying the offending matrix.
+    An algebraic residual above ``RESIDUAL_TOL * (1 + |Q|)`` raises
+    :class:`RiccatiError` carrying the offending matrix.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -63,25 +63,15 @@ def solve_are(
     q = 0.5 * (q + q.T)
     resid = float(np.max(np.abs(care_residual(a, b, cost, rw, q))))
     scale = 1.0 + float(np.max(np.abs(q)))
-    if resid > tol * scale:
+    if resid > RESIDUAL_TOL * scale:
         raise RiccatiError(
-            f"Riccati residual {resid:.3e} exceeds {tol:.1e} * {scale:.3e}", q, resid
+            f"Riccati residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} * {scale:.3e}", q, resid
         )
     return q
 
 
-def quadratic_value(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.einsum("...i,ij,...j->...", x, q, x)
-
-
-def quadratic_gradient(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return 2.0 * x @ q
-
-
-def quadratic_matrix(model, tol: float = 1e-9) -> np.ndarray:
+def quadratic_matrix(model) -> np.ndarray:
     """The model's quadratic value matrix: its declared override, else the ARE solution."""
     if model.quadratic_value_matrix is not None:
         return np.asarray(model.quadratic_value_matrix, dtype=float)
-    return solve_are(model.lin_A, model.lin_B, model.cost_matrix, model.R, tol=tol)
+    return solve_are(model.lin_A, model.lin_B, model.cost_matrix, model.R)

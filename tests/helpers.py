@@ -8,8 +8,79 @@ solutions, and derivative checks go through finite differences.
 
 import numpy as np
 
-from vfcontrol.kernels import ek_apply, kernel_eval, kernel_grad1, kernel_grad2
+from vfcontrol.kernels import StructuredKernel
 from vfcontrol.models import AmpParameters
+
+
+# -- pointwise kernel oracles: the dense reference for the matrix-free algebra
+
+
+def _sqdist(x, y):
+    d = x - y
+    return float(d @ d)
+
+
+def kernel_eval(kernel, x: np.ndarray, y: np.ndarray) -> float:
+    """k(x, y) for a single pair of points."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if isinstance(kernel, StructuredKernel):
+        ip = float(x @ y)
+        return ip * ip * kernel_eval(kernel.base, x, y)
+    return float(kernel.profile(_sqdist(x, y))[0])
+
+
+def kernel_grad1(kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of k with respect to the first argument, at (x, y)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if isinstance(kernel, StructuredKernel):
+        ip = float(x @ y)
+        base = kernel.base
+        return 2.0 * ip * y * kernel_eval(base, x, y) + ip * ip * kernel_grad1(base, x, y)
+    dpsi = float(kernel.profile(_sqdist(x, y))[1])
+    return 2.0 * dpsi * (x - y)
+
+
+def kernel_grad2(kernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of k with respect to the second argument; equals grad1 with arguments swapped."""
+    return kernel_grad1(kernel, np.asarray(y, float), np.asarray(x, float))
+
+
+def ek_apply(kernel, x: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Action of the mixed second-derivative block E_k(x, y) on a vector b.
+
+    E_k has entries d/dy_i d/dx_j k(x, y): rows differentiate the second
+    argument, the contraction with b runs over derivatives of the first.
+    This is the orientation the Hermite system needs when the first argument
+    is the column (coefficient) point and the second the row (condition)
+    point; for the radial base kernel
+
+        E_k(x, y) b = -2 psi'(s) b + 4 psi''(s) (x - y) <y - x, b>,
+
+    and the structured product adds four rank-one correction terms.  Cost is
+    O(dim); the matrix itself is never formed.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if isinstance(kernel, StructuredKernel):
+        base = kernel.base
+        ip = float(x @ y)
+        k = kernel_eval(base, x, y)
+        g1 = kernel_grad1(base, x, y)
+        yb = float(y @ b)
+        return (
+            2.0 * k * yb * x
+            + 2.0 * ip * k * b
+            + 2.0 * ip * yb * (-g1)
+            + 2.0 * ip * float(g1 @ b) * x
+            + ip * ip * ek_apply(base, x, y, b)
+        )
+    s = _sqdist(x, y)
+    _, dpsi, ddpsi = kernel.profile(s)
+    d = x - y
+    return -2.0 * float(dpsi) * b - 4.0 * float(ddpsi) * d * float(d @ b)
 
 
 def dense_hermite_matrix(kernel, centers):
@@ -82,3 +153,23 @@ def relative_l2(reference, run, horizon=None):
         times, states = times[mask], states[mask]
     sim = run.states_at(times)
     return float(np.sqrt(np.sum((states - sim) ** 2) / np.sum(states * states)))
+
+
+def fd_gradient(f, x, h=1e-6):
+    """Central finite-difference gradient of a scalar field."""
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        step = h * (1.0 + abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        grad[i] = (f(xp) - f(xm)) / (2.0 * step)
+    return grad
+
+
+def fd_gradient_check(f, grad, x, h=1e-6):
+    """Max absolute deviation between ``grad(x)`` and a central difference of ``f``."""
+    g = np.asarray(grad(np.asarray(x, dtype=float)), dtype=float)
+    return float(np.max(np.abs(g - fd_gradient(f, x, h))))

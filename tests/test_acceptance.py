@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import record_acceptance
 from helpers import amp_closed_loop, dense_hermite_matrix, lattice_centers, relative_l2
@@ -34,7 +35,6 @@ from vfcontrol.hermite import (
     Surrogate,
     assemble_rhs,
     fit,
-    matvec_M,
     quadratic_surrogate,
     stack_coeffs,
     unstack_coeffs,
@@ -50,7 +50,6 @@ from vfcontrol.models import (
     hjb_residual,
     optimal_control,
 )
-from vfcontrol.numerics import dense_solve
 from vfcontrol.openloop import OpenLoopConfig, solve_open_loop
 from vfcontrol.riccati import quadratic_matrix
 from vfcontrol.vkoga import VkogaConfig, run_vkoga
@@ -156,9 +155,10 @@ def test_criterion_03_matrix_free_equals_dense():
         m = dense_hermite_matrix(kern, centers)
         vec = rng.normal(size=m.shape[0])
         mv = m @ vec
-        worst_mv = max(worst_mv, float(np.max(np.abs(matvec_M(kern, centers, vec) - mv)) / np.max(np.abs(mv))))
+        free = HermiteOperator(kern, centers).matvec(vec)
+        worst_mv = max(worst_mv, float(np.max(np.abs(free - mv)) / np.max(np.abs(mv))))
         rhs = rng.normal(size=m.shape[0])
-        ref = dense_solve(m, rhs)
+        ref = scipy.linalg.solve(m, rhs)
         alphas, betas, _ = fit(kern, centers, rhs, cg_tol=1e-13)
         got = stack_coeffs(alphas, betas)
         worst_fit = max(worst_fit, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
@@ -174,19 +174,25 @@ def test_criterion_04_matvec_time_scales_linearly_in_dimension():
     """Doubling the state dimension at fixed center count should roughly
     double one matvec, matching the O(N n^2) operation count."""
     rng = np.random.default_rng(7)
-    best = {}
+    ops = {}
     for dim in (100, 200):
         centers = rng.normal(size=(200, dim))
         op = HermiteOperator(WendlandC4(dim=dim, gamma=0.1), centers)
         vec = rng.normal(size=op.size)
         op.matvec(vec)
-        times = []
-        for _ in range(60):
+        ops[dim] = (op, vec)
+    # one timed matvec of each dimension per repetition, so a slow stretch of
+    # a shared machine lands on both sides of the ratio; the untimed call
+    # before it brings the operator's tables back into cache, since a cold
+    # cache adds the same cost at both dimensions and pulls the ratio to 1
+    times = {dim: [] for dim in ops}
+    for _ in range(60):
+        for dim, (op, vec) in ops.items():
+            op.matvec(vec)
             t0 = time.perf_counter()
             op.matvec(vec)
-            times.append(time.perf_counter() - t0)
-        best[dim] = min(times)
-    ratio = best[200] / best[100]
+            times[dim].append(time.perf_counter() - t0)
+    ratio = min(times[200]) / min(times[100])
     ok = 1.5 <= ratio <= 3.0
     record_acceptance(
         f"ACCEPTANCE 04 {'PASS' if ok else 'FAIL'}: matvec time ratio dim 200/100 at 200 centers "

@@ -132,6 +132,9 @@ def test_missing_kernel_gamma_is_reported(tmp_path, capsys):
         ("kernel", "gama"),
         ("evaluate", "count"),
         ("model", "param"),
+        ("model.params", "cost_matrix"),
+        ("explore.candidates", "n_per_axes"),
+        ("evaluate.testset", "sise"),
     ],
 )
 def test_unknown_config_key_is_rejected(tmp_path, capsys, section, typo):

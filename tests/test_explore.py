@@ -3,6 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vfcontrol.cli import candidates_from_config, explore_from_config, load_config, model_from_config
 from vfcontrol.explore import (
@@ -74,6 +77,23 @@ def test_farthest_point_order_with_explicit_seeds():
     idx, dist = farthest_point_order(pts, 2, seeds=np.array([[3.0]]))
     assert idx[0] == 0
     assert dist[0] == pytest.approx(3.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_farthest_point_order_holds_for_generated_candidates(data):
+    """Distinct picks with non-increasing selection distances, duplicates,
+    ties and explicit seeds included."""
+    dim = data.draw(st.integers(1, 3))
+    # a coarse grid of coordinates makes duplicate candidates and ties common
+    coords = st.sampled_from(np.linspace(-2.0, 2.0, 9))
+    candidates = data.draw(arrays(float, (data.draw(st.integers(1, 25)), dim), elements=coords))
+    seeds = data.draw(st.none() | arrays(float, (data.draw(st.integers(1, 3)), dim), elements=coords))
+    n_select = data.draw(st.integers(0, 30))
+    idx, dist = farthest_point_order(candidates, n_select, seeds=seeds)
+    assert idx.size == dist.size <= min(n_select, candidates.shape[0])
+    assert len(set(idx.tolist())) == idx.size
+    assert np.all(np.diff(dist) <= 0.0)
 
 
 def test_exploration_picks_far_candidates_first(lqr_setup):
@@ -191,6 +211,42 @@ def test_dataset_roundtrips_through_json(tmp_path, lqr_setup):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@st.composite
+def datasets(draw):
+    """Datasets of generated trajectories over any finite doubles."""
+    dim = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    trajectories = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(1, 6))
+        trajectories.append(
+            Trajectory(
+                x0=draw(arrays(float, dim, elements=finite)),
+                times=draw(arrays(float, k, elements=finite)),
+                states=draw(arrays(float, (k, dim), elements=finite)),
+                grads=draw(arrays(float, (k, dim), elements=finite)),
+                values=draw(arrays(float, k, elements=finite)),
+            )
+        )
+    eps = draw(st.lists(finite, min_size=len(trajectories), max_size=len(trajectories)))
+    return Dataset(dim=dim, trajectories=trajectories, eps_history=eps, meta={"model": "generated"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(datasets())
+def test_save_load_roundtrips_generated_datasets_bit_for_bit(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("data") / "data.json"
+    save_dataset(data, path)
+    again = load_dataset(path)
+    assert again.dim == data.dim and again.meta == data.meta
+    assert np.asarray(again.eps_history).tobytes() == np.asarray(data.eps_history).tobytes()
+    assert again.n_trajectories == data.n_trajectories
+    for a, b in zip(again.trajectories, data.trajectories):
+        for name in ("x0", "times", "states", "grads", "values"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
 def test_load_dataset_rejects_unknown_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"schema": "other", "dim": 1, "eps_history": [], "trajectories": []}\n')
@@ -225,7 +281,6 @@ def test_each_stored_trajectory_is_its_own_solve():
         alone = to_trajectory(
             solve_open_loop(model, traj.x0, qm, config.solver),
             samples=config.solver.samples,
-            min_spacing=config.solver.min_spacing,
             horizon=config.horizon,
         )
         for name in ("x0", "times", "states", "grads", "values"):

@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import dense_hermite_matrix, lattice_centers
-from vfcontrol.kernels import (
-    StructuredKernel,
-    WendlandC4,
-    _int_power,
-    ek_apply,
-    kernel_eval,
-    kernel_from_spec,
-    kernel_grad1,
-    kernel_grad2,
-    kernel_to_spec,
-)
+from helpers import dense_hermite_matrix, ek_apply, kernel_eval, kernel_grad1, kernel_grad2, lattice_centers
+from vfcontrol.kernels import StructuredKernel, WendlandC4, _int_power, kernel_from_spec, kernel_to_spec
 
 
 def wendland_polynomial(kernel, r):
@@ -39,7 +29,7 @@ def test_smoothness_degree_follows_dimension():
 def test_profile_at_zero_and_beyond_support():
     for dim in (1, 2, 3):
         kern = WendlandC4(dim=dim, gamma=0.7)
-        psi, dpsi, ddpsi = kern.profile(np.array([0.0, 2.0 * kern.support_radius**2]))
+        psi, dpsi, ddpsi = kern.profile(np.array([0.0, 2.0 * (1.0 / kern.gamma) ** 2]))
         assert psi[0] == 3.0
         assert psi[1] == 0.0 and dpsi[1] == 0.0 and ddpsi[1] == 0.0
         # outside the support every single-pair evaluation vanishes too
@@ -53,17 +43,17 @@ def test_profile_matches_explicit_polynomial():
     kern = WendlandC4(dim=2, gamma=1.3)
     s = np.linspace(0.0, 1.0, 23)
     r = kern.gamma * np.sqrt(s)
-    np.testing.assert_allclose(kern.psi(s), wendland_polynomial(kern, r), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(kern.profile(s)[0], wendland_polynomial(kern, r), rtol=1e-13, atol=1e-13)
 
 
 def test_profile_derivatives_against_finite_differences():
     kern = WendlandC4(dim=3, gamma=0.9)
     s = np.array([0.013, 0.1, 0.37, 0.8])
     h = 1e-6
-    fd_d = (kern.psi(s + h) - kern.psi(s - h)) / (2 * h)
-    fd_dd = (kern.dpsi(s + h) - kern.dpsi(s - h)) / (2 * h)
-    np.testing.assert_allclose(kern.dpsi(s), fd_d, rtol=1e-7)
-    np.testing.assert_allclose(kern.ddpsi(s), fd_dd, rtol=1e-6)
+    fd_d = (kern.profile(s + h)[0] - kern.profile(s - h)[0]) / (2 * h)
+    fd_dd = (kern.profile(s + h)[1] - kern.profile(s - h)[1]) / (2 * h)
+    np.testing.assert_allclose(kern.profile(s)[1], fd_d, rtol=1e-7)
+    np.testing.assert_allclose(kern.profile(s)[2], fd_dd, rtol=1e-6)
 
 
 def test_profile_near_zero_agrees_with_singular_form():
@@ -80,9 +70,9 @@ def test_profile_near_zero_agrees_with_singular_form():
     dphi = dp * (1 - r) ** m - m * p * (1 - r) ** (m - 1)
     ddphi = ddp * (1 - r) ** m - 2 * m * dp * (1 - r) ** (m - 1) + m * (m - 1) * p * (1 - r) ** (m - 2)
     singular = dphi / (2.0 * r)
-    assert abs(float(kern.dpsi(s)) - singular) <= 1e-6 * abs(singular)
+    assert abs(float(kern.profile(s)[1]) - singular) <= 1e-6 * abs(singular)
     singular2 = 0.25 * (ddphi / s - dphi / (r * s))
-    assert abs(float(kern.ddpsi(s)) - singular2) <= 1e-6 * abs(singular2)
+    assert abs(float(kern.profile(s)[2]) - singular2) <= 1e-6 * abs(singular2)
 
 
 def test_int_power_matches_numpy():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import fd_gradient_check
 from vfcontrol.models import (
     AmpParameters,
     NheParameters,
@@ -16,9 +17,7 @@ from vfcontrol.models import (
     nhe_node_coords,
     optimal_control,
     pmp_rhs,
-    split_state,
 )
-from vfcontrol.numerics import fd_gradient_check
 
 AMP = AmpParameters()
 
@@ -88,8 +87,6 @@ def test_pmp_rhs_scalar_linear_by_hand():
     z = np.array([2.0, 0.5, 7.0])
     dz = pmp_rhs(model, z)
     np.testing.assert_allclose(dz, [-2.25, -3.5, -4.0625], atol=1e-14)
-    x, p, v = split_state(z, 1)
-    assert x[0] == 2.0 and p[0] == 0.5 and v == 7.0
 
 
 def test_grad_r_matches_finite_differences_for_all_models():
@@ -188,6 +185,13 @@ def test_build_model_registry():
     assert lqr.dim_state == 1 and lqr.dim_control == 1
     with pytest.raises(ValueError):
         build_model("pendulum")
+
+
+def test_build_model_rejects_unknown_and_missing_params():
+    with pytest.raises(ValueError, match="grid_sid"):
+        build_model("nhe", {"grid_sid": 6})
+    with pytest.raises(ValueError, match="'A'"):
+        build_model("lqr", {"B": [[1.0]]})
 
 
 def test_linear_model_pieces():

@@ -1,20 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from vfcontrol.numerics import (
-    CgError,
-    LinearOperator,
-    SingularMatrixError,
-    cg_solve,
-    dense_solve,
-    fd_gradient,
-    fd_gradient_check,
-    integrate_ivp,
-)
+from helpers import fd_gradient, fd_gradient_check
+from vfcontrol.numerics import CgError, cg_solve, integrate_ivp
 
 
 def as_op(a):
-    return LinearOperator(dim=a.shape[0], apply=lambda v: a @ v)
+    return lambda v: a @ v
 
 
 def spd_matrix(rng, n):
@@ -24,7 +17,7 @@ def spd_matrix(rng, n):
 
 def test_cg_diagonal_system():
     a = np.array([[2.0, 0.0], [0.0, 3.0]])
-    res = cg_solve(as_op(a), np.array([2.0, 3.0]))
+    res = cg_solve(as_op(a), np.array([2.0, 3.0]), np.ones(2))
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-12)
     assert res.iterations <= 2
 
@@ -34,8 +27,8 @@ def test_cg_matches_dense_solve():
     for _ in range(5):
         a = spd_matrix(rng, 5)
         b = rng.normal(size=5)
-        res = cg_solve(as_op(a), b, tol=1e-12)
-        ref = dense_solve(a, b)
+        res = cg_solve(as_op(a), b, np.ones(5), tol=1e-12)
+        ref = scipy.linalg.solve(a, b)
         assert np.max(np.abs(res.x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -43,7 +36,7 @@ def test_cg_jacobi_preconditioning_matches_plain():
     rng = np.random.default_rng(1)
     a = spd_matrix(rng, 6) + np.diag(np.arange(6.0) * 10)
     b = rng.normal(size=6)
-    plain = cg_solve(as_op(a), b, tol=1e-12)
+    plain = cg_solve(as_op(a), b, np.ones(6), tol=1e-12)
     pre = cg_solve(as_op(a), b, tol=1e-12, diag=np.diag(a))
     np.testing.assert_allclose(pre.x, plain.x, atol=1e-9)
 
@@ -52,19 +45,14 @@ def test_cg_warm_start_at_solution_stops_immediately():
     rng = np.random.default_rng(2)
     a = spd_matrix(rng, 4)
     x = rng.normal(size=4)
-    res = cg_solve(as_op(a), a @ x, x0=x)
+    res = cg_solve(as_op(a), a @ x, np.ones(4), x0=x)
     assert res.iterations == 0
     np.testing.assert_allclose(res.x, x)
 
 
 def test_cg_zero_rhs_returns_zero():
-    res = cg_solve(as_op(np.eye(3)), np.zeros(3))
+    res = cg_solve(as_op(np.eye(3)), np.zeros(3), np.ones(3))
     np.testing.assert_array_equal(res.x, np.zeros(3))
-
-
-def test_cg_dimension_mismatch():
-    with pytest.raises(ValueError):
-        cg_solve(as_op(np.eye(3)), np.ones(4))
 
 
 def test_cg_reports_stall():
@@ -72,30 +60,10 @@ def test_cg_reports_stall():
     rng = np.random.default_rng(3)
     a = spd_matrix(rng, 8)
     with pytest.raises(CgError) as err:
-        cg_solve(as_op(a), rng.normal(size=8), tol=1e-14, max_iter=1)
+        cg_solve(as_op(a), rng.normal(size=8), np.ones(8), tol=1e-14, max_iter=1)
     assert err.value.iterations == 1
     assert err.value.residual > 0.0
     assert err.value.x.shape == (8,)
-
-
-def test_dense_solve_roundtrip():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(5, 5)) + 5 * np.eye(5)
-    x = rng.normal(size=5)
-    np.testing.assert_allclose(dense_solve(a, a @ x), x, atol=1e-10)
-
-
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_dense_solve_flags_singular_matrix():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError) as err:
-        dense_solve(a, np.ones(2))
-    assert err.value.pivot < 1e-10
-
-
-def test_dense_solve_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        dense_solve(np.ones((2, 3)), np.ones(2))
 
 
 def test_integrate_exponential_decay():
@@ -123,7 +91,7 @@ def test_integrate_stop_event_cuts_the_run():
 def test_integrate_lsoda_handles_a_stiff_pair():
     # two-rate linear system; the stiff path should not need thousands of steps
     a = np.array([[-1000.0, 0.0], [1.0, -1.0]])
-    res = integrate_ivp(lambda t, x: a @ x, np.array([1.0, 1.0]), (0.0, 10.0), method="LSODA")
+    res = integrate_ivp(lambda t, x: a @ x, np.array([1.0, 1.0]), (0.0, 10.0))
     assert res.times.size < 500
     assert np.all(np.isfinite(res.states))
 

@@ -3,6 +3,8 @@ import pytest
 
 from vfcontrol.models import build_amp, build_linear, optimal_control
 from vfcontrol.openloop import (
+    MIN_SPACING,
+    NEWTON_TOL,
     BvpFailure,
     OpenLoopConfig,
     graded_mesh,
@@ -70,8 +72,8 @@ def test_scalar_lqr_matches_the_closed_form(scalar_lqr):
 def test_terminal_state_reaches_the_closure_tolerance(scalar_lqr):
     model, qm, config, sol = scalar_lqr
     scale = 1.0 + float(np.max(np.abs(sol.z)))
-    assert abs(sol.values[-1]) <= 10 * config.newton_tol * scale
-    assert np.linalg.norm(sol.costates[-1]) <= 10 * config.newton_tol * scale
+    assert abs(sol.values[-1]) <= 10 * NEWTON_TOL * scale
+    assert np.linalg.norm(sol.costates[-1]) <= 10 * NEWTON_TOL * scale
     # the value decreases along the trajectory and stays nonnegative
     assert np.all(np.diff(sol.values) <= 1e-12)
     assert np.all(sol.values >= -1e-14)
@@ -119,7 +121,7 @@ def test_trajectory_thinning_respects_the_horizon(scalar_lqr):
     np.testing.assert_array_equal(traj.x0, sol.states[0])
     # consecutive kept states are separated in state space
     gaps = np.linalg.norm(np.diff(traj.states, axis=0), axis=1)
-    assert np.all(gaps >= config.min_spacing)
+    assert np.all(gaps >= MIN_SPACING)
 
 
 def test_trajectory_thinning_handles_a_stationary_solution():

@@ -5,9 +5,7 @@ from vfcontrol.models import NheParameters, build_amp, build_linear, build_nhe
 from vfcontrol.riccati import (
     RiccatiError,
     care_residual,
-    quadratic_gradient,
     quadratic_matrix,
-    quadratic_value,
     solve_are,
 )
 
@@ -56,16 +54,6 @@ def test_unstabilizable_pair_raises():
     # b = 0 with an unstable mode cannot be stabilized
     with pytest.raises(RiccatiError):
         solve_are(np.array([[1.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
-
-
-def test_quadratic_value_and_gradient():
-    q = np.array([[2.0, 0.5], [0.5, 1.0]])
-    x = np.array([1.0, -2.0])
-    assert quadratic_value(q, x) == pytest.approx(float(x @ q @ x))
-    np.testing.assert_allclose(quadratic_gradient(q, x), 2.0 * q @ x)
-    # batched rows
-    xs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(quadratic_value(q, xs), [2.0, 1.0])
 
 
 def test_quadratic_matrix_uses_the_declared_override():
