@@ -10,10 +10,13 @@ symmetric positive definite two-by-two block matrix
     M = [[ K, B ], [ B^T, C ]],   K_ji = k(x_i, x_j),
     B rows <grad_1 k(x_i, x_j), .>,  C blocks E_k(x_i, x_j),
 
-of size n(1+N).  Nothing here ever materializes B or C: every product with M
-reduces to pairwise scalar matrices (profile values on squared distances,
-inner products) combined through O(n m N) matrix products, which is what makes
-center counts in the hundreds cheap even for N = 100.
+of size n(1+N).  Products with M never materialize B or C: they reduce to
+pairwise scalar matrices (profile values on squared distances, inner
+products) combined through O(n m N) matrix products, which is what makes
+center counts in the hundreds cheap even for N = 100.  The one dense object
+is the preconditioner, a Cholesky factor of M that grows one (1+N) block per
+center (``HermiteFactor``, 8 (n(1+N))^2 bytes); CG on the matrix-free
+operator remains the solve and its true residual the correctness check.
 
 The same contraction evaluated at off-center points is the surrogate itself,
 so ``hermite_apply`` doubles as the Gram matvec (query points = centers) and
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .kernels import StructuredKernel, WendlandC4, kernel_from_spec, kernel_to_spec
 from .numerics import CgError, cg_solve
@@ -45,6 +49,7 @@ __all__ = [
     "stack_coeffs",
     "unstack_coeffs",
     "assemble_rhs",
+    "HermiteFactor",
     "fit",
     "FitError",
     "Surrogate",
@@ -220,20 +225,107 @@ def assemble_rhs(values, grads, variant: str = "plain", q_matrix=None, centers=N
     return stack_coeffs(rhs_vals, rhs_grads)
 
 
-def _jacobi_diag(kernel, centers: np.ndarray) -> np.ndarray:
-    """Exact diagonal of the interpolation matrix, for preconditioning."""
-    n, dim = centers.shape
-    structured = isinstance(kernel, StructuredKernel)
-    base = kernel.base if structured else kernel
-    psi0, dpsi0, _ = base.profile(0.0)
-    psi0 = float(psi0)
-    e_diag = -2.0 * float(dpsi0)
-    if not structured:
-        return np.concatenate([np.full(n, psi0), np.full(n * dim, e_diag)])
-    qn = np.sum(centers * centers, axis=1)
-    val_diag = qn * qn * psi0
-    grad_diag = 2.0 * psi0 * centers * centers + (2.0 * psi0 * qn + e_diag * qn * qn)[:, None]
-    return np.concatenate([val_diag, grad_diag.ravel()])
+def _gram_blocks(kernel, center, points) -> np.ndarray:
+    """Gram entries between one center's coefficients and the functionals at ``points``.
+
+    Returns ``(m, 1+N, 1+N)`` blocks: row 0 is the value at ``points[j]``,
+    rows 1.. its gradient; column 0 is the center's alpha, columns 1.. its
+    beta.  These are the entries ``_apply_cached`` contracts, written out
+    from the same pair tables.
+    """
+    cache = _PairCache(kernel, np.atleast_2d(center), points)
+    x = cache.x[0]
+    y = cache.y
+    m, dim = y.shape
+    d = y - x                           # y_j - x
+    eye = np.eye(dim)
+    out = np.empty((m, 1 + dim, 1 + dim))
+    psi, dpsi, ddpsi = cache.psi[0], cache.dpsi[0], cache.ddpsi[0]
+    if not cache.structured:
+        out[:, 0, 0] = psi
+        out[:, 0, 1:] = -2.0 * dpsi[:, None] * d
+        out[:, 1:, 0] = 2.0 * dpsi[:, None] * d
+        out[:, 1:, 1:] = -2.0 * dpsi[:, None, None] * eye
+        out[:, 1:, 1:] -= 4.0 * ddpsi[:, None, None] * (d[:, :, None] * d[:, None, :])
+        return out
+    ip_psi, ip2_psi = cache.ip_psi[0], cache.ip2_psi[0]
+    ip_dpsi, ip2_dpsi, ip2_ddpsi = cache.ip_dpsi[0], cache.ip2_dpsi[0], cache.ip2_ddpsi[0]
+    # kappa(x, y) = <x, y>^2 k(x, y), differentiated by the product rule
+    out[:, 0, 0] = ip2_psi
+    out[:, 0, 1:] = 2.0 * ip_psi[:, None] * y - 2.0 * ip2_dpsi[:, None] * d
+    out[:, 1:, 0] = 2.0 * ip_psi[:, None] * x + 2.0 * ip2_dpsi[:, None] * d
+    out[:, 1:, 1:] = (
+        2.0 * psi[:, None, None] * (x[None, :, None] * y[:, None, :])
+        + 4.0 * ip_dpsi[:, None, None] * (d[:, :, None] * y[:, None, :] - x[None, :, None] * d[:, None, :])
+        + 2.0 * (ip_psi - ip2_dpsi)[:, None, None] * eye
+        - 4.0 * ip2_ddpsi[:, None, None] * (d[:, :, None] * d[:, None, :])
+    )
+    return out
+
+
+# a Schur block is numerically positive definite when its eigenvalues stay
+# above this fraction of the center's own Gram diagonal; otherwise it is
+# factored with its eigenvalues raised to that level
+SCHUR_FLOOR = 1e-12
+
+
+class HermiteFactor:
+    """Lower Cholesky factor of ``M + nugget I`` over a growing center set.
+
+    Rows and columns run in center order, each center contributing its value
+    slot followed by its gradient slots; :meth:`solve` maps to and from the
+    stacked coefficient layout.  :meth:`append` extends the factor by one
+    center's (1+N) block in O(k (1+N)^3), the Newton-basis update of greedy
+    kernel interpolation.  ``lower`` is the factor L, with L L^T = M + nugget I
+    in that order; it takes 8 (n (1+N))^2 bytes.
+    """
+
+    def __init__(self, kernel, dim: int, nugget: float = 0.0):
+        self.kernel = kernel
+        self.dim = dim
+        self.nugget = nugget
+        self.centers = np.zeros((0, dim))
+        self.lower = np.zeros((0, 0))
+
+    @property
+    def n(self) -> int:
+        return self.centers.shape[0]
+
+    def append(self, center) -> bool:
+        """Add one center; True when its Schur block needed the eigenvalue floor."""
+        block = 1 + self.dim
+        old = self.n * block
+        centers = np.vstack([self.centers, np.asarray(center, dtype=float)[None, :]])
+        column = _gram_blocks(self.kernel, centers[-1], centers).reshape(-1, block)
+        w = scipy.linalg.solve_triangular(self.lower, column[:old], lower=True, check_finite=False)
+        own = column[old:] + self.nugget * np.eye(block)
+        schur = own - w.T @ w
+        level = SCHUR_FLOOR * np.max(np.abs(np.diag(own)))
+        if level == 0.0:
+            raise FitError(f"center {self.n} has a vanishing Gram block")
+        eig, vec = np.linalg.eigh(schur)
+        floored = bool(eig[0] < level)
+        if floored:
+            # a preconditioner only has to be SPD; CG still solves the true system
+            schur = (vec * np.maximum(eig, level)) @ vec.T
+        tail = scipy.linalg.cholesky(schur, lower=True)
+        # a fresh contiguous array: SciPy copies any strided view it solves with
+        grown = np.zeros((old + block, old + block))
+        grown[:old, :old] = self.lower
+        grown[old:, :old] = w.T
+        grown[old:, old:] = tail
+        self.centers = centers
+        self.lower = grown
+        return floored
+
+    def solve(self, stacked: np.ndarray) -> np.ndarray:
+        """(L L^T)^{-1} applied to a stacked coefficient vector."""
+        n, dim = self.n, self.dim
+        ordered = np.concatenate([stacked[:n, None], stacked[n:].reshape(n, dim)], axis=1).ravel()
+        z = scipy.linalg.solve_triangular(self.lower, ordered, lower=True, check_finite=False)
+        z = scipy.linalg.solve_triangular(self.lower, z, lower=True, trans="T", check_finite=False)
+        z = z.reshape(n, 1 + dim)
+        return np.concatenate([z[:, 0], z[:, 1:].ravel()])
 
 
 def fit(
@@ -243,13 +335,17 @@ def fit(
     cg_tol: float = 1e-10,
     max_iter: Optional[int] = None,
     nugget: float = 0.0,
-    x0: Optional[np.ndarray] = None,
+    factor: Optional[HermiteFactor] = None,
 ):
-    """Solve the interpolation system by Jacobi-preconditioned CG.
+    """Solve the interpolation system by CG preconditioned with a Cholesky factor.
 
-    Returns ``(alphas, betas, info)`` where info records iterations and the
-    final relative residual.  Centers must be pairwise distinct; a duplicate
-    pair makes the system singular and is reported by index.
+    ``factor`` is a :class:`HermiteFactor` of these centers and this nugget;
+    without one, a factor is built by appending the centers in order.  CG runs
+    on the matrix-free operator and stops on its true residual, so the factor
+    only has to be close.  Returns ``(alphas, betas, info)`` where info
+    records iterations and the final relative residual.  Centers must be
+    pairwise distinct; a duplicate pair makes the system singular and is
+    reported by index.
     """
     centers = np.asarray(centers, dtype=float)
     n, dim = centers.shape
@@ -260,6 +356,14 @@ def fit(
     closest = np.unravel_index(np.argmin(sq), sq.shape)
     if sq[closest] == 0.0:
         raise FitError(f"duplicate centers {closest[0]} and {closest[1]}")
+    if factor is None:
+        factor = HermiteFactor(kernel, dim, nugget)
+        for center in centers:
+            factor.append(center)
+    elif factor.n != n or factor.nugget != nugget:
+        raise ValueError(
+            f"factor of {factor.n} centers and nugget {factor.nugget} for {n} centers and nugget {nugget}"
+        )
 
     bound = HermiteOperator(kernel, centers)
 
@@ -269,9 +373,8 @@ def fit(
             out = out + nugget * vec
         return out
 
-    diag = _jacobi_diag(kernel, centers) + nugget
     try:
-        res = cg_solve(apply, rhs, diag, tol=cg_tol, max_iter=max_iter, x0=x0)
+        res = cg_solve(apply, rhs, factor.solve, tol=cg_tol, max_iter=max_iter)
     except CgError as err:
         raise FitError(
             f"CG stalled at relative residual {err.residual:.3e} after {err.iterations} iterations"

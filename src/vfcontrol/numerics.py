@@ -1,4 +1,4 @@
-"""Matrix-free conjugate gradients and adaptive ODE integration.
+"""Preconditioned matrix-free conjugate gradients and adaptive ODE integration.
 
 Everything here is deterministic and side-effect free; the rest of the package
 builds on these primitives.
@@ -54,18 +54,19 @@ class CgResult:
 def cg_solve(
     op: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
-    diag: np.ndarray,
+    precondition: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
     max_iter: Optional[int] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> CgResult:
     """Solve op(x) = rhs for a symmetric positive definite operator, matrix-free.
 
     ``op`` maps a vector of the size of ``rhs`` to its product with the
-    operator; ``diag`` is the operator's diagonal, the Jacobi preconditioner.
-    Terminates once ``||rhs - op(x)|| <= tol * ||rhs||``.  The recurrence
-    residual drifts from the true one on ill-conditioned systems, so the true
-    residual is recomputed before declaring convergence.  Raises
+    operator; ``precondition`` applies a symmetric positive definite
+    approximation of the operator's inverse.  Starts from zero and terminates
+    once ``||rhs - op(x)|| <= tol * ||rhs||``.  The recurrence residual drifts
+    from the true one on ill-conditioned systems, so the true residual is
+    recomputed before declaring convergence; when it misses, the iteration
+    restarts from it along the preconditioned residual.  Raises
     :class:`CgError` when the iteration budget (default ``50 * size``) is
     exhausted.
     """
@@ -76,27 +77,17 @@ def cg_solve(
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return CgResult(np.zeros(n), 0, 0.0)
-    diag = np.asarray(diag, dtype=float)
-    if np.any(diag <= 0):
-        raise ValueError("Jacobi preconditioner requires a positive diagonal")
 
-    if x0 is None:
-        x = np.zeros(n)
-        r = rhs.copy()
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        r = rhs - op(x)
-    r_norm = float(np.linalg.norm(r))
-    if r_norm <= tol * bnorm:
-        return CgResult(x, 0, r_norm / bnorm)
-    z = r / diag
+    x = np.zeros(n)
+    r = rhs.copy()
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
     for iterations in range(1, max_iter + 1):
         ap = op(p)
         pap = float(p @ ap)
-        if pap <= 0.0:
+        if not pap > 0.0:  # also catches a NaN, which would otherwise run out the budget
             raise CgError(
                 f"operator lost positive definiteness at iteration {iterations} (pAp = {pap:.3e})",
                 x,
@@ -106,17 +97,19 @@ def cg_solve(
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if iterations % 50 == 0:
-            r = rhs - op(x)
+        restart = False
         if np.linalg.norm(r) <= tol * bnorm:
             true_r = rhs - op(x)
             true_norm = np.linalg.norm(true_r)
             if true_norm <= tol * bnorm:
                 return CgResult(x, iterations, float(true_norm / bnorm))
+            # rz belongs to the drifted residual, so the old direction
+            # cannot be continued
             r = true_r
-        z = r / diag
+            restart = True
+        z = precondition(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p = z if restart else z + (rz_new / rz) * p
         rz = rz_new
     final = float(np.linalg.norm(rhs - op(x)) / bnorm)
     raise CgError(

@@ -5,9 +5,12 @@ scores it by how badly the current surrogate reproduces its data,
 
     rho(x_j) = |v_j - s(x_j)| + ||grad v_j - grad s(x_j)||_2,
 
-and promotes the worst sample to a center, refitting the interpolation system
-matrix-free with the previous coefficients as warm start.  The scan comes
-before the selection, so a tolerance that is already met selects nothing.
+and promotes the worst sample to a center.  The run keeps one Cholesky factor
+of the Hermite Gram matrix and extends it by the new center's block, the
+Newton-basis update of VKOGA; each refit is a matrix-free CG solve
+preconditioned with that factor, which converges in one iteration unless the
+factor had to be floored.  The scan comes before the selection, so a
+tolerance that is already met selects nothing.
 
 Ties in the score break toward the lowest candidate index, which together
 with the deterministic CG solve makes the whole selection reproducible.
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hermite import Surrogate, assemble_rhs, fit, stack_coeffs
+from .hermite import HermiteFactor, Surrogate, assemble_rhs, fit
 from .kernels import StructuredKernel
 
 __all__ = [
@@ -51,6 +54,7 @@ class SelectionStep:
     residual: float
     cg_iterations: int
     cg_residual: float
+    floored: bool  # the factor's Schur block for this center needed the eigenvalue floor
 
 
 @dataclass
@@ -114,6 +118,7 @@ def run_vkoga(
     selected: list[int] = []
     selectable = admissible.copy()
     want_checkpoints = sorted(set(int(c) for c in config.checkpoints))
+    factor = HermiteFactor(kernel, dim, config.nugget)
 
     while True:
         s_vals, s_grads = surrogate.value_and_gradient(points)
@@ -137,12 +142,7 @@ def run_vkoga(
             q_matrix=surrogate.q_matrix,
             centers=centers if structured else None,
         )
-        x0 = None
-        if surrogate.n_centers:
-            x0 = stack_coeffs(
-                np.append(surrogate.alphas, 0.0),
-                np.vstack([surrogate.betas, np.zeros((1, dim))]),
-            )
+        floored = factor.append(points[best])
         alphas, betas, info = fit(
             kernel,
             centers,
@@ -150,7 +150,7 @@ def run_vkoga(
             cg_tol=config.cg_tol,
             max_iter=config.cg_max_iter,
             nugget=config.nugget,
-            x0=x0,
+            factor=factor,
         )
         surrogate = Surrogate(
             kernel=kernel,
@@ -169,6 +169,7 @@ def run_vkoga(
                 residual=best_rho,
                 cg_iterations=info["iterations"],
                 cg_residual=info["residual"],
+                floored=floored,
             )
         )
         if len(selected) in want_checkpoints:
@@ -181,8 +182,15 @@ def write_trace(result: VkogaResult, path) -> None:
     """Selection history as CSV: one row per added center."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "index", "residual", "cg_iterations", "cg_residual"])
+        writer.writerow(["iteration", "index", "residual", "cg_iterations", "cg_residual", "floored"])
         for step in result.steps:
             writer.writerow(
-                [step.iteration, step.index, f"{step.residual:.17g}", step.cg_iterations, f"{step.cg_residual:.17g}"]
+                [
+                    step.iteration,
+                    step.index,
+                    f"{step.residual:.17g}",
+                    step.cg_iterations,
+                    f"{step.cg_residual:.17g}",
+                    int(step.floored),
+                ]
             )

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import dense_hermite_matrix, lattice_centers
 from vfcontrol.hermite import (
     FitError,
+    HermiteFactor,
     HermiteOperator,
     Surrogate,
     assemble_rhs,
@@ -120,8 +121,45 @@ def test_fit_equals_dense_solve():
 def test_fit_rejects_duplicate_centers():
     kern = WendlandC4(dim=2, gamma=1.0)
     centers = np.array([[0.5, 0.5], [0.1, -0.2], [0.5, 0.5]])
-    with pytest.raises(FitError, match="duplicate"):
+    with pytest.raises(FitError, match="duplicate centers 0 and 2"):
         fit(kern, centers, np.zeros(9))
+    # also when the caller brings a factor, which the duplicate leaves singular
+    factor = HermiteFactor(kern, 2)
+    for center in centers:
+        factor.append(center)
+    with pytest.raises(FitError, match="duplicate centers 0 and 2"):
+        fit(kern, centers, np.ones(9), factor=factor)
+    with pytest.raises(ValueError, match="nugget"):
+        fit(kern, centers[:2], np.ones(6), nugget=1e-9, factor=factor)
+
+
+def test_structured_fit_rejects_a_center_at_the_origin():
+    # <x, y>^2 k(x, y) vanishes with all its derivatives at x = 0
+    kern = StructuredKernel(WendlandC4(dim=2, gamma=0.5))
+    with pytest.raises(FitError, match="center 1 has a vanishing Gram block"):
+        fit(kern, np.array([[0.5, 0.2], [0.0, 0.0]]), np.ones(6))
+
+
+def test_nearly_coincident_centers_take_the_eigenvalue_floor():
+    """Centers 1e-7 apart leave a Schur block that is not numerically positive
+    definite; the factor floors it and stays a valid preconditioner, and the
+    fit either meets cg_tol on the true system or fails loudly."""
+    kern = WendlandC4(dim=2, gamma=0.5)
+    centers = np.array([[0.3, -0.2], [0.3 + 1e-7, -0.2], [-0.5, 0.4]])
+    factor = HermiteFactor(kern, 2)
+    assert [factor.append(c) for c in centers] == [False, True, False]
+    low = factor.lower
+    assert np.all(np.isfinite(low))
+    assert np.all(np.diag(low) > 0.0)
+    values = np.exp(-np.sum(centers * centers, axis=1))
+    rhs = assemble_rhs(values, -2.0 * centers * values[:, None])
+    cg_tol = 1e-10
+    try:
+        alphas, betas, info = fit(kern, centers, rhs, cg_tol=cg_tol, factor=factor)
+    except FitError:
+        return
+    m = dense_hermite_matrix(kern, centers)
+    assert np.linalg.norm(rhs - m @ stack_coeffs(alphas, betas)) <= 10 * cg_tol * np.linalg.norm(rhs)
 
 
 def test_fit_nugget_shifts_the_system():
@@ -358,3 +396,35 @@ def test_save_load_roundtrips_generated_arrays_bit_for_bit(tmp_path_factory, cas
     for name in ("centers", "alphas", "betas") + (() if plain else ("q_matrix",)):
         a, b = getattr(sur, name), getattr(again, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    n=st.integers(1, 5),
+    structured=st.booleans(),
+    nugget=st.sampled_from([0.0, 1e-3]),
+    gamma=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_and_matvec_match_dense_algebra_on_generated_centers(dim, n, structured, nugget, gamma, seed):
+    rng = np.random.default_rng(seed)
+    base, kern = both_kernels(dim, gamma)
+    kern = kern if structured else base
+    centers = lattice_centers(rng, n, dim, avoid_origin=True)
+    n = centers.shape[0]
+    m = dense_hermite_matrix(kern, centers)
+    scale = np.max(np.abs(m))
+
+    vec = rng.normal(size=m.shape[0])
+    got = HermiteOperator(kern, centers).matvec(vec)
+    np.testing.assert_allclose(got, m @ vec, rtol=0, atol=1e-12 * scale * np.linalg.norm(vec))
+
+    factor = HermiteFactor(kern, dim, nugget)
+    assert not any(factor.append(c) for c in centers)
+    # the factor runs in center order: each center's value slot, then its gradient slots
+    order = np.concatenate([[i, *range(n + i * dim, n + (i + 1) * dim)] for i in range(n)])
+    shifted = (m + nugget * np.eye(m.shape[0]))[np.ix_(order, order)]
+    low = factor.lower
+    np.testing.assert_allclose(low @ low.T, shifted, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(factor.solve(m @ vec + nugget * vec), vec, rtol=0, atol=1e-6 * np.linalg.norm(vec))

@@ -17,7 +17,7 @@ def spd_matrix(rng, n):
 
 def test_cg_diagonal_system():
     a = np.array([[2.0, 0.0], [0.0, 3.0]])
-    res = cg_solve(as_op(a), np.array([2.0, 3.0]), np.ones(2))
+    res = cg_solve(as_op(a), np.array([2.0, 3.0]), lambda r: r)
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-12)
     assert res.iterations <= 2
 
@@ -27,7 +27,7 @@ def test_cg_matches_dense_solve():
     for _ in range(5):
         a = spd_matrix(rng, 5)
         b = rng.normal(size=5)
-        res = cg_solve(as_op(a), b, np.ones(5), tol=1e-12)
+        res = cg_solve(as_op(a), b, lambda r: r, tol=1e-12)
         ref = scipy.linalg.solve(a, b)
         assert np.max(np.abs(res.x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -36,22 +36,32 @@ def test_cg_jacobi_preconditioning_matches_plain():
     rng = np.random.default_rng(1)
     a = spd_matrix(rng, 6) + np.diag(np.arange(6.0) * 10)
     b = rng.normal(size=6)
-    plain = cg_solve(as_op(a), b, np.ones(6), tol=1e-12)
-    pre = cg_solve(as_op(a), b, tol=1e-12, diag=np.diag(a))
+    d = np.diag(a)
+    plain = cg_solve(as_op(a), b, lambda r: r, tol=1e-12)
+    pre = cg_solve(as_op(a), b, lambda r: r / d, tol=1e-12)
     np.testing.assert_allclose(pre.x, plain.x, atol=1e-9)
 
 
-def test_cg_warm_start_at_solution_stops_immediately():
+def test_cg_with_the_exact_inverse_stops_after_one_iteration():
     rng = np.random.default_rng(2)
     a = spd_matrix(rng, 4)
     x = rng.normal(size=4)
-    res = cg_solve(as_op(a), a @ x, np.ones(4), x0=x)
-    assert res.iterations == 0
-    np.testing.assert_allclose(res.x, x)
+    low = scipy.linalg.cholesky(a, lower=True)
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        return a @ v
+
+    res = cg_solve(op, a @ x, lambda r: scipy.linalg.cho_solve((low, True), r))
+    assert res.iterations == 1
+    # one product for the step, one for the true-residual check
+    assert len(calls) == 2
+    np.testing.assert_allclose(res.x, x, rtol=1e-12)
 
 
 def test_cg_zero_rhs_returns_zero():
-    res = cg_solve(as_op(np.eye(3)), np.zeros(3), np.ones(3))
+    res = cg_solve(as_op(np.eye(3)), np.zeros(3), lambda r: r)
     np.testing.assert_array_equal(res.x, np.zeros(3))
 
 
@@ -60,10 +70,42 @@ def test_cg_reports_stall():
     rng = np.random.default_rng(3)
     a = spd_matrix(rng, 8)
     with pytest.raises(CgError) as err:
-        cg_solve(as_op(a), rng.normal(size=8), np.ones(8), tol=1e-14, max_iter=1)
+        cg_solve(as_op(a), rng.normal(size=8), lambda r: r, tol=1e-14, max_iter=1)
     assert err.value.iterations == 1
     assert err.value.residual > 0.0
     assert err.value.x.shape == (8,)
+
+
+def test_cg_stops_at_once_on_a_non_finite_right_hand_side():
+    with pytest.raises(CgError) as err:
+        cg_solve(as_op(np.eye(3)), np.array([1.0, np.nan, 0.0]), lambda r: r)
+    assert err.value.iterations == 1
+
+
+def test_cg_below_its_attainable_floor_stalls_there():
+    """A tolerance under the rounding floor fails loudly, near the floor.
+
+    The right-hand side lies along the smallest eigenvector of a system with
+    condition number 1e10, so rounding leaves a relative residual near
+    eps * cond = 1e-6 that no iterate can beat.  Once the recurrence residual
+    claims convergence the true residual takes over; continuing the old search
+    direction from it would scale the step by the ratio of two unrelated
+    residuals and send the iterate off to 1e37.
+    """
+    rng = np.random.default_rng(0)
+    n = 10
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * np.logspace(0, -10, n)) @ q.T
+    a = 0.5 * (a + a.T)
+    low = scipy.linalg.cholesky(a, lower=True)
+
+    def exact(r):
+        return scipy.linalg.cho_solve((low, True), r)
+
+    with pytest.raises(CgError) as err:
+        cg_solve(as_op(a), a @ q[:, -1], exact, tol=1e-8, max_iter=1000)
+    assert err.value.residual < 1e-5
+    assert np.all(np.isfinite(err.value.x))
 
 
 def test_integrate_exponential_decay():

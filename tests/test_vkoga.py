@@ -164,6 +164,9 @@ def test_trace_roundtrips_through_csv(tmp_path):
     kern = WendlandC4(dim=2, gamma=0.5)
     points, values, grads = sample_bump(rng, 10, 2)
     result = run_vkoga(kern, points, values, grads, VkogaConfig(max_centers=4))
+    # well separated samples never need the eigenvalue floor, and the
+    # factor preconditioner solves each step in one iteration
+    assert [(s.floored, s.cg_iterations) for s in result.steps] == [(False, 1)] * 4
     path = tmp_path / "trace.csv"
     write_trace(result, path)
     with open(path, newline="") as fh:
@@ -175,3 +178,4 @@ def test_trace_roundtrips_through_csv(tmp_path):
         assert float(row["residual"]) == step.residual
         assert int(row["cg_iterations"]) == step.cg_iterations
         assert float(row["cg_residual"]) == step.cg_residual
+        assert int(row["floored"]) == step.floored
