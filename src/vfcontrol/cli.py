@@ -251,6 +251,8 @@ def cmd_simulate(args) -> int:
         "x0": x0.tolist(),
         "cost": run.cost,
         "escaped": run.escaped,
+        "rhs_evaluations": run.rhs_evaluations,
+        "jacobian_evaluations": run.jacobian_evaluations,
         "times": run.times.tolist(),
         "states": run.states.tolist(),
     }

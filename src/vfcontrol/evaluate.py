@@ -53,6 +53,9 @@ class ClosedLoopRun:
     cost: float
     escaped: bool
     interpolant: object = None  # integrator dense output, if the run has one
+    # integrator counts of the rollout; 0 for runs built from stored arrays
+    rhs_evaluations: int = 0
+    jacobian_evaluations: int = 0
 
     def states_at(self, times) -> np.ndarray:
         """States on an arbitrary grid; past the end of the run the last state holds.
@@ -89,19 +92,21 @@ def simulate_feedback(
     """Integrate the closed loop under the surrogate feedback, accumulating cost.
 
     LSODA switches to BDF when the loop is stiff.  The run stops once the
-    state leaves the radius 10 (1 + ||x0||).
+    state leaves the radius 10 (1 + ||x0||).  The right-hand side broadcasts
+    over a leading batch axis, so each stiff-mode Jacobian is one batched
+    surrogate evaluation.
     """
     x0 = np.asarray(x0, dtype=float)
     n = model.dim_state
     radius = 10.0 * (1.0 + float(np.linalg.norm(x0)))
 
     def rhs(_t, y):
-        x = y[:n]
-        grad = surrogate.gradient(x[None, :])[0]
+        x = y[..., :n]
+        grad = surrogate.gradient(x.reshape(-1, n)).reshape(x.shape)
         u = optimal_control(model, x, grad)
         dx = model.f(x) + model.g_apply(x, u)
-        dj = model.r(x) + u @ model.R @ u
-        return np.concatenate([dx, [dj]])
+        dj = model.r(x) + np.einsum("...i,ij,...j->...", u, model.R, u)
+        return np.concatenate([dx, dj[..., None]], axis=-1)
 
     def escaped(_t, y):
         return float(np.linalg.norm(y[:n])) - radius
@@ -113,7 +118,15 @@ def simulate_feedback(
         last = np.asarray(err.last_state, dtype=float)
         times = np.array([0.0, err.last_time if err.last_time > 0 else 1e-12])
         states = np.stack([x0, last[:n]])
-        return ClosedLoopRun(x0=x0, times=times, states=states, cost=float(last[n]), escaped=True)
+        return ClosedLoopRun(
+            x0=x0,
+            times=times,
+            states=states,
+            cost=float(last[n]),
+            escaped=True,
+            rhs_evaluations=err.rhs_evaluations,
+            jacobian_evaluations=err.jacobian_evaluations,
+        )
 
     stopped_early = sol.times[-1] < horizon * (1.0 - 1e-12)
     return ClosedLoopRun(
@@ -123,6 +136,8 @@ def simulate_feedback(
         cost=float(sol.states[-1, n]),
         escaped=bool(stopped_early),
         interpolant=sol,
+        rhs_evaluations=sol.rhs_evaluations,
+        jacobian_evaluations=sol.jacobian_evaluations,
     )
 
 

@@ -14,9 +14,11 @@ Discretization is Hermite-Simpson collocation on a mesh graded toward both
 ends (fast initial transients live near tau = 0, the algebraic tail near
 tau = 1), solved by a damped Newton method.  The Jacobian couples each node
 only to its neighbor, so it is assembled from per-node finite-difference
-blocks into a block-sparse matrix and factored directly.  A midpoint-rule defect flags
-intervals whose local truncation error is still large; those get split and
-the solve repeats on the refined mesh.
+blocks into a block-sparse matrix and factored directly; the blocks of all
+nodes come from one batched ``pmp_rhs`` call (``numerics.fd_jacobian``), and
+those of all midpoints from another.  A midpoint-rule defect flags intervals
+whose local truncation error is still large; those get split and the solve
+repeats on the refined mesh.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .models import ControlAffineModel, optimal_control, pmp_rhs
-from .numerics import IvpFailure, integrate_ivp
+from .numerics import IvpFailure, fd_jacobian, integrate_ivp
 
 __all__ = [
     "time_stretch",
@@ -48,8 +50,6 @@ __all__ = [
 
 # Newton stops once the max-norm residual is below NEWTON_TOL * (1 + max|z|)
 NEWTON_TOL = 1e-11
-# relative central-difference step of the collocation Jacobian
-FD_STEP = 1e-6
 # stored samples closer than this in state space would make the
 # interpolation system singular
 MIN_SPACING = 1e-8
@@ -100,33 +100,23 @@ def bvp_residual(model: ControlAffineModel, taus: np.ndarray, z: np.ndarray, x0:
     return np.concatenate([z[0, :n] - x0, tail, coll.ravel()])
 
 
-def _batched_jacobians(model: ControlAffineModel, z: np.ndarray) -> np.ndarray:
-    """dF/dz at every row of z by central differences, one batched rhs call per column."""
-    n_nodes, nz = z.shape
-    jac = np.empty((n_nodes, nz, nz))
-    for j in range(nz):
-        step = FD_STEP * (1.0 + np.abs(z[:, j]))
-        zp = z.copy()
-        zp[:, j] += step
-        zm = z.copy()
-        zm[:, j] -= step
-        jac[:, :, j] = (pmp_rhs(model, zp) - pmp_rhs(model, zm)) / (2.0 * step)[:, None]
-    return jac
-
-
 def _assemble_jacobian(model, taus, z, delta_tau):
     n = model.dim_state
     nz = z.shape[1]
     n_nodes = z.shape[0]
     k_intervals = n_nodes - 1
+
+    def rhs(rows):
+        return pmp_rhs(model, rows)
+
     rate = time_stretch_rate(taus)
-    a = rate[:, None, None] * _batched_jacobians(model, z)
+    a = rate[:, None, None] * fd_jacobian(rhs, z)
 
     ft = rate[:, None] * pmp_rhs(model, z)
     h = np.diff(taus)[:, None]
     z_mid = 0.5 * (z[:-1] + z[1:]) + (h / 8.0) * (ft[:-1] - ft[1:])
     mid_rate = time_stretch_rate(0.5 * (taus[:-1] + taus[1:]))
-    a_mid = mid_rate[:, None, None] * _batched_jacobians(model, z_mid)
+    a_mid = mid_rate[:, None, None] * fd_jacobian(rhs, z_mid)
 
     eye = np.eye(nz)
     data = np.empty((2 * n_nodes, nz, nz))

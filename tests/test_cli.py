@@ -84,6 +84,8 @@ def test_pipeline_runs_end_to_end(tmp_path, capsys):
     assert not out["escaped"]
     doc = json.loads(open(run_path).read())
     assert doc["schema"] == "vfcontrol-run-v1"
+    assert doc["rhs_evaluations"] > 0
+    assert doc["jacobian_evaluations"] >= 0
     # a good scalar fit lands near the optimal cost q x0^2
     q = np.sqrt(2.0) - 1.0
     assert doc["cost"] == pytest.approx(q * 0.64, rel=0.05)

@@ -18,7 +18,7 @@ from vfcontrol.evaluate import (
 from vfcontrol.explore import Dataset, ExploreConfig, run_exploration
 from vfcontrol.hermite import quadratic_surrogate
 from vfcontrol.kernels import StructuredKernel, WendlandC4
-from vfcontrol.models import build_linear
+from vfcontrol.models import NheParameters, build_linear, build_nhe
 from vfcontrol.openloop import OpenLoopConfig
 from vfcontrol.riccati import quadratic_matrix
 from vfcontrol.vkoga import VkogaConfig
@@ -109,6 +109,22 @@ def test_feedback_simulation_matches_the_lqr_cost(lqr):
     integrand = x * x + u * u
     quad = float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(run.times)))
     assert run.cost == pytest.approx(quad, rel=1e-3)
+    assert run.rhs_evaluations > 0
+
+
+def test_stiff_feedback_simulation_counts_its_batched_jacobians():
+    """The heat model's closed loop turns stiff, so LSODA needs Jacobians of the
+    feedback right-hand side, each from one batched surrogate evaluation."""
+    model = build_nhe(NheParameters(grid_side=3))
+    surrogate = quadratic_surrogate(quadratic_matrix(model))
+    x0 = np.linspace(-0.5, 0.5, model.dim_state)
+    run = simulate_feedback(model, surrogate, x0, horizon=5.0)
+    assert not run.escaped
+    assert run.jacobian_evaluations > 0
+    assert run.rhs_evaluations > run.jacobian_evaluations
+    tight = simulate_feedback(model, surrogate, x0, horizon=5.0, rel_tol=1e-11, abs_tol=1e-13)
+    assert run.cost == pytest.approx(tight.cost, rel=1e-6)
+    np.testing.assert_allclose(run.final_state, tight.final_state, atol=1e-8)
 
 
 def test_feedback_simulation_flags_escapes():

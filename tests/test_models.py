@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import fd_gradient_check
 from vfcontrol.models import (
@@ -202,3 +205,41 @@ def test_linear_model_pieces():
     np.testing.assert_allclose(model.g_apply(x, np.array([3.0])), [0.0, 3.0])
     np.testing.assert_allclose(model.gT_apply(x, np.array([5.0, 7.0])), [7.0])
     assert model.r(x) == pytest.approx(5.0)
+
+
+BUNDLED = {
+    "amp": build_amp(AmpParameters(dim=3)),
+    "nhe": build_nhe(NheParameters(grid_side=3)),
+    "lqr": build_linear([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], control_weight=[[0.5]]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BUNDLED)), st.integers(1, 3), st.integers(1, 4), st.data())
+def test_model_maps_broadcast_over_leading_batch_axes(name, k, m, data):
+    """A stacked (k, m, .) input gives the row-by-row results of every map.
+
+    Both finite-difference Jacobians (collocation and LSODA) feed all their
+    perturbed rows through one call, so they rely on this.
+    """
+    model = BUNDLED[name]
+    n, nc = model.dim_state, model.dim_control
+    values = st.floats(-1.0, 1.0)
+    z = data.draw(arrays(float, (k, m, 2 * n + 1), elements=values))
+    u = data.draw(arrays(float, (k, m, nc), elements=values))
+    x, p = z[..., :n], z[..., n : 2 * n]
+    maps = {
+        "f": lambda i: model.f(x[i]),
+        "g_apply": lambda i: model.g_apply(x[i], u[i]),
+        "gT_apply": lambda i: model.gT_apply(x[i], p[i]),
+        "r": lambda i: model.r(x[i]),
+        "grad_r": lambda i: model.grad_r(x[i]),
+        "jac_f_T_apply": lambda i: model.jac_f_T_apply(x[i], p[i]),
+        "dgu_dx_T_apply": lambda i: model.dgu_dx_T_apply(x[i], u[i], p[i]),
+        "pmp_rhs": lambda i: pmp_rhs(model, z[i]),
+    }
+    for label, apply in maps.items():
+        stacked = apply(Ellipsis)
+        rows = np.array([[apply((a, b)) for b in range(m)] for a in range(k)])
+        assert stacked.shape == rows.shape, label
+        np.testing.assert_allclose(stacked, rows, rtol=1e-13, atol=1e-12, err_msg=label)

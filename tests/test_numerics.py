@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import fd_gradient, fd_gradient_check
-from vfcontrol.numerics import CgError, cg_solve, integrate_ivp
+from helpers import fd_gradient, fd_gradient_check, fd_jacobian_columns
+from vfcontrol.models import NheParameters, build_amp, build_linear, build_nhe, optimal_control, pmp_rhs
+from vfcontrol.numerics import FD_STEP, CgError, cg_solve, fd_jacobian, integrate_ivp
 
 
 def as_op(a):
@@ -130,12 +131,98 @@ def test_integrate_stop_event_cuts_the_run():
     np.testing.assert_allclose(res.states[-1, 0], 5.0, rtol=1e-6)
 
 
+STIFF_PAIR = np.array([[-1000.0, 0.0], [1.0, -1.0]])
+
+
 def test_integrate_lsoda_handles_a_stiff_pair():
     # two-rate linear system; the stiff path should not need thousands of steps
-    a = np.array([[-1000.0, 0.0], [1.0, -1.0]])
-    res = integrate_ivp(lambda t, x: a @ x, np.array([1.0, 1.0]), (0.0, 10.0))
+    res = integrate_ivp(lambda t, x: x @ STIFF_PAIR.T, np.array([1.0, 1.0]), (0.0, 10.0))
     assert res.times.size < 500
     assert np.all(np.isfinite(res.states))
+
+
+def test_integrate_counts_the_stiff_pair_jacobians():
+    res = integrate_ivp(lambda t, x: x @ STIFF_PAIR.T, np.array([1.0, 1.0]), (0.0, 10.0))
+    assert res.jacobian_evaluations > 0
+    assert res.rhs_evaluations > res.jacobian_evaluations
+    # a non-stiff decay never needs a Jacobian
+    assert integrate_ivp(lambda t, x: -x, np.array([1.0]), (0.0, 1.0)).jacobian_evaluations == 0
+
+
+def test_integrate_rejects_a_non_broadcasting_rhs_at_once():
+    calls = []
+
+    def matvec(t, x):
+        calls.append(np.shape(x))
+        return STIFF_PAIR @ x
+
+    with pytest.raises(ValueError, match="broadcast over a leading batch axis"):
+        integrate_ivp(matvec, np.array([1.0, 1.0]), (0.0, 10.0))
+    assert calls == [(1, 2)]
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        integrate_ivp(lambda t, x: -x.ravel(), np.array([1.0, 1.0]), (0.0, 1.0))
+
+
+JACOBIAN_MODELS = {
+    "amp": build_amp(),
+    "nhe": build_nhe(NheParameters(grid_side=6)),
+    "lqr": build_linear([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], control_weight=[[0.5]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_MODELS))
+def test_fd_jacobian_equals_the_column_loop(name):
+    model = JACOBIAN_MODELS[name]
+    rng = np.random.default_rng(21)
+    z = rng.uniform(-0.8, 0.8, size=(12, 2 * model.dim_state + 1))
+
+    def fun(rows):
+        return pmp_rhs(model, rows)
+
+    batched = fd_jacobian(fun, z)
+    oracle = fd_jacobian_columns(fun, z)
+    assert batched.shape == oracle.shape == (12, z.shape[1], z.shape[1])
+    if name == "nhe":
+        # the batched rows reach BLAS as one large product, the oracle's as
+        # small ones, and OpenBLAS may sum small products in another order;
+        # the rhs then differs in the last bits, magnified by 1 / (2 step)
+        scale = float(np.max(np.abs(fun(z))))
+        np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=16.0 * np.finfo(float).eps * scale / FD_STEP)
+    else:
+        np.testing.assert_array_equal(batched, oracle)
+
+
+def test_fd_jacobian_matches_the_closed_form_lqr_jacobian():
+    model = JACOBIAN_MODELS["lqr"]
+    a, b, c = model.lin_A, model.lin_B, model.cost_matrix
+    n = model.dim_state
+    rng = np.random.default_rng(22)
+    z = rng.uniform(-2.0, 2.0, size=(5, 2 * n + 1))
+    jac = fd_jacobian(lambda rows: pmp_rhs(model, rows), z)
+    for row, got in zip(z, jac):
+        x, p = row[:n], row[n : 2 * n]
+        u = optimal_control(model, x, p)
+        want = np.zeros((2 * n + 1, 2 * n + 1))
+        want[:n, :n] = a
+        want[:n, n : 2 * n] = -0.5 * b @ model.R_inv @ b.T
+        want[n : 2 * n, :n] = -2.0 * c
+        want[n : 2 * n, n : 2 * n] = -a.T
+        # v' = -(x^T C x + u^T R u) with du/dp = -R^{-1} B^T / 2
+        want[2 * n, :n] = -2.0 * c @ x
+        want[2 * n, n : 2 * n] = b @ u
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)))
+
+
+def test_fd_jacobian_broadcasts_over_leading_axes():
+    model = JACOBIAN_MODELS["amp"]
+    rng = np.random.default_rng(23)
+    z = rng.uniform(-0.8, 0.8, size=(3, 4, 5))
+    jac = fd_jacobian(lambda rows: pmp_rhs(model, rows), z)
+    assert jac.shape == (3, 4, 5, 5)
+    flat = fd_jacobian(lambda rows: pmp_rhs(model, rows), z.reshape(12, 5))
+    np.testing.assert_array_equal(jac.reshape(12, 5, 5), flat)
+    one = fd_jacobian(lambda rows: pmp_rhs(model, rows), z[1, 2])
+    np.testing.assert_array_equal(one, jac[1, 2])
 
 
 def test_fd_gradient_on_a_quadratic():
