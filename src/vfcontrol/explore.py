@@ -175,11 +175,14 @@ class Dataset:
         return pts[keep], vals[keep], gds[keep]
 
     def prefix(self, n: int) -> "Dataset":
+        meta = dict(self.meta)
+        if "solves" in meta:
+            meta["solves"] = meta["solves"][:n]
         return Dataset(
             dim=self.dim,
             trajectories=self.trajectories[:n],
             eps_history=self.eps_history[:n],
-            meta=dict(self.meta),
+            meta=meta,
         )
 
     @property
@@ -223,6 +226,8 @@ def run_exploration(
         meta={
             "model": model.name,
             "quarantined": [],
+            # solver counters of each stored trajectory, in storage order
+            "solves": [],
             "c_max_candidates": float(np.max(np.linalg.norm(candidates, axis=1))) if m else 0.0,
         },
     )
@@ -249,6 +254,13 @@ def run_exploration(
 
         dataset.trajectories.append(traj)
         dataset.eps_history.append(gap)
+        dataset.meta["solves"].append(
+            {
+                "newton_iterations": sol.newton_iterations,
+                "refine_rounds": sol.refine_rounds,
+                "max_defect": sol.max_defect,
+            }
+        )
         dmin = np.minimum(dmin, np.linalg.norm(candidates - x0, axis=1))
 
     alive = dmin[dmin > -np.inf]

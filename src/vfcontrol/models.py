@@ -5,10 +5,12 @@ A model describes
     x' = f(x) + g(x) u,    cost integrand r(x) + u^T R u,
 
 with f(0) = 0 and r >= 0, r(0) = 0, so the origin is the target equilibrium.
-Derivative information is exposed as transpose-Jacobian actions, never as
-assembled Jacobians, which keeps costate evaluations O(dim) for the
-grid-based problems.  Every map broadcasts over leading batch axes with the
-state on the last axis.
+Derivative information enters the costate equation as transpose-Jacobian
+actions, which keeps costate evaluations O(dim) for the grid-based problems.
+The one assembled Jacobian is ``pmp_jacobian``, the derivative of the whole
+optimality system that Newton collocation needs, which ``build_amp``,
+``build_nhe`` and ``build_linear`` write in closed form.  Every map
+broadcasts over leading batch axes with the state on the last axis.
 
 Bundled models:
 
@@ -59,6 +61,9 @@ class ControlAffineModel:
     grad_r: Callable
     jac_f_T_apply: Callable    # (x, p) -> J_f(x)^T p
     dgu_dx_T_apply: Callable   # (x, u, p) -> [d/dx (g(x) u)]^T p
+    # z -> d pmp_rhs / dz, shape (..., 2n+1, 2n+1); the control weight R is
+    # taken to be symmetric, as every cost weight is
+    pmp_jacobian: Callable
     R: np.ndarray
     R_inv: np.ndarray
     lin_A: np.ndarray          # J_f(0)
@@ -92,7 +97,7 @@ def pmp_rhs(model: ControlAffineModel, z: np.ndarray) -> np.ndarray:
     u = optimal_control(model, x, p)
     dx = model.f(x) + model.g_apply(x, u)
     dp = -(model.jac_f_T_apply(x, p) + model.dgu_dx_T_apply(x, u, p) + model.grad_r(x))
-    dv = -(model.r(x) + np.einsum("...i,ij,...j->...", u, model.R, u))
+    dv = -(model.r(x) + np.sum((u @ model.R) * u, axis=-1))
     return np.concatenate([dx, dp, dv[..., None]], axis=-1)
 
 
@@ -168,6 +173,34 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
         # transpose action coincides.
         return u * np.exp(-0.5 * q(x)) * (p - x * np.sum(x * p, axis=-1, keepdims=True))
 
+    def pmp_jacobian(z):
+        # With s = x.p, kappa = e^{-q} / (2 beta), c = kappa s and
+        # rho = 2 alpha e^q q (q + 2) = grad r / x, the system reads
+        #   x' = (q - c) x,  p' = -((q - c) p + (2 + c) s x + rho x),
+        #   v' = -(alpha e^q q^2 + c s / 2).
+        x, p = z[..., :n], z[..., n : 2 * n]
+        qq = q(x)[..., None]
+        s = np.sum(x * p, axis=-1)[..., None, None]
+        kappa = np.exp(-qq) / (2.0 * beta)
+        c = kappa * s
+        e_q = np.exp(qq)
+        rho = 2.0 * alpha * e_q * qq * (qq + 2.0)
+        drho = 2.0 * alpha * e_q * (qq * qq + 4.0 * qq + 2.0)
+        xc, pc = x[..., :, None], p[..., :, None]
+        xr, pr = x[..., None, :], p[..., None, :]
+        dc_dx = kappa * (pr - 2.0 * s * xr)
+        eye = np.eye(n)
+        jac = np.zeros(z.shape[:-1] + (2 * n + 1, 2 * n + 1))
+        jac[..., :n, :n] = (qq - c) * eye + xc * (2.0 * xr - dc_dx)
+        jac[..., :n, n : 2 * n] = -kappa * xc * xr
+        jac[..., n : 2 * n, :n] = -(
+            pc * (2.0 * xr - dc_dx) + s * xc * dc_dx + (2.0 + c) * (xc * pr + s * eye) + rho * eye + 2.0 * drho * xc * xr
+        )
+        jac[..., n : 2 * n, n : 2 * n] = -((qq - c) * eye - kappa * pc * xr + (2.0 + 2.0 * c) * xc * xr)
+        jac[..., 2 * n, :n] = -(rho * xr + c * (pr - s * xr))[..., 0, :]
+        jac[..., 2 * n, n : 2 * n] = -(c * xr)[..., 0, :]
+        return jac
+
     c = amp_value_factor(params)
     return ControlAffineModel(
         name="amp",
@@ -180,6 +213,7 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
         grad_r=grad_r,
         jac_f_T_apply=jac_f_T_apply,
         dgu_dx_T_apply=dgu_dx_T_apply,
+        pmp_jacobian=pmp_jacobian,
         R=np.array([[beta]]),
         R_inv=np.array([[1.0 / beta]]),
         lin_A=np.zeros((n, n)),
@@ -272,6 +306,24 @@ def build_nhe(params: NheParameters = NheParameters()) -> ControlAffineModel:
         return np.zeros_like(x)
 
     penalty = params.control_penalty
+    r_inv = (1.0 / penalty) * np.eye(m)
+    gain = -0.5 * b @ r_inv @ b.T
+    diag = np.arange(n)
+
+    def pmp_jacobian(z):
+        x, p = z[..., :n], z[..., n : 2 * n]
+        reaction = beta * (2.0 * x - 3.0 * x * x)
+        jac = np.zeros(z.shape[:-1] + (2 * n + 1, 2 * n + 1))
+        jac[..., :n, :n] = a
+        jac[..., diag, diag] += reaction
+        jac[..., :n, n : 2 * n] = gain
+        jac[..., n + diag, diag] = -(beta * (2.0 - 6.0 * x) * p + 2.0)
+        jac[..., n : 2 * n, n : 2 * n] = -a.T
+        jac[..., n + diag, n + diag] -= reaction
+        jac[..., 2 * n, :n] = -2.0 * x
+        jac[..., 2 * n, n : 2 * n] = p @ gain.T
+        return jac
+
     return ControlAffineModel(
         name="nhe",
         dim_state=n,
@@ -283,8 +335,9 @@ def build_nhe(params: NheParameters = NheParameters()) -> ControlAffineModel:
         grad_r=grad_r,
         jac_f_T_apply=jac_f_T_apply,
         dgu_dx_T_apply=dgu_dx_T_apply,
+        pmp_jacobian=pmp_jacobian,
         R=penalty * np.eye(m),
-        R_inv=(1.0 / penalty) * np.eye(m),
+        R_inv=r_inv,
         lin_A=a,
         lin_B=b,
         cost_matrix=np.eye(n),
@@ -338,6 +391,20 @@ def build_linear(
     def dgu_dx_T_apply(x, u, p):
         return np.zeros_like(x)
 
+    r_inv = np.linalg.inv(rw)
+    gain = -0.5 * b @ r_inv @ b.T
+
+    def pmp_jacobian(z):
+        x, p = z[..., :n], z[..., n : 2 * n]
+        jac = np.zeros(z.shape[:-1] + (2 * n + 1, 2 * n + 1))
+        jac[..., :n, :n] = a
+        jac[..., :n, n : 2 * n] = gain
+        jac[..., n : 2 * n, :n] = -2.0 * c.T
+        jac[..., n : 2 * n, n : 2 * n] = -a.T
+        jac[..., 2 * n, :n] = -(x @ (c + c.T))
+        jac[..., 2 * n, n : 2 * n] = p @ gain.T
+        return jac
+
     return ControlAffineModel(
         name=name,
         dim_state=n,
@@ -349,8 +416,9 @@ def build_linear(
         grad_r=grad_r,
         jac_f_T_apply=jac_f_T_apply,
         dgu_dx_T_apply=dgu_dx_T_apply,
+        pmp_jacobian=pmp_jacobian,
         R=rw,
-        R_inv=np.linalg.inv(rw),
+        R_inv=r_inv,
         lin_A=a,
         lin_B=b,
         cost_matrix=c,

@@ -12,13 +12,15 @@ That extrapolated condition is the far-end boundary residual.
 
 Discretization is Hermite-Simpson collocation on a mesh graded toward both
 ends (fast initial transients live near tau = 0, the algebraic tail near
-tau = 1), solved by a damped Newton method.  The Jacobian couples each node
-only to its neighbor, so it is assembled from per-node finite-difference
-blocks into a block-sparse matrix and factored directly; the blocks of all
-nodes come from one batched ``pmp_rhs`` call (``numerics.fd_jacobian``), and
-those of all midpoints from another.  A midpoint-rule defect flags intervals
-whose local truncation error is still large; those get split and the solve
-repeats on the refined mesh.
+tau = 1), solved by a damped Newton method.  The residual lists the
+x-boundary rows, then the collocation rows interval by interval, then the
+tail rows; each interval couples only its two end nodes, so in this order the
+Jacobian is banded.  Its blocks come from the model's closed-form
+``pmp_jacobian`` at all nodes and all midpoints, are written straight into
+LAPACK band storage, and the system is factored by banded LU with partial
+pivoting (``dgbtrf``; Ascher, Mattheij & Russell, ch. 7).  A midpoint-rule
+defect flags intervals whose local truncation error is still large; those get
+split and the solve repeats on the refined mesh.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .models import ControlAffineModel, optimal_control, pmp_rhs
-from .numerics import IvpFailure, fd_jacobian, integrate_ivp
+from .numerics import IvpFailure, integrate_ivp
 
 __all__ = [
     "time_stretch",
@@ -82,7 +84,7 @@ def graded_mesh(n_intervals: int, power: float = 1.0, tau_end: float = 1.0 - 1e-
 
 
 def bvp_residual(model: ControlAffineModel, taus: np.ndarray, z: np.ndarray, x0: np.ndarray, delta_tau: float) -> np.ndarray:
-    """Stacked residual: boundary rows first, then one collocation row per interval.
+    """Stacked residual: x-boundary rows, one block of collocation rows per interval, tail rows.
 
     The interval rule is Hermite-Simpson: the midpoint state interpolates the
     cubic through the endpoint values and slopes, and Simpson quadrature over
@@ -97,54 +99,79 @@ def bvp_residual(model: ControlAffineModel, taus: np.ndarray, z: np.ndarray, x0:
     ft_mid = mid_rate[:, None] * pmp_rhs(model, z_mid)
     coll = z[1:] - z[:-1] - (h / 6.0) * (ft[:-1] + 4.0 * ft_mid + ft[1:])
     tail = (z[-1] + delta_tau * ft[-1])[n:]
-    return np.concatenate([z[0, :n] - x0, tail, coll.ravel()])
+    return np.concatenate([z[0, :n] - x0, coll.ravel(), tail])
+
+
+def _band_widths(n: int) -> tuple[int, int]:
+    """Sub- and superdiagonal counts (kl, ku) of the collocation Jacobian for state dimension n.
+
+    With nz = 2n + 1 unknowns per node, the collocation rows of interval k
+    start at row n + k nz and reach the columns of nodes k and k + 1, so
+    they span the diagonals -(n + nz - 1) to 2 nz - 1 - n; the x-boundary and
+    tail rows lie inside that band.
+    """
+    nz = 2 * n + 1
+    return n + nz - 1, 2 * nz - 1 - n
 
 
 def _assemble_jacobian(model, taus, z, delta_tau):
-    n = model.dim_state
-    nz = z.shape[1]
-    n_nodes = z.shape[0]
-    k_intervals = n_nodes - 1
+    """Jacobian of :func:`bvp_residual` in LAPACK band storage, ready for ``dgbtrf``.
 
-    def rhs(rows):
-        return pmp_rhs(model, rows)
+    Entry (r, c) sits at ``ab[kl + ku + r - c, c]``; the first kl rows are
+    the room ``dgbtrf`` needs for the fill of its row interchanges.  In
+    column-major order that is flat position kl + ku + r + c (ldab - 1), so
+    the blocks of one kind, one per interval and each shifted by nz rows and
+    nz columns from the last, form a single strided view of the storage and
+    land with one assignment.
+    """
+    n = model.dim_state
+    n_nodes, nz = z.shape
+    k_intervals = n_nodes - 1
+    kl, ku = _band_widths(n)
 
     rate = time_stretch_rate(taus)
-    a = rate[:, None, None] * fd_jacobian(rhs, z)
-
+    a = rate[:, None, None] * model.pmp_jacobian(z)
     ft = rate[:, None] * pmp_rhs(model, z)
     h = np.diff(taus)[:, None]
     z_mid = 0.5 * (z[:-1] + z[1:]) + (h / 8.0) * (ft[:-1] - ft[1:])
     mid_rate = time_stretch_rate(0.5 * (taus[:-1] + taus[1:]))
-    a_mid = mid_rate[:, None, None] * fd_jacobian(rhs, z_mid)
+    a_mid = mid_rate[:, None, None] * model.pmp_jacobian(z_mid)
 
     eye = np.eye(nz)
-    data = np.empty((2 * n_nodes, nz, nz))
-    indices = np.empty(2 * n_nodes, dtype=np.int32)
-    indptr = np.arange(0, 2 * n_nodes + 1, 2, dtype=np.int32)
-
-    # boundary block row: x rows pin node 0, the extrapolated tail rows pin the last node
-    b00 = np.zeros((nz, nz))
-    b00[:n, :n] = np.eye(n)
-    b0k = np.zeros((nz, nz))
-    b0k[n:, :] = (eye + delta_tau * a[-1])[n:, :]
-    data[0] = b00
-    data[1] = b0k
-    indices[0] = 0
-    indices[1] = k_intervals
-
     hh = h[:, :, None]
-    dmid_left = 0.5 * eye[None, :, :] + (hh / 8.0) * a[:-1]
-    dmid_right = 0.5 * eye[None, :, :] - (hh / 8.0) * a[1:]
-    left = -eye[None, :, :] - (hh / 6.0) * (a[:-1] + 4.0 * np.matmul(a_mid, dmid_left))
-    right = eye[None, :, :] - (hh / 6.0) * (a[1:] + 4.0 * np.matmul(a_mid, dmid_right))
-    data[2::2] = left
-    data[3::2] = right
-    indices[2::2] = np.arange(k_intervals, dtype=np.int32)
-    indices[3::2] = np.arange(1, k_intervals + 1, dtype=np.int32)
+    dmid_left = 0.5 * eye + (hh / 8.0) * a[:-1]
+    dmid_right = 0.5 * eye - (hh / 8.0) * a[1:]
+    left = -eye - (hh / 6.0) * (a[:-1] + 4.0 * np.matmul(a_mid, dmid_left))
+    right = eye - (hh / 6.0) * (a[1:] + 4.0 * np.matmul(a_mid, dmid_right))
 
-    dim = n_nodes * nz
-    return sp.bsr_matrix((data, indices, indptr), shape=(dim, dim))
+    ldab = 2 * kl + ku + 1
+    flat = np.zeros(ldab * n_nodes * nz)
+    step = flat.itemsize
+
+    def blocks(row, col, count, rows):
+        """``count`` blocks of ``rows`` x nz entries at rows row + k nz + i, columns col + k nz + j."""
+        start = kl + ku + row + col * (ldab - 1)
+        return as_strided(flat[start:], shape=(count, rows, nz), strides=(step * nz * ldab, step, step * (ldab - 1)))
+
+    blocks(n, 0, k_intervals, nz)[...] = left
+    blocks(n, nz, k_intervals, nz)[...] = right
+    # x rows pin node 0; the extrapolated tail rows pin the last node
+    flat[kl + ku + ldab * np.arange(n)] = 1.0
+    blocks(n + k_intervals * nz, k_intervals * nz, 1, n + 1)[0] = (eye + delta_tau * a[-1])[n:]
+    return flat.reshape((ldab, n_nodes * nz), order="F")
+
+
+def splu(ab: np.ndarray, kl: int, ku: int) -> tuple[np.ndarray, np.ndarray]:
+    """Banded LU with partial pivoting (LAPACK ``dgbtrf``), in place on the band storage ``ab``.
+
+    Returns the factor and pivots for ``dgbtrs``; an exactly zero pivot is a
+    ``LinAlgError``.  The name is the one the benchmark tracer's
+    ``openloop.splu`` span binds, kept from when this step was a sparse LU.
+    """
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"zero pivot at unknown {info - 1} of the banded LU")
+    return lu, piv
 
 
 @dataclass(frozen=True)
@@ -169,6 +196,7 @@ class BvpSolution:
     taus: np.ndarray
     z: np.ndarray
     converged: bool
+    # from solve_open_loop: summed over every mesh of the refinement
     newton_iterations: int
     residual_norm: float
     dim_state: int
@@ -251,6 +279,7 @@ def solve_pmp(
     if not np.isfinite(norm):
         raise BvpFailure("initial iterate produces a non-finite residual", residual=norm)
 
+    kl, ku = _band_widths(model.dim_state)
     iteration = 0
     while norm > NEWTON_TOL * (1.0 + float(np.max(np.abs(z)))):
         if iteration == config.newton_max_iter:
@@ -260,12 +289,11 @@ def solve_pmp(
                 iterations=iteration,
             )
         iteration += 1
-        jac = _assemble_jacobian(model, taus, z, config.delta_tau)
         try:
-            lu = splu(jac.tocsc())
-        except RuntimeError as err:
+            lu, piv = splu(_assemble_jacobian(model, taus, z, config.delta_tau), kl, ku)
+        except np.linalg.LinAlgError as err:
             raise BvpFailure(f"singular collocation Jacobian: {err}", residual=norm, iterations=iteration) from err
-        step = lu.solve(-res).reshape(z.shape)
+        step = dgbtrs(lu, kl, ku, -res, piv, overwrite_b=True)[0].reshape(z.shape)
         if not np.all(np.isfinite(step)):
             raise BvpFailure("non-finite Newton step", residual=norm, iterations=iteration)
 
@@ -326,6 +354,7 @@ def solve_open_loop(
     taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
     guess = initial_guess(model, x0, taus, q_matrix)
     sol = solve_pmp(model, x0, taus, guess, config)
+    newton_iterations = sol.newton_iterations
 
     rounds = 0
     for rounds in range(config.refine_rounds + 1):
@@ -339,7 +368,9 @@ def solve_open_loop(
         taus_new = np.sort(np.concatenate([sol.taus, mids]))
         guess = _interp_nodes(sol.taus, sol.z, taus_new)
         sol = solve_pmp(model, x0, taus_new, guess, config)
+        newton_iterations += sol.newton_iterations
 
+    sol.newton_iterations = newton_iterations
     sol.refine_rounds = rounds
     sol.max_defect = worst
     return sol

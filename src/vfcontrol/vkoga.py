@@ -5,9 +5,12 @@ scores it by how badly the current surrogate reproduces its data,
 
     rho(x_j) = |v_j - s(x_j)| + ||grad v_j - grad s(x_j)||_2,
 
-and promotes the worst sample to a center.  The run keeps one Cholesky factor
-of the Hermite Gram matrix and extends it by the new center's block, the
-Newton-basis update of VKOGA; each refit is a matrix-free CG solve
+and promotes the worst sample to a center.  A sample closer than
+``openloop.MIN_SPACING`` to a center is dropped from the selection instead:
+such a pair makes the interpolation system singular to working precision
+(the tails of different trajectories meet at the origin).  The run keeps one
+Cholesky factor of the Hermite Gram matrix and extends it by the new center's
+block, the Newton-basis update of VKOGA; each refit is a matrix-free CG solve
 preconditioned with that factor, which converges in one iteration unless the
 factor had to be floored.  The scan comes before the selection, so a
 tolerance that is already met selects nothing.
@@ -27,6 +30,7 @@ import numpy as np
 
 from .hermite import HermiteFactor, Surrogate, assemble_rhs, fit
 from .kernels import StructuredKernel
+from .openloop import MIN_SPACING
 
 __all__ = [
     "VkogaConfig",
@@ -131,9 +135,11 @@ def run_vkoga(
         best_rho = float(scan[best])
         if best_rho <= config.eps_tol_f or len(selected) >= config.max_centers:
             break
+        selectable[best] = False
+        if np.any(np.linalg.norm(surrogate.centers - points[best], axis=1) < MIN_SPACING):
+            continue
 
         selected.append(best)
-        selectable[best] = False
         centers = points[selected]
         rhs = assemble_rhs(
             values[selected],

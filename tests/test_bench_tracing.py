@@ -2,8 +2,9 @@
 
 ``bench/tracing.py`` wraps functions and methods by name where the pipeline
 looks them up, so a refactor that renames or removes one of them would break
-``bench/run.py --trace 1`` without touching any test.  This test instruments
-a fresh tracer, runs a small greedy fit through the wrappers and restores.
+``bench/run.py --trace 1`` without touching any test.  These tests instrument
+a fresh tracer, run a small greedy fit or open-loop solve through the
+wrappers and restore.
 """
 
 import importlib.util
@@ -11,8 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
+import vfcontrol.explore
 import vfcontrol.vkoga
 from vfcontrol.kernels import WendlandC4
+from vfcontrol.models import build_linear
+from vfcontrol.openloop import OpenLoopConfig
+from vfcontrol.riccati import quadratic_matrix
 from vfcontrol.vkoga import VkogaConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -51,3 +56,30 @@ def test_benchmark_tracing_instruments_and_restores():
     assert tracer.counters["numerics.cg_solve.iterations"] == steps
     assert spans["hermite.HermiteOperator.matvec"]["calls"] == 2 * steps
     assert spans["hermite.fit"]["calls"] == steps
+
+
+def test_traced_open_loop_solve_factors_once_per_newton_step():
+    """``openloop.splu`` is the banded LU, one per Newton iteration, and
+    ``pmp_rhs`` sees residual-sized batches only: 2K + 1 rows per residual,
+    K + 1 per Jacobian (the node slopes that place the midpoints) and K for
+    the refinement defects, K the number of intervals; no finite-difference
+    batch of 2 nz times as many rows."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer("test")
+    model = build_linear([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]])
+    config = OpenLoopConfig(n_nodes=30, refine_rounds=0)
+    qm = quadratic_matrix(model)
+    tracing.instrument(tracer)
+    try:
+        sol = vfcontrol.explore.solve_open_loop(model, np.array([0.7, -0.2]), qm, config)
+        spans = tracer.aggregate()
+    finally:
+        tracer.restore()
+    k = config.n_nodes
+    iterations = sol.newton_iterations
+    assert iterations >= 1
+    assert tracer.counters["openloop.newton_iterations"] == iterations
+    assert spans["openloop.splu"]["calls"] == iterations
+    residuals = spans["openloop.bvp_residual"]["calls"]
+    rows = residuals * (2 * k + 1) + iterations * (k + 1) + k
+    assert tracer.counters["models.pmp_rhs.rows"] == rows

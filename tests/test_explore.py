@@ -189,6 +189,7 @@ def test_prefix_truncates_in_selection_order(lqr_setup):
     np.testing.assert_array_equal(head.start_states(), data.start_states()[:2])
     assert head.eps_history == data.eps_history[:2]
     assert head.meta["model"] == "lqr"
+    assert head.meta["solves"] == data.meta["solves"][:2]
 
 
 def test_dataset_roundtrips_through_json(tmp_path, lqr_setup):
@@ -202,6 +203,13 @@ def test_dataset_roundtrips_through_json(tmp_path, lqr_setup):
     assert again.n_trajectories == data.n_trajectories
     assert again.eps_history == data.eps_history
     assert again.meta["model"] == "lqr"
+    # the solver counters of every stored trajectory survive exactly
+    assert len(data.meta["solves"]) == data.n_trajectories
+    for solve in data.meta["solves"]:
+        assert set(solve) == {"newton_iterations", "refine_rounds", "max_defect"}
+        assert solve["newton_iterations"] >= 1 and solve["refine_rounds"] == 0
+        assert 0.0 < solve["max_defect"] < 1.0
+    assert again.meta["solves"] == data.meta["solves"]
     for a, b in zip(again.trajectories, data.trajectories):
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.values, b.values)

@@ -21,6 +21,7 @@ from vfcontrol.models import (
     optimal_control,
     pmp_rhs,
 )
+from vfcontrol.numerics import FD_STEP, fd_jacobian
 
 AMP = AmpParameters()
 
@@ -243,3 +244,28 @@ def test_model_maps_broadcast_over_leading_batch_axes(name, k, m, data):
         rows = np.array([[apply((a, b)) for b in range(m)] for a in range(k)])
         assert stacked.shape == rows.shape, label
         np.testing.assert_allclose(stacked, rows, rtol=1e-13, atol=1e-12, err_msg=label)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BUNDLED)), st.integers(1, 4), st.data())
+def test_pmp_jacobian_matches_finite_differences(name, k, data):
+    """The closed-form Jacobian of every bundled model against ``fd_jacobian`` of ``pmp_rhs``.
+
+    With h = FD_STEP (1 + |z|), a central difference of F loses
+    eps (|F| + h |J|) / h to rounding and h^2 |D^3 F| / 6 to truncation; the
+    second difference J(z + h e_j) - 2 J(z) + J(z - h e_j) of the closed form
+    is about h^2 D^3 F and stands in for the latter.  ``pmp_jacobian`` also
+    broadcasts over the batch axis.
+    """
+    model = BUNDLED[name]
+    nz = 2 * model.dim_state + 1
+    z = data.draw(arrays(float, (k, nz), elements=st.floats(-1.0, 1.0)))
+    jac = model.pmp_jacobian(z)
+    fd = fd_jacobian(lambda rows: pmp_rhs(model, rows), z)
+    assert jac.shape == (k, nz, nz)
+    np.testing.assert_allclose(model.pmp_jacobian(z[0]), jac[0], rtol=1e-13, atol=1e-12)
+    shift = (FD_STEP * (1.0 + np.abs(z)))[:, :, None] * np.eye(nz)
+    second = model.pmp_jacobian(z[:, None] + shift) - 2.0 * jac[:, None] + model.pmp_jacobian(z[:, None] - shift)
+    scale = float(np.max(np.abs(pmp_rhs(model, z)))) / FD_STEP + float(np.max(np.abs(jac)))
+    atol = 16.0 * np.finfo(float).eps * scale + float(np.max(np.abs(second)))
+    np.testing.assert_allclose(jac, fd, rtol=0.0, atol=atol)

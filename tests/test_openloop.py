@@ -1,15 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import vfcontrol.openloop as openloop
 from vfcontrol.models import build_amp, build_linear, optimal_control
+from vfcontrol.numerics import FD_STEP, fd_jacobian
 from vfcontrol.openloop import (
     MIN_SPACING,
     NEWTON_TOL,
     BvpFailure,
     OpenLoopConfig,
+    _assemble_jacobian,
+    _band_widths,
+    bvp_residual,
     graded_mesh,
     initial_guess,
     solve_open_loop,
+    solve_pmp,
     time_stretch,
     time_stretch_rate,
     to_trajectory,
@@ -178,3 +186,76 @@ def test_amp_solution_obeys_its_own_feedback_law():
     )
     scale = np.max(np.abs(dx))
     assert np.max(np.abs(dx - rhs)) <= 5e-2 * scale
+
+
+def band_to_dense(ab, kl, ku):
+    """Expand LAPACK band storage (entry (i, j) at ab[kl + ku + i - j, j]) to a dense matrix."""
+    size = ab.shape[1]
+    i, j = np.indices((size, size))
+    inside = (j - i <= ku) & (i - j <= kl)
+    i, j = i[inside], j[inside]
+    dense = np.zeros((size, size))
+    dense[i, j] = ab[kl + ku + i - j, j]
+    return dense
+
+
+@pytest.mark.parametrize("name", ["lqr", "amp"])
+def test_band_jacobian_equals_finite_differences_of_the_residual(name):
+    """Row order and band placement: the banded analytic Jacobian, expanded, is
+    the finite-difference Jacobian of ``bvp_residual`` over every unknown, and
+    no unknown outside the band moves any row."""
+    if name == "lqr":
+        model = build_linear([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], control_weight=[[0.5]])
+    else:
+        model = build_amp()
+    delta_tau = 1e-2
+    taus = graded_mesh(5, tau_end=1.0 - delta_tau)
+    x0 = np.array([0.5, -0.3])
+    # a perturbed quadratic-feedback rollout: an iterate Newton would meet
+    rng = np.random.default_rng(31)
+    z = initial_guess(model, x0, taus, quadratic_matrix(model))
+    z += rng.uniform(-0.05, 0.05, size=z.shape)
+    kl, ku = _band_widths(model.dim_state)
+    dense = band_to_dense(_assemble_jacobian(model, taus, z, delta_tau), kl, ku)
+
+    def residuals(rows):
+        return np.stack([bvp_residual(model, taus, row.reshape(z.shape), x0, delta_tau) for row in rows])
+
+    fd = fd_jacobian(residuals, z.ravel())
+    assert fd.shape == dense.shape == (z.size, z.size)
+    i, j = np.indices(fd.shape)
+    assert np.all(fd[(j - i > ku) | (i - j > kl)] == 0.0)
+    scale = float(np.max(np.abs(residuals(z.ravel()[None])))) / FD_STEP + float(np.max(np.abs(dense)))
+    np.testing.assert_allclose(dense, fd, rtol=1e-7, atol=64.0 * np.finfo(float).eps * scale)
+
+
+def test_singular_collocation_jacobian_is_a_bvp_failure():
+    """A model whose Jacobian is -2^-10 I makes the tail rows I + dt dtau/dt J
+    vanish exactly on a two-interval mesh with dt = 2^-10 (the last node's
+    rate is then 2^20), so the banded LU meets an exactly zero pivot."""
+    delta_tau = 2.0**-10
+    model = build_linear([[-1.0]], [[1.0]])
+    model = replace(model, pmp_jacobian=lambda z: np.broadcast_to(-delta_tau * np.eye(3), z.shape[:-1] + (3, 3)))
+    taus = graded_mesh(2, tau_end=1.0 - delta_tau)
+    assert time_stretch_rate(taus[-1]) == 2.0**20
+    with pytest.raises(BvpFailure, match="singular collocation Jacobian") as err:
+        solve_pmp(model, np.array([0.5]), taus, np.zeros((3, 3)), OpenLoopConfig(delta_tau=delta_tau))
+    assert err.value.iterations == 1
+
+
+def test_newton_iterations_add_up_over_the_refinement(monkeypatch):
+    counts = []
+    solve_one_mesh = openloop.solve_pmp
+
+    def counting(*args, **kwargs):
+        sol = solve_one_mesh(*args, **kwargs)
+        counts.append(sol.newton_iterations)
+        return sol
+
+    monkeypatch.setattr(openloop, "solve_pmp", counting)
+    model = build_linear([[-1.0]], [[1.0]])
+    config = OpenLoopConfig(n_nodes=40, refine_rounds=2, refine_tol=1e-12)
+    sol = solve_open_loop(model, np.array([0.8]), quadratic_matrix(model), config)
+    assert sol.refine_rounds >= 1
+    assert len(counts) == sol.refine_rounds + 1
+    assert sol.newton_iterations == sum(counts)

@@ -125,6 +125,21 @@ def test_centers_are_pairwise_distinct_and_capped():
     assert np.min(d + np.eye(7)) > 0.0
 
 
+def test_near_coincident_samples_give_one_center():
+    """Two trajectory tails at rounding distance from the origin: once one of
+    them is a center the other is not selectable, and the run ends cleanly
+    with every other sample selected."""
+    rng = np.random.default_rng(57)
+    kern = WendlandC4(dim=1, gamma=1.0)
+    points, values, grads = sample_bump(rng, 6, 1)
+    points = np.vstack([points, [[2.5e-16], [5.0e-16]]])
+    values = np.concatenate([values, [1.0 - 6.25e-32, 1.0 - 2.5e-31]])
+    grads = np.vstack([grads, [[-5.0e-16], [-1.0e-15]]])
+    result = run_vkoga(kern, points, values, grads, VkogaConfig(max_centers=20, cg_tol=1e-11))
+    assert result.surrogate.n_centers == 7
+    assert len(set(result.selected_indices) & {6, 7}) == 1
+
+
 def test_structured_run_drops_inadmissible_samples():
     rng = np.random.default_rng(57)
     base = WendlandC4(dim=2, gamma=0.5)
