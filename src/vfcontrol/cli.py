@@ -217,7 +217,7 @@ def cmd_evaluate(args) -> int:
     dataset = load_dataset(getattr(args, "in"))
     section = cfg.get("evaluate", {})
     states = _testset_states(cfg, model)
-    references = solve_testset(model, states, qm, explore_from_config(cfg).solver, threads=args.threads)
+    references = solve_testset(model, states, qm, explore_from_config(cfg).solver)
     counts = section.get("counts", [10, 20, 40, 80])
     horizon = section.get("horizon")
     kernel_plain = kernel_from_config(cfg, model.dim_state, structured=False)
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--in", dest="in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1, help="threads for the reference open-loop solves")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("simulate", help="closed-loop rollout under a fitted surrogate")

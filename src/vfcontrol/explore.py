@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -93,19 +92,16 @@ def candidate_modes(
     return np.asarray(fields)
 
 
-def farthest_point_order(candidates: np.ndarray, n_select: int, seeds: Optional[np.ndarray] = None):
+def farthest_point_order(candidates: np.ndarray, n_select: int):
     """Greedy farthest-point ordering of candidates, seeded at the origin.
 
     Returns (indices, distances): at each step the candidate with the largest
-    distance to all seeds and previous picks wins, ties resolving to the
+    distance to the origin and all previous picks wins, ties resolving to the
     lowest index.  The distances are the selection-time separations.
     """
     candidates = np.asarray(candidates, dtype=float)
     m = candidates.shape[0]
-    if seeds is None:
-        seeds = np.zeros((1, candidates.shape[1]))
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    dmin = np.min(np.linalg.norm(candidates[:, None, :] - seeds[None, :, :], axis=2), axis=1)
+    dmin = np.linalg.norm(candidates, axis=1)
     picked: list[int] = []
     dists: list[float] = []
     for _ in range(min(n_select, m)):
@@ -280,21 +276,10 @@ def solve_testset(
     states: np.ndarray,
     q_matrix: np.ndarray,
     config: OpenLoopConfig = OpenLoopConfig(),
-    threads: int = 1,
 ) -> list[BvpSolution]:
-    """Reference open-loop solutions for a batch of start states, solved as in exploration.
-
-    ``threads`` solves run concurrently; the answers do not depend on it.
-    """
+    """Reference open-loop solutions for a batch of start states, solved as in exploration."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-
-    def solve(x0):
-        return solve_open_loop(model, x0, q_matrix, config)
-
-    if threads <= 1 or len(states) <= 1:
-        return [solve(x0) for x0 in states]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(solve, states))
+    return [solve_open_loop(model, x0, q_matrix, config) for x0 in states]
 
 
 def save_dataset(dataset: Dataset, path) -> None:

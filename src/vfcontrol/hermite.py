@@ -18,6 +18,12 @@ is the preconditioner, a Cholesky factor of M that grows one (1+N) block per
 center (``HermiteFactor``, 8 (n(1+N))^2 bytes); CG on the matrix-free
 operator remains the solve and its true residual the correctness check.
 
+``HermiteFactor.append`` is the one gate for new centers: it turns away,
+leaving the factor as it was, a center within ``MIN_SPACING`` of one it holds
+(a nugget lifts such a duplicate's Schur block above the next test), or one
+whose Schur block has an eigenvalue below ``SCHUR_FLOOR`` times its own Gram
+diagonal.  So the factor is always exact, never floored.
+
 The same contraction evaluated at off-center points is the surrogate itself,
 so ``hermite_apply`` doubles as the Gram matvec (query points = centers) and
 as batched surrogate evaluation.
@@ -59,6 +65,12 @@ __all__ = [
 ]
 
 SURROGATE_SCHEMA = "vfcontrol-surrogate-v1"
+# centers closer than this make the interpolation system singular to working
+# precision (the tails of different trajectories meet at the origin)
+MIN_SPACING = 1e-8
+# a Schur block whose smallest eigenvalue is below this fraction of the
+# center's own Gram diagonal is numerically spanned by the earlier centers
+SCHUR_FLOOR = 1e-12
 
 
 class FitError(RuntimeError):
@@ -263,12 +275,6 @@ def _gram_blocks(kernel, center, points) -> np.ndarray:
     return out
 
 
-# a Schur block is numerically positive definite when its eigenvalues stay
-# above this fraction of the center's own Gram diagonal; otherwise it is
-# factored with its eigenvalues raised to that level
-SCHUR_FLOOR = 1e-12
-
-
 class HermiteFactor:
     """Lower Cholesky factor of ``M + nugget I`` over a growing center set.
 
@@ -276,8 +282,8 @@ class HermiteFactor:
     slot followed by its gradient slots; :meth:`solve` maps to and from the
     stacked coefficient layout.  :meth:`append` extends the factor by one
     center's (1+N) block in O(k (1+N)^3), the Newton-basis update of greedy
-    kernel interpolation.  ``lower`` is the factor L, with L L^T = M + nugget I
-    in that order; it takes 8 (n (1+N))^2 bytes.
+    kernel interpolation, or turns the center away.  ``lower`` is the factor
+    L, with L L^T = M + nugget I in that order; it takes 8 (n (1+N))^2 bytes.
     """
 
     def __init__(self, kernel, dim: int, nugget: float = 0.0):
@@ -292,22 +298,23 @@ class HermiteFactor:
         return self.centers.shape[0]
 
     def append(self, center) -> bool:
-        """Add one center; True when its Schur block needed the eigenvalue floor."""
+        """Add one center; False, with the factor unchanged, when the centers
+        already held span it (see the module docstring)."""
+        center = np.asarray(center, dtype=float)
+        if np.any(np.linalg.norm(self.centers - center, axis=1) < MIN_SPACING):
+            return False
         block = 1 + self.dim
         old = self.n * block
-        centers = np.vstack([self.centers, np.asarray(center, dtype=float)[None, :]])
-        column = _gram_blocks(self.kernel, centers[-1], centers).reshape(-1, block)
+        centers = np.vstack([self.centers, center[None, :]])
+        column = _gram_blocks(self.kernel, center, centers).reshape(-1, block)
         w = scipy.linalg.solve_triangular(self.lower, column[:old], lower=True, check_finite=False)
         own = column[old:] + self.nugget * np.eye(block)
         schur = own - w.T @ w
         level = SCHUR_FLOOR * np.max(np.abs(np.diag(own)))
         if level == 0.0:
             raise FitError(f"center {self.n} has a vanishing Gram block")
-        eig, vec = np.linalg.eigh(schur)
-        floored = bool(eig[0] < level)
-        if floored:
-            # a preconditioner only has to be SPD; CG still solves the true system
-            schur = (vec * np.maximum(eig, level)) @ vec.T
+        if np.linalg.eigvalsh(schur)[0] < level:
+            return False
         tail = scipy.linalg.cholesky(schur, lower=True)
         # a fresh contiguous array: SciPy copies any strided view it solves with
         grown = np.zeros((old + block, old + block))
@@ -316,7 +323,7 @@ class HermiteFactor:
         grown[old:, old:] = tail
         self.centers = centers
         self.lower = grown
-        return floored
+        return True
 
     def solve(self, stacked: np.ndarray) -> np.ndarray:
         """(L L^T)^{-1} applied to a stacked coefficient vector."""
@@ -340,26 +347,30 @@ def fit(
     """Solve the interpolation system by CG preconditioned with a Cholesky factor.
 
     ``factor`` is a :class:`HermiteFactor` of these centers and this nugget;
-    without one, a factor is built by appending the centers in order.  CG runs
-    on the matrix-free operator and stops on its true residual, so the factor
-    only has to be close.  Returns ``(alphas, betas, info)`` where info
-    records iterations and the final relative residual.  Centers must be
-    pairwise distinct; a duplicate pair makes the system singular and is
-    reported by index.
+    without one, a factor is built by appending the centers in order, and a
+    center the factor turns away is a :class:`FitError` that names it and
+    its nearest earlier center.  CG runs on the matrix-free operator and
+    stops once its true residual is below ``cg_tol`` relative to ``rhs``.
+    Returns ``(alphas, betas, info)`` where info records iterations and the
+    final relative residual.
     """
     centers = np.asarray(centers, dtype=float)
     n, dim = centers.shape
     if n == 0:
         return np.zeros(0), np.zeros((0, dim)), {"iterations": 0, "residual": 0.0}
-    sq = _pairwise_sqdist(centers, centers)
-    np.fill_diagonal(sq, np.inf)
-    closest = np.unravel_index(np.argmin(sq), sq.shape)
-    if sq[closest] == 0.0:
-        raise FitError(f"duplicate centers {closest[0]} and {closest[1]}")
     if factor is None:
         factor = HermiteFactor(kernel, dim, nugget)
-        for center in centers:
-            factor.append(center)
+        for k, center in enumerate(centers):
+            if factor.append(center):
+                continue
+            if k == 0:
+                raise FitError("center 0 has a numerically singular Gram block")
+            gaps = np.linalg.norm(centers[:k] - center, axis=1)
+            near = int(np.argmin(gaps))
+            raise FitError(
+                f"center {k} is spanned by the centers before it; "
+                f"the nearest, center {near}, is {gaps[near]:.3e} away"
+            )
     elif factor.n != n or factor.nugget != nugget:
         raise ValueError(
             f"factor of {factor.n} centers and nugget {factor.nugget} for {n} centers and nugget {nugget}"

@@ -32,6 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from .hermite import MIN_SPACING
 from .models import ControlAffineModel, optimal_control, pmp_rhs
 from .numerics import IvpFailure, integrate_ivp
 
@@ -52,9 +53,6 @@ __all__ = [
 
 # Newton stops once the max-norm residual is below NEWTON_TOL * (1 + max|z|)
 NEWTON_TOL = 1e-11
-# stored samples closer than this in state space would make the
-# interpolation system singular
-MIN_SPACING = 1e-8
 
 
 def time_stretch(tau):

@@ -5,15 +5,19 @@ scores it by how badly the current surrogate reproduces its data,
 
     rho(x_j) = |v_j - s(x_j)| + ||grad v_j - grad s(x_j)||_2,
 
-and promotes the worst sample to a center.  A sample closer than
-``openloop.MIN_SPACING`` to a center is dropped from the selection instead:
-such a pair makes the interpolation system singular to working precision
-(the tails of different trajectories meet at the origin).  The run keeps one
-Cholesky factor of the Hermite Gram matrix and extends it by the new center's
-block, the Newton-basis update of VKOGA; each refit is a matrix-free CG solve
-preconditioned with that factor, which converges in one iteration unless the
-factor had to be floored.  The scan comes before the selection, so a
-tolerance that is already met selects nothing.
+and promotes the worst sample to a center.  The run keeps one Cholesky
+factor of the Hermite Gram matrix and extends it by the new center's block,
+the Newton-basis update of VKOGA; a sample that the factor turns away (a
+near-duplicate of a center, or a numerically singular Schur block) is
+dropped from the selection.  Each refit is a matrix-free CG solve
+preconditioned with the factor, which converges in one iteration.  The scan
+comes before the selection, so a tolerance that is already met selects
+nothing.
+
+``cg_tol`` bounds each refit's true residual relative to the right-hand
+side, or, for the structured variant, relative to the larger of that and the
+square-root data [sqrt(v_j); grad v_j / (2 sqrt(v_j))]: where the quadratic
+model is already exact, the structured right-hand side is rounding noise.
 
 Ties in the score break toward the lowest candidate index, which together
 with the deterministic CG solve makes the whole selection reproducible.
@@ -28,9 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hermite import HermiteFactor, Surrogate, assemble_rhs, fit
+from .hermite import HermiteFactor, Surrogate, assemble_rhs, fit, stack_coeffs
 from .kernels import StructuredKernel
-from .openloop import MIN_SPACING
 
 __all__ = [
     "VkogaConfig",
@@ -58,7 +61,6 @@ class SelectionStep:
     residual: float
     cg_iterations: int
     cg_residual: float
-    floored: bool  # the factor's Schur block for this center needed the eigenvalue floor
 
 
 @dataclass
@@ -71,10 +73,6 @@ class VkogaResult:
     @property
     def selected_indices(self) -> list[int]:
         return [s.index for s in self.steps]
-
-    @property
-    def residual_history(self) -> np.ndarray:
-        return np.array([s.residual for s in self.steps])
 
 
 def _admissible(points, values, structured: bool) -> np.ndarray:
@@ -136,7 +134,7 @@ def run_vkoga(
         if best_rho <= config.eps_tol_f or len(selected) >= config.max_centers:
             break
         selectable[best] = False
-        if np.any(np.linalg.norm(surrogate.centers - points[best], axis=1) < MIN_SPACING):
+        if not factor.append(points[best]):
             continue
 
         selected.append(best)
@@ -148,12 +146,18 @@ def run_vkoga(
             q_matrix=surrogate.q_matrix,
             centers=centers if structured else None,
         )
-        floored = factor.append(points[best])
+        cg_tol = config.cg_tol
+        if structured:
+            root = np.sqrt(values[selected])
+            data_norm = np.linalg.norm(stack_coeffs(root, grads[selected] / (2.0 * root[:, None])))
+            rhs_norm = np.linalg.norm(rhs)
+            if data_norm > rhs_norm > 0.0:
+                cg_tol *= data_norm / rhs_norm
         alphas, betas, info = fit(
             kernel,
             centers,
             rhs,
-            cg_tol=config.cg_tol,
+            cg_tol=cg_tol,
             max_iter=config.cg_max_iter,
             nugget=config.nugget,
             factor=factor,
@@ -175,7 +179,6 @@ def run_vkoga(
                 residual=best_rho,
                 cg_iterations=info["iterations"],
                 cg_residual=info["residual"],
-                floored=floored,
             )
         )
         if len(selected) in want_checkpoints:
@@ -188,7 +191,7 @@ def write_trace(result: VkogaResult, path) -> None:
     """Selection history as CSV: one row per added center."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "index", "residual", "cg_iterations", "cg_residual", "floored"])
+        writer.writerow(["iteration", "index", "residual", "cg_iterations", "cg_residual"])
         for step in result.steps:
             writer.writerow(
                 [
@@ -197,6 +200,5 @@ def write_trace(result: VkogaResult, path) -> None:
                     f"{step.residual:.17g}",
                     step.cg_iterations,
                     f"{step.cg_residual:.17g}",
-                    int(step.floored),
                 ]
             )

@@ -8,6 +8,7 @@ solutions, and derivative checks go through finite differences.
 
 import numpy as np
 
+from vfcontrol.hermite import MIN_SPACING
 from vfcontrol.kernels import StructuredKernel
 from vfcontrol.models import AmpParameters
 from vfcontrol.numerics import FD_STEP
@@ -119,6 +120,28 @@ def lattice_centers(rng, n, dim, avoid_origin=False):
         mesh = mesh[np.linalg.norm(mesh, axis=1) > 0.4]
     pick = rng.choice(mesh.shape[0], size=min(n, mesh.shape[0]), replace=False)
     return mesh[pick] + rng.uniform(-0.15, 0.15, size=(len(pick), dim))
+
+
+def centers_with_twins(rng, n, dim, n_twins):
+    """``lattice_centers`` plus a near-copy of up to ``n_twins`` of them, each
+    moved by less than ``MIN_SPACING`` and inserted at a random position.
+
+    No center gets two twins: those could lie farther than ``MIN_SPACING``
+    apart and still be singular to working precision.
+    """
+    centers = lattice_centers(rng, n, dim, avoid_origin=True)
+    sources = centers[rng.choice(len(centers), size=min(n_twins, len(centers)), replace=False)]
+    for source in sources:
+        step = rng.normal(size=dim)
+        step *= rng.uniform(0.0, 0.9) * MIN_SPACING / np.linalg.norm(step)
+        centers = np.insert(centers, rng.integers(len(centers) + 1), source + step, axis=0)
+    return centers
+
+
+def close_pairs(centers):
+    """Index pairs (i, j), i < j, of centers closer than ``MIN_SPACING``."""
+    gaps = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+    return {(i, j) for i, j in zip(*np.nonzero(gaps < MIN_SPACING)) if i < j}
 
 
 class AnalyticRun:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,21 @@ def test_explore_output_is_deterministic(tmp_path, capsys):
     assert main(["explore", "--config", config, "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_structured_cv_runs_on_the_bundled_lqr_config(tmp_path, capsys):
+    """The scalar problem's value function is the quadratic model itself, so
+    each fold's structured right-hand side is rounding noise; cross-validation
+    still fits every fold."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "lqr.json")
+    data = str(tmp_path / "data.json")
+    cv = str(tmp_path / "cv.json")
+    assert main(["explore", "--config", config, "--out", data]) == 0
+    assert main(["cv", "--config", config, "--in", data, "--out", cv, "--variant", "structured"]) == 0
+    capsys.readouterr()
+    report = json.loads(open(cv).read())
+    assert len(report["folds"]) == 5
+    assert all(fold["n_centers"] > 0 for fold in report["folds"])
 
 
 def test_wrong_schema_fails_with_a_json_error(tmp_path, capsys):

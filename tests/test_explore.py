@@ -72,25 +72,17 @@ def test_farthest_point_order_on_the_square_corners():
     assert len(set(idx.tolist())) == 5
 
 
-def test_farthest_point_order_with_explicit_seeds():
-    pts = np.array([[0.0], [1.0], [2.0], [3.0]])
-    idx, dist = farthest_point_order(pts, 2, seeds=np.array([[3.0]]))
-    assert idx[0] == 0
-    assert dist[0] == pytest.approx(3.0)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_farthest_point_order_holds_for_generated_candidates(data):
-    """Distinct picks with non-increasing selection distances, duplicates,
-    ties and explicit seeds included."""
+    """Distinct picks with non-increasing selection distances, duplicates
+    and ties included."""
     dim = data.draw(st.integers(1, 3))
     # a coarse grid of coordinates makes duplicate candidates and ties common
     coords = st.sampled_from(np.linspace(-2.0, 2.0, 9))
     candidates = data.draw(arrays(float, (data.draw(st.integers(1, 25)), dim), elements=coords))
-    seeds = data.draw(st.none() | arrays(float, (data.draw(st.integers(1, 3)), dim), elements=coords))
     n_select = data.draw(st.integers(0, 30))
-    idx, dist = farthest_point_order(candidates, n_select, seeds=seeds)
+    idx, dist = farthest_point_order(candidates, n_select)
     assert idx.size == dist.size <= min(n_select, candidates.shape[0])
     assert len(set(idx.tolist())) == idx.size
     assert np.all(np.diff(dist) <= 0.0)
@@ -269,10 +261,6 @@ def test_testset_solves_match_exploration_quality(lqr_setup):
     q = qm[0, 0]
     assert refs[0].values[0] == pytest.approx(q * 0.25, abs=1e-7)
     assert refs[1].values[0] == pytest.approx(q * 0.0625, abs=1e-7)
-    # threading changes nothing
-    threaded = solve_testset(model, np.array([[0.5], [-0.25]]), qm, solver, threads=2)
-    np.testing.assert_array_equal(threaded[0].z, refs[0].z)
-    np.testing.assert_array_equal(threaded[1].z, refs[1].z)
 
 
 def test_each_stored_trajectory_is_its_own_solve():

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import dense_hermite_matrix, lattice_centers
+from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, lattice_centers
 from vfcontrol.hermite import (
+    MIN_SPACING,
     FitError,
     HermiteFactor,
     HermiteOperator,
@@ -121,16 +124,26 @@ def test_fit_equals_dense_solve():
 def test_fit_rejects_duplicate_centers():
     kern = WendlandC4(dim=2, gamma=1.0)
     centers = np.array([[0.5, 0.5], [0.1, -0.2], [0.5, 0.5]])
-    with pytest.raises(FitError, match="duplicate centers 0 and 2"):
+    with pytest.raises(FitError, match="center 2 is spanned .* center 0, is 0.000e"):
         fit(kern, centers, np.zeros(9))
-    # also when the caller brings a factor, which the duplicate leaves singular
+    # a factor turns the duplicate away and stays as it was
     factor = HermiteFactor(kern, 2)
-    for center in centers:
-        factor.append(center)
-    with pytest.raises(FitError, match="duplicate centers 0 and 2"):
+    assert [factor.append(center) for center in centers] == [True, True, False]
+    assert factor.n == 2
+    with pytest.raises(ValueError, match="factor of 2 centers"):
         fit(kern, centers, np.ones(9), factor=factor)
     with pytest.raises(ValueError, match="nugget"):
         fit(kern, centers[:2], np.ones(6), nugget=1e-9, factor=factor)
+
+
+def test_fit_names_centers_at_rounding_distance():
+    """Two trajectory tails 2.5e-16 apart at the origin: the fit names the pair
+    instead of running CG into a singular system."""
+    kern = WendlandC4(dim=1, gamma=1.0)
+    centers = np.array([[0.5], [2.5e-16], [-0.4], [5.0e-16]])
+    for nugget in (0.0, 1e-3):
+        with pytest.raises(FitError, match="center 3 is spanned .* center 1, is 2.500e-16 away"):
+            fit(kern, centers, np.ones(8), nugget=nugget)
 
 
 def test_structured_fit_rejects_a_center_at_the_origin():
@@ -140,26 +153,22 @@ def test_structured_fit_rejects_a_center_at_the_origin():
         fit(kern, np.array([[0.5, 0.2], [0.0, 0.0]]), np.ones(6))
 
 
-def test_nearly_coincident_centers_take_the_eigenvalue_floor():
-    """Centers 1e-7 apart leave a Schur block that is not numerically positive
-    definite; the factor floors it and stays a valid preconditioner, and the
-    fit either meets cg_tol on the true system or fails loudly."""
+def test_nearly_coincident_centers_fail_the_schur_test():
+    """Centers 1e-7 apart, farther than MIN_SPACING, leave a Schur block that
+    is not numerically positive definite: the factor turns the second one
+    away unchanged, and fit names the pair."""
     kern = WendlandC4(dim=2, gamma=0.5)
     centers = np.array([[0.3, -0.2], [0.3 + 1e-7, -0.2], [-0.5, 0.4]])
+    assert np.linalg.norm(centers[1] - centers[0]) > MIN_SPACING
     factor = HermiteFactor(kern, 2)
-    assert [factor.append(c) for c in centers] == [False, True, False]
-    low = factor.lower
-    assert np.all(np.isfinite(low))
-    assert np.all(np.diag(low) > 0.0)
-    values = np.exp(-np.sum(centers * centers, axis=1))
-    rhs = assemble_rhs(values, -2.0 * centers * values[:, None])
-    cg_tol = 1e-10
-    try:
-        alphas, betas, info = fit(kern, centers, rhs, cg_tol=cg_tol, factor=factor)
-    except FitError:
-        return
-    m = dense_hermite_matrix(kern, centers)
-    assert np.linalg.norm(rhs - m @ stack_coeffs(alphas, betas)) <= 10 * cg_tol * np.linalg.norm(rhs)
+    assert factor.append(centers[0])
+    lower = factor.lower.copy()
+    assert not factor.append(centers[1])
+    assert factor.n == 1
+    np.testing.assert_array_equal(factor.lower, lower)
+    assert factor.append(centers[2])
+    with pytest.raises(FitError, match="center 1 is spanned .* center 0, is 1.000e-07 away"):
+        fit(kern, centers, np.ones(9))
 
 
 def test_fit_nugget_shifts_the_system():
@@ -421,10 +430,59 @@ def test_factor_and_matvec_match_dense_algebra_on_generated_centers(dim, n, stru
     np.testing.assert_allclose(got, m @ vec, rtol=0, atol=1e-12 * scale * np.linalg.norm(vec))
 
     factor = HermiteFactor(kern, dim, nugget)
-    assert not any(factor.append(c) for c in centers)
+    assert all(factor.append(c) for c in centers)
     # the factor runs in center order: each center's value slot, then its gradient slots
     order = np.concatenate([[i, *range(n + i * dim, n + (i + 1) * dim)] for i in range(n)])
     shifted = (m + nugget * np.eye(m.shape[0]))[np.ix_(order, order)]
     low = factor.lower
     np.testing.assert_allclose(low @ low.T, shifted, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(factor.solve(m @ vec + nugget * vec), vec, rtol=0, atol=1e-6 * np.linalg.norm(vec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    n=st.integers(1, 5),
+    n_twins=st.integers(0, 2),
+    structured=st.booleans(),
+    nugget=st.sampled_from([0.0, 1e-3]),
+    gamma=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_factor_turns_away_exactly_the_near_duplicates(dim, n, n_twins, structured, nugget, gamma, seed):
+    """On centers with injected pairs closer than MIN_SPACING, the factor of
+    the centers it keeps is the dense Cholesky factor, and fit either matches
+    the dense solve or names such a pair."""
+    rng = np.random.default_rng(seed)
+    base, kern = both_kernels(dim, gamma)
+    kern = kern if structured else base
+    centers = centers_with_twins(rng, n, dim, n_twins)
+    close = close_pairs(centers)
+
+    factor = HermiteFactor(kern, dim, nugget)
+    kept = [i for i, c in enumerate(centers) if factor.append(c)]
+    # turned away: the centers close to one kept before them
+    expected = []
+    for j in range(len(centers)):
+        if not any((i, j) in close for i in expected):
+            expected.append(j)
+    assert kept == expected
+    k = len(kept)
+    m = dense_hermite_matrix(kern, centers[kept]) + nugget * np.eye(k * (1 + dim))
+    order = np.concatenate([[i, *range(k + i * dim, k + (i + 1) * dim)] for i in range(k)])
+    dense = np.linalg.cholesky(m[np.ix_(order, order)])
+    np.testing.assert_allclose(factor.lower, dense, rtol=0, atol=1e-10 * np.max(np.abs(dense)))
+
+    rhs = rng.normal(size=len(centers) * (1 + dim))
+    try:
+        alphas, betas, _ = fit(kern, centers, rhs, cg_tol=1e-12, nugget=nugget)
+    except FitError as err:
+        named = re.search(r"center (\d+) is spanned .* center (\d+),", str(err))
+        assert named is not None, str(err)
+        later, earlier = int(named[1]), int(named[2])
+        assert (earlier, later) in close
+        return
+    assert not close
+    ref = np.linalg.solve(m, rhs)
+    got = stack_coeffs(alphas, betas)
+    assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
