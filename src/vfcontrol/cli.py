@@ -38,6 +38,7 @@ from .vkoga import VkogaConfig, run_vkoga, write_trace
 CONFIG_SCHEMA = "vfcontrol-config-v1"
 RUN_SCHEMA = "vfcontrol-run-v1"
 
+TOP_LEVEL_KEYS = {"schema", "model", "kernel", "explore", "fit", "evaluate"}
 
 # sections that do not map onto a config dataclass, with their fixed keys
 SECTION_KEYS = {
@@ -79,8 +80,7 @@ def explore_from_config(cfg: dict) -> ExploreConfig:
 
 
 def vkoga_from_config(cfg: dict) -> VkogaConfig:
-    # checkpoints come from evaluate.counts, not from the fit section
-    return _from_section(VkogaConfig, cfg.get("fit", {}), "fit", checkpoints=())
+    return _from_section(VkogaConfig, cfg.get("fit", {}), "fit")
 
 
 def load_config(path) -> dict:
@@ -89,6 +89,7 @@ def load_config(path) -> dict:
         cfg = json.load(fh)
     if cfg.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}, expected {CONFIG_SCHEMA!r}")
+    _check_keys(cfg, TOP_LEVEL_KEYS, "top-level")
     if "model" not in cfg or "name" not in cfg["model"]:
         raise ConfigError("config needs a model section with a name")
     for section, known in SECTION_KEYS.items():

@@ -273,6 +273,12 @@ def save_cv_report(report: CvReport, path) -> None:
         fh.write("\n")
 
 
+def _surrogate_at(result, count: int):
+    """The surrogate after ``count`` centers, or the final one if the greedy
+    stopped before it had that many."""
+    return result.steps[count - 1].surrogate if 0 < count <= len(result.steps) else result.surrogate
+
+
 def center_curve(
     model: ControlAffineModel,
     dataset: Dataset,
@@ -286,7 +292,7 @@ def center_curve(
 ):
     """MRL2 versus center count for both surrogate variants and the quadratic baseline."""
     counts = sorted(set(int(c) for c in counts))
-    cfg = replace(config, max_centers=max(counts), checkpoints=counts)
+    cfg = replace(config, max_centers=max(counts))
     pts, vals, gds = dataset.flattened(include_origin=True)
     plain = run_vkoga(kernel_plain, pts, vals, gds, config=cfg)
     pts_s, vals_s, gds_s = dataset.flattened(include_origin=False)
@@ -297,8 +303,8 @@ def center_curve(
 
     rows = []
     for count in counts:
-        sp = plain.checkpoints.get(count, plain.surrogate)
-        ss = structured.checkpoints.get(count, structured.surrogate)
+        sp = _surrogate_at(plain, count)
+        ss = _surrogate_at(structured, count)
         mrl2_p, _ = evaluate_surrogate(model, sp, references, horizon=horizon)
         mrl2_s, _ = evaluate_surrogate(model, ss, references, horizon=horizon)
         rows.append(

@@ -9,7 +9,9 @@ the open-loop problem there from scratch, and keeps the thinned trajectory.
 Each solve is independent of the others, so a stored trajectory depends only
 on its start state, not on which states were explored before it.  Solutions
 that fail their sanity checks are quarantined: the candidate is dropped and
-exploration moves on.
+exploration moves on.  Every sample of a kept trajectory stays in the
+dataset, near-duplicates included; the greedy fit decides which samples
+become centers.
 
 The recorded selection distances are the fill-distance estimates of the
 covered region; they decrease as the candidate set gets eaten.
@@ -148,7 +150,9 @@ class Dataset:
         return np.stack([t.x0 for t in self.trajectories])
 
     def flattened(self, include_origin: bool = False):
-        """All samples as (points, values, grads), exact duplicates dropped."""
+        """All samples as (points, values, grads), trajectory by trajectory,
+        with the origin appended as one more sample on request.  Every sample
+        is kept; the greedy fit decides which of them become centers."""
         points = [t.states for t in self.trajectories]
         values = [t.values for t in self.trajectories]
         grads = [t.grads for t in self.trajectories]
@@ -156,19 +160,9 @@ class Dataset:
             points.append(np.zeros((1, self.dim)))
             values.append(np.zeros(1))
             grads.append(np.zeros((1, self.dim)))
-        pts = np.concatenate(points) if points else np.zeros((0, self.dim))
-        vals = np.concatenate(values) if values else np.zeros(0)
-        gds = np.concatenate(grads) if grads else np.zeros((0, self.dim))
-        seen: dict[bytes, int] = {}
-        keep = []
-        for i in range(pts.shape[0]):
-            key = pts[i].tobytes()
-            if key in seen:
-                continue
-            seen[key] = i
-            keep.append(i)
-        keep = np.asarray(keep, dtype=int)
-        return pts[keep], vals[keep], gds[keep]
+        if not points:
+            return np.zeros((0, self.dim)), np.zeros(0), np.zeros((0, self.dim))
+        return np.concatenate(points), np.concatenate(values), np.concatenate(grads)
 
     def prefix(self, n: int) -> "Dataset":
         meta = dict(self.meta)

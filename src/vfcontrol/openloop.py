@@ -32,7 +32,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .hermite import MIN_SPACING
 from .models import ControlAffineModel, optimal_control, pmp_rhs
 from .numerics import IvpFailure, integrate_ivp
 
@@ -193,10 +192,8 @@ class BvpFailure(RuntimeError):
 class BvpSolution:
     taus: np.ndarray
     z: np.ndarray
-    converged: bool
     # from solve_open_loop: summed over every mesh of the refinement
     newton_iterations: int
-    residual_norm: float
     dim_state: int
     refine_rounds: int = 0
     max_defect: float = 0.0
@@ -314,9 +311,7 @@ def solve_pmp(
     return BvpSolution(
         taus=taus,
         z=z,
-        converged=True,
         newton_iterations=iteration,
-        residual_norm=norm,
         dim_state=model.dim_state,
     )
 
@@ -399,9 +394,10 @@ def to_trajectory(
     the whole transformed interval; the horizon only restricts which samples
     become data).  Node times crowd where the mesh is dense, not where the
     state moves, so the selection walks the cumulative chord length of the
-    state path and keeps one node per equal arc increment, skipping any node
-    closer than ``MIN_SPACING`` to the previously kept one (near-duplicate
-    centers make the interpolation system singular).
+    state path and keeps the first node at or past each of ``samples`` evenly
+    spaced arc lengths, each node once; a stationary path keeps its start.
+    No sample is screened for spacing: the greedy fit's factor turns away
+    samples that the selected centers already span.
     """
     if horizon is not None:
         inside = solution.times <= horizon
@@ -409,24 +405,8 @@ def to_trajectory(
     states = solution.states
     seg = np.linalg.norm(np.diff(states, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
-    total = arc[-1]
-    if total == 0.0:
-        keep = [0]
-    else:
-        targets = np.linspace(0.0, total, num=max(2, samples))
-        idx = np.searchsorted(arc, targets)
-        idx = np.clip(idx, 0, states.shape[0] - 1)
-        keep = []
-        for i in idx:
-            i = int(i)
-            if keep and np.linalg.norm(states[i] - states[keep[-1]]) < MIN_SPACING:
-                continue
-            if keep and i <= keep[-1]:
-                continue
-            keep.append(i)
-        if not keep:
-            keep = [0]
-    keep = np.asarray(keep, dtype=int)
+    targets = np.linspace(0.0, arc[-1], num=max(2, samples))
+    keep = np.unique(np.clip(np.searchsorted(arc, targets), 0, states.shape[0] - 1))
     return Trajectory(
         x0=states[0].copy(),
         times=solution.times[keep],

@@ -7,9 +7,11 @@ scores it by how badly the current surrogate reproduces its data,
 
 and promotes the worst sample to a center.  The run keeps one Cholesky
 factor of the Hermite Gram matrix and extends it by the new center's block,
-the Newton-basis update of VKOGA; a sample that the factor turns away (a
+the Newton-basis update of VKOGA.  The factor is the only screen between
+the raw samples and the centers: a sample that it turns away (a
 near-duplicate of a center, or a numerically singular Schur block) is
-dropped from the selection.  Each refit is a matrix-free CG solve
+dropped from the selection, so duplicates in the data cost a scan entry and
+nothing else.  Each refit is a matrix-free CG solve
 preconditioned with the factor, which converges in one iteration.  The scan
 comes before the selection, so a tolerance that is already met selects
 nothing.
@@ -21,6 +23,8 @@ model is already exact, the structured right-hand side is rounding noise.
 
 Ties in the score break toward the lowest candidate index, which together
 with the deterministic CG solve makes the whole selection reproducible.
+Every step records the surrogate it fitted, so one run to n centers also
+holds the surrogate at each smaller count.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -51,7 +55,6 @@ class VkogaConfig:
     cg_tol: float = 1e-10
     cg_max_iter: Optional[int] = None
     nugget: float = 0.0
-    checkpoints: Sequence[int] = ()
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,7 @@ class SelectionStep:
     residual: float
     cg_iterations: int
     cg_residual: float
+    surrogate: Surrogate
 
 
 @dataclass
@@ -68,7 +72,6 @@ class VkogaResult:
     surrogate: Surrogate
     steps: list[SelectionStep] = field(default_factory=list)
     final_residual: float = np.inf
-    checkpoints: dict[int, Surrogate] = field(default_factory=dict)
 
     @property
     def selected_indices(self) -> list[int]:
@@ -119,7 +122,6 @@ def run_vkoga(
     result = VkogaResult(surrogate=surrogate)
     selected: list[int] = []
     selectable = admissible.copy()
-    want_checkpoints = sorted(set(int(c) for c in config.checkpoints))
     factor = HermiteFactor(kernel, dim, config.nugget)
 
     while True:
@@ -164,7 +166,7 @@ def run_vkoga(
         )
         surrogate = Surrogate(
             kernel=kernel,
-            centers=centers.copy(),
+            centers=centers,
             alphas=alphas,
             betas=betas,
             variant=surrogate.variant,
@@ -179,10 +181,9 @@ def run_vkoga(
                 residual=best_rho,
                 cg_iterations=info["iterations"],
                 cg_residual=info["residual"],
+                surrogate=surrogate,
             )
         )
-        if len(selected) in want_checkpoints:
-            result.checkpoints[len(selected)] = surrogate
 
     return result
 

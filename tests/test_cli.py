@@ -153,13 +153,14 @@ def test_missing_kernel_gamma_is_reported(tmp_path, capsys):
         ("model.params", "cost_matrix"),
         ("explore.candidates", "n_per_axes"),
         ("evaluate.testset", "sise"),
+        ("top-level", "fitt"),
     ],
 )
 def test_unknown_config_key_is_rejected(tmp_path, capsys, section, typo):
     config = write_config(tmp_path)
     cfg = json.loads((tmp_path / "config.json").read_text())
     spec = cfg
-    for key in section.split("."):
+    for key in section.split(".") if section != "top-level" else ():
         spec = spec[key]
     spec[typo] = 1
     (tmp_path / "config.json").write_text(json.dumps(cfg))

@@ -145,7 +145,9 @@ def test_exploration_quarantines_residual_violations(lqr_setup):
     assert "residual" in data.meta["quarantined"][0]["reason"]
 
 
-def test_flattened_deduplicates_and_appends_the_origin():
+def test_flattened_keeps_every_sample_and_appends_the_origin():
+    """A sample repeated across trajectories stays in the flattened data, in
+    trajectory order; the greedy fit, not the dataset, turns duplicates away."""
     traj = Trajectory(
         x0=np.array([1.0, 0.0]),
         times=np.array([0.0, 1.0]),
@@ -162,14 +164,19 @@ def test_flattened_deduplicates_and_appends_the_origin():
     )
     data = Dataset(dim=2, trajectories=[traj, dup])
     pts, vals, gds = data.flattened()
-    assert pts.shape == (2, 2)
+    np.testing.assert_array_equal(pts, [[1.0, 0.0], [0.5, 0.0], [0.5, 0.0]])
+    np.testing.assert_array_equal(vals, [3.0, 1.0, 1.0])
+    np.testing.assert_array_equal(gds, [[2.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     pts, vals, gds = data.flattened(include_origin=True)
-    assert pts.shape == (3, 2)
+    assert pts.shape == (4, 2)
     np.testing.assert_array_equal(pts[-1], [0.0, 0.0])
     assert vals[-1] == 0.0
+    np.testing.assert_array_equal(gds[-1], [0.0, 0.0])
     assert data.n_samples == 3
     assert data.c_max_state == pytest.approx(1.0)
     assert data.c_max_value == pytest.approx(5.0)
+    empty = Dataset(dim=2).flattened(include_origin=True)
+    assert [a.shape for a in empty] == [(1, 2), (1,), (1, 2)]
 
 
 def test_prefix_truncates_in_selection_order(lqr_setup):

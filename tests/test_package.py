@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +16,27 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"vfcontrol.{name}")
     stale = [export for export in module.__all__ if not hasattr(module, export)]
     assert stale == []
+
+
+# the open-loop side of the pipeline stands on its own: it never reaches into
+# the kernel surrogate, its fit, its evaluation or the command line
+SOLVER_SIDE = ["models", "numerics", "riccati", "openloop", "explore"]
+SURROGATE_SIDE = {"kernels", "hermite", "vkoga", "evaluate", "cli"}
+
+
+def package_imports(name: str) -> set[str]:
+    """The sibling modules that ``vfcontrol.<name>`` imports, read from its source."""
+    tree = ast.parse((Path(vfcontrol.__path__[0]) / f"{name}.py").read_text())
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["vfcontrol" if node.level else "", node.module]))
+            dotted += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    return {d.split(".")[1] for d in dotted if d.startswith("vfcontrol.")}
+
+
+@pytest.mark.parametrize("name", SOLVER_SIDE)
+def test_solver_modules_import_nothing_from_the_surrogate_side(name):
+    assert package_imports(name) & SURROGATE_SIDE == set()

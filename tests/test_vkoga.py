@@ -74,30 +74,33 @@ def test_center_residuals_stay_small_after_every_refit():
     kern = WendlandC4(dim=2, gamma=0.5)
     points, values, grads = sample_bump(rng, 10, 2)
     cg_tol = 1e-11
-    config = VkogaConfig(max_centers=6, cg_tol=cg_tol, checkpoints=range(1, 7))
+    config = VkogaConfig(max_centers=6, cg_tol=cg_tol)
     result = run_vkoga(kern, points, values, grads, config)
+    assert len(result.steps) == 6
+    assert result.steps[-1].surrogate is result.surrogate
     scale = float(np.max(np.abs(values) + np.linalg.norm(grads, axis=1)))
-    for count, sur in result.checkpoints.items():
+    for count, step in enumerate(result.steps, start=1):
         idx = result.selected_indices[:count]
-        sv, sg = sur.value_and_gradient(points[idx])
+        np.testing.assert_array_equal(step.surrogate.centers, points[idx])
+        sv, sg = step.surrogate.value_and_gradient(points[idx])
         resid = np.abs(values[idx] - sv) + np.linalg.norm(grads[idx] - sg, axis=1)
         assert np.max(resid) <= 10 * cg_tol * scale
 
 
-def test_step_residuals_replay_from_checkpoints():
+def test_step_residuals_replay_from_the_previous_step():
     """step k records the score of its pick measured against the surrogate
     from step k-1."""
     rng = np.random.default_rng(54)
     kern = WendlandC4(dim=2, gamma=0.5)
     points, values, grads = sample_bump(rng, 9, 2)
-    config = VkogaConfig(max_centers=4, cg_tol=1e-12, checkpoints=range(1, 5))
+    config = VkogaConfig(max_centers=4, cg_tol=1e-12)
     result = run_vkoga(kern, points, values, grads, config)
     for k, step in enumerate(result.steps):
         if k == 0:
             sv = np.zeros(len(points))
             sg = np.zeros_like(points)
         else:
-            sv, sg = result.checkpoints[k].value_and_gradient(points)
+            sv, sg = result.steps[k - 1].surrogate.value_and_gradient(points)
         rho = np.abs(values - sv) + np.linalg.norm(grads - sg, axis=1)
         assert step.residual == pytest.approx(float(rho[step.index]), rel=1e-12)
 
@@ -239,3 +242,45 @@ def test_no_two_centers_are_closer_than_min_spacing(dim, n, n_twins, structured,
     idx = result.selected_indices
     assert not any(i in idx and j in idx for i, j in close_pairs(points))
     assert close_pairs(result.surrogate.centers) == set()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    n=st.integers(1, 10),
+    n_copies=st.integers(1, 6),
+    structured=st.booleans(),
+    nugget=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_copies_of_samples_change_nothing(dim, n, n_copies, structured, nugget, seed):
+    """Exact copies of random sample rows, appended after the originals, leave
+    the centers and the fit bitwise as they were: the factor turns away a
+    copy of a center.  A copy can outscore its original in the last bit (the
+    batch evaluation rounds by row position), so a step may take the copy's
+    index instead of the original's, never both."""
+    rng = np.random.default_rng(seed)
+    points = lattice_centers(rng, n, dim, avoid_origin=structured)
+    values = np.exp(-np.sum(points * points, axis=1))
+    grads = -2.0 * points * values[:, None]
+    copies = rng.integers(0, len(points), size=n_copies)
+    base = WendlandC4(dim=dim, gamma=0.5)
+    kern = StructuredKernel(base) if structured else base
+    q_matrix = np.eye(dim) if structured else None
+    # a budget the originals cannot fill, so the greedy also reaches the copies
+    config = VkogaConfig(max_centers=len(points) + n_copies, cg_tol=1e-10, nugget=nugget)
+    alone = run_vkoga(kern, points, values, grads, config, q_matrix=q_matrix)
+    padded = run_vkoga(
+        kern,
+        np.concatenate([points, points[copies]]),
+        np.concatenate([values, values[copies]]),
+        np.concatenate([grads, grads[copies]]),
+        config,
+        q_matrix=q_matrix,
+    )
+    source = np.concatenate([np.arange(len(points)), copies])
+    assert [int(source[i]) for i in padded.selected_indices] == alone.selected_indices
+    assert [s.iteration for s in padded.steps] == [s.iteration for s in alone.steps]
+    np.testing.assert_array_equal(padded.surrogate.centers, alone.surrogate.centers)
+    np.testing.assert_array_equal(padded.surrogate.alphas, alone.surrogate.alphas)
+    np.testing.assert_array_equal(padded.surrogate.betas, alone.surrogate.betas)
