@@ -188,18 +188,22 @@ class Dataset:
         return float(np.max(np.abs(vals) + np.linalg.norm(gds, axis=1)))
 
 
-def _trajectory_checks(model: ControlAffineModel, traj: Trajectory, config: ExploreConfig) -> Optional[str]:
-    scale = 1.0 + float(np.max(np.abs(traj.values)))
-    if np.any(traj.values < -MONOTONE_TOL * scale):
-        return "negative value sample"
-    if np.any(np.diff(traj.values) > MONOTONE_TOL * scale):
-        return "value increases along the trajectory"
+def _trajectory_checks(
+    model: ControlAffineModel, traj: Trajectory, config: ExploreConfig
+) -> tuple[Optional[str], float]:
+    """Why the trajectory is quarantined (None if it is not), and its HJB
+    margin: the worst ratio of a sample's HJB residual to its bound."""
     resid = np.abs(hjb_residual(model, traj.states, traj.grads))
     bound = config.hjb_tol * (1.0 + model.r(traj.states))
+    margin = float(np.max(resid / bound))
+    scale = 1.0 + float(np.max(np.abs(traj.values)))
+    if np.any(traj.values < -MONOTONE_TOL * scale):
+        return "negative value sample", margin
+    if np.any(np.diff(traj.values) > MONOTONE_TOL * scale):
+        return "value increases along the trajectory", margin
     if np.any(resid > bound):
-        worst = float(np.max(resid / bound))
-        return f"residual check failed ({worst:.2f}x over the bound)"
-    return None
+        return f"residual check failed ({margin:.2f}x over the bound)", margin
+    return None, margin
 
 
 def run_exploration(
@@ -237,7 +241,7 @@ def run_exploration(
             dataset.meta["quarantined"].append({"index": best, "reason": str(err)})
             continue
         traj = to_trajectory(sol, samples=config.solver.samples, horizon=config.horizon)
-        reason = _trajectory_checks(model, traj, config)
+        reason, margin = _trajectory_checks(model, traj, config)
         if reason is not None:
             dataset.meta["quarantined"].append({"index": best, "reason": reason})
             continue
@@ -247,8 +251,10 @@ def run_exploration(
         dataset.meta["solves"].append(
             {
                 "newton_iterations": sol.newton_iterations,
+                "line_search_halvings": sol.line_search_halvings,
                 "refine_rounds": sol.refine_rounds,
                 "max_defect": sol.max_defect,
+                "hjb_margin": margin,
             }
         )
         dmin = np.minimum(dmin, np.linalg.norm(candidates - x0, axis=1))

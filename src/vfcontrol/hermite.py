@@ -26,7 +26,15 @@ diagonal.  So the factor is always exact, never floored.
 
 The same contraction evaluated at off-center points is the surrogate itself,
 so ``hermite_apply`` doubles as the Gram matvec (query points = centers) and
-as batched surrogate evaluation.
+as batched surrogate evaluation: the greedy scan, LSODA's Jacobian batches,
+cross-validation.  A single state, which is what the online feedback and
+every rollout right-hand side evaluate, takes a short path instead.  A
+``Surrogate`` keeps its center-only terms (||x_i||^2, <beta_i, x_i> and the
+stacked [x; beta]), so the value and gradient at y take one
+``WendlandC4.profile`` call on the n squared distances and a dozen vector
+operations, with the gradient collapsed to scalar * y + coef @ [x; beta] and
+no pair tables built.  That row matches the same row of a batch to
+rounding, not bit for bit.
 
 The structured variant replaces k by <x, y>^2 k(x, y) and represents the
 value as a square:
@@ -40,7 +48,9 @@ with vanishing gradient at the origin and is nonnegative by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -114,43 +124,86 @@ class _PairCache:
             self.ip2_ddpsi = ip2 * self.ddpsi
 
 
-def _apply_cached(cache: "_PairCache", alphas, betas):
+class _Work:
+    """Scratch arrays for ``_apply_cached``: n x m tables, m x N rows and one
+    n x N block.  ``HermiteOperator`` keeps one, so a Krylov loop allocates
+    nothing larger than a vector per matvec."""
+
+    __slots__ = ("tables", "rows", "block")
+
+    def __init__(self, cache: "_PairCache"):
+        (n, m), dim = cache.psi.shape, cache.x.shape[1]
+        self.tables = [np.empty((n, m)) for _ in range(3 if cache.structured else 2)]
+        self.rows = [np.empty((m, dim)) for _ in range(3)]
+        self.block = np.empty((n, dim))
+
+
+def _apply_cached(cache: "_PairCache", alphas, betas, work: _Work, vals: np.ndarray, grads: np.ndarray):
+    """Write the values at the cache's points into ``vals`` (m,) and the
+    gradients into ``grads`` (m, N), every larger temporary into ``work``."""
     x, y = cache.x, cache.y
     al = np.asarray(alphas, dtype=float)
     be = np.asarray(betas, dtype=float)
-    c = np.sum(be * x, axis=1)          # <beta_i, x_i>
-    bg = be @ y.T                       # <beta_i, y_j>
+    tmp = work.tables[-1]
+    r1, r2, r3 = work.rows
+
+    def spread(table, out):             # sum_i table_ij y_j
+        return np.multiply(np.sum(table, axis=0)[:, None], y, out=out)
+
+    def gather(table, out):             # sum_i table_ij x_i
+        return np.matmul(table.T, x, out=out)
+
+    def add(scale, term):               # grads += scale * term, term overwritten
+        term *= scale
+        np.add(grads, term, out=grads)
+
+    c = np.sum(np.multiply(be, x, out=work.block), axis=1)  # <beta_i, x_i>
+    bg = np.matmul(be, y.T, out=work.tables[0])             # <beta_i, y_j>
 
     if not cache.structured:
         psi, dpsi, ddpsi = cache.psi, cache.dpsi, cache.ddpsi
-        vals = psi.T @ al + 2.0 * (dpsi.T @ c - np.einsum("ij,ij->j", dpsi, bg))
-        w = dpsi * al[:, None]
-        grads = 2.0 * (np.sum(w, axis=0)[:, None] * y - w.T @ x)
-        pb = dpsi.T @ be
+        np.add(psi.T @ al, 2.0 * (dpsi.T @ c - np.einsum("ij,ij->j", dpsi, bg)), out=vals)
+        w = np.multiply(dpsi, al[:, None], out=tmp)
+        spread(w, grads)
+        grads -= gather(w, r1)
+        grads *= 2.0
+        pb = np.matmul(dpsi.T, be, out=r2)
         np.subtract(bg, c[:, None], out=bg)  # <y_j - x_i, beta_i>
-        u = ddpsi * bg
-        grads += -2.0 * pb + 4.0 * (u.T @ x - np.sum(u, axis=0)[:, None] * y)
-        return vals, grads
+        u = np.multiply(ddpsi, bg, out=tmp)
+        pb *= -2.0
+        q = gather(u, r1)
+        q -= spread(u, r3)
+        q *= 4.0
+        pb += q
+        grads += pb
+        return
 
-    cg = c[:, None] - bg                # <x_i - y_j, beta_i>
-    vals = cache.ip2_psi.T @ al + 2.0 * (
-        np.einsum("ij,ij->j", cache.ip_psi, bg) + np.einsum("ij,ij->j", cache.ip2_dpsi, cg)
+    cg = np.subtract(c[:, None], bg, out=work.tables[1])  # <x_i - y_j, beta_i>
+    np.add(
+        cache.ip2_psi.T @ al,
+        2.0 * (np.einsum("ij,ij->j", cache.ip_psi, bg) + np.einsum("ij,ij->j", cache.ip2_dpsi, cg)),
+        out=vals,
     )
     # sum_i alpha_i grad_2 kappa(x_i, y_j)
-    ma1 = al[:, None] * cache.ip_psi
-    ma2 = al[:, None] * cache.ip2_dpsi
-    grads = 2.0 * (ma1.T @ x) + 2.0 * (np.sum(ma2, axis=0)[:, None] * y - ma2.T @ x)
+    gather(np.multiply(al[:, None], cache.ip_psi, out=tmp), grads)
+    grads *= 2.0
+    ma2 = np.multiply(al[:, None], cache.ip2_dpsi, out=tmp)
+    q = spread(ma2, r1)
+    q -= gather(ma2, r2)
+    add(2.0, q)
     # sum_i E_kappa(x_i, y_j) beta_i, by the product rule around E_k of the base
-    grads += 2.0 * ((cache.psi * bg).T @ x)
-    grads += 2.0 * (cache.ip_psi.T @ be)
-    m3 = cache.ip_dpsi * bg
-    grads += 4.0 * (np.sum(m3, axis=0)[:, None] * y - m3.T @ x)
-    m4 = cache.ip_dpsi * cg
-    grads += 4.0 * (m4.T @ x)
-    grads += -2.0 * (cache.ip2_dpsi.T @ be)
-    m5b = cache.ip2_ddpsi * cg
-    grads -= 4.0 * (m5b.T @ x - np.sum(m5b, axis=0)[:, None] * y)
-    return vals, grads
+    add(2.0, gather(np.multiply(cache.psi, bg, out=tmp), r1))
+    add(2.0, np.matmul(cache.ip_psi.T, be, out=r1))
+    m3 = np.multiply(cache.ip_dpsi, bg, out=tmp)
+    q = spread(m3, r1)
+    q -= gather(m3, r2)
+    add(4.0, q)
+    add(4.0, gather(np.multiply(cache.ip_dpsi, cg, out=tmp), r1))
+    add(-2.0, np.matmul(cache.ip2_dpsi.T, be, out=r1))
+    m5b = np.multiply(cache.ip2_ddpsi, cg, out=tmp)
+    q = gather(m5b, r1)
+    q -= spread(m5b, r2)
+    add(-4.0, q)
 
 
 def hermite_apply(kernel, centers, alphas, betas, points):
@@ -162,9 +215,11 @@ def hermite_apply(kernel, centers, alphas, betas, points):
     x = np.asarray(centers, dtype=float)
     y = np.atleast_2d(np.asarray(points, dtype=float))
     n, dim = x.shape
-    if n == 0:
-        return np.zeros(y.shape[0]), np.zeros((y.shape[0], dim))
-    return _apply_cached(_PairCache(kernel, x, y), alphas, betas)
+    vals, grads = np.zeros(y.shape[0]), np.zeros((y.shape[0], dim))
+    if n:
+        cache = _PairCache(kernel, x, y)
+        _apply_cached(cache, alphas, betas, _Work(cache), vals, grads)
+    return vals, grads
 
 
 class HermiteOperator:
@@ -180,6 +235,7 @@ class HermiteOperator:
         self.n, self.dim = self.centers.shape
         self.kernel = kernel
         self._cache = _PairCache(kernel, self.centers, self.centers)
+        self._work = _Work(self._cache)
 
     @property
     def size(self) -> int:
@@ -187,8 +243,9 @@ class HermiteOperator:
 
     def matvec(self, stacked: np.ndarray) -> np.ndarray:
         alphas, betas = unstack_coeffs(stacked, self.n, self.dim)
-        vals, grads = _apply_cached(self._cache, alphas, betas)
-        return stack_coeffs(vals, grads)
+        out = np.empty(self.size)
+        _apply_cached(self._cache, alphas, betas, self._work, out[: self.n], out[self.n :].reshape(self.n, self.dim))
+        return out
 
 
 def stack_coeffs(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -410,8 +467,73 @@ class Surrogate:
     def n_centers(self) -> int:
         return self.centers.shape[0]
 
+    @cached_property
+    def _center_terms(self):
+        """||x_i||^2, <beta_i, x_i> and the stacked (2n, N) matrix [x; beta].
+
+        Built on the first one-row evaluation and kept: the greedy fit builds
+        a surrogate per step and evaluates most of them only in batches.
+        """
+        x = np.asarray(self.centers, dtype=float)
+        be = np.asarray(self.betas, dtype=float)
+        return np.sum(x * x, axis=1), np.sum(be * x, axis=1), np.concatenate([x, be])
+
+    def _expansion_at(self, y: np.ndarray):
+        """Value and gradient of the Hermite expansion at the single point ``y``.
+
+        The same sums as ``_apply_cached`` with m = 1, collapsed so that the
+        gradient is ``scalar * y + coef @ [x; beta]``: one profile call on n
+        squared distances and a dozen small vector operations, no pair tables.
+        """
+        sqnorms, offsets, stacked = self._center_terms
+        n = sqnorms.size
+        proj = stacked @ y                      # [<x_i, y>; <beta_i, y>]
+        ip, bg = proj[:n], proj[n:]
+        sq = sqnorms - 2.0 * ip
+        sq += y @ y
+        structured = isinstance(self.kernel, StructuredKernel)
+        base = self.kernel.base if structured else self.kernel
+        psi, dpsi, ddpsi = base.profile(sq)
+        cg = offsets - bg                       # <x_i - y, beta_i>
+        al = self.alphas
+        # t: per center, half its coefficient of y in the gradient
+        t = dpsi * al
+        t += 2.0 * ddpsi * cg
+        if not structured:
+            value = psi @ al + 2.0 * (dpsi @ cg)
+            coef = np.concatenate([-2.0 * t, -2.0 * dpsi])
+        else:
+            ip_psi = ip * psi
+            ip_dpsi = ip * dpsi
+            ip2_dpsi = ip * ip_dpsi
+            t *= ip * ip
+            t += 2.0 * ip_dpsi * bg
+            value = ip_psi @ (al * ip + 2.0 * bg) + 2.0 * (ip2_dpsi @ cg)
+            cx = al * ip_psi + psi * bg + 2.0 * ip_dpsi * cg - t
+            coef = 2.0 * np.concatenate([cx, ip_psi - ip2_dpsi])
+        grad = coef @ stacked
+        grad += (2.0 * t.sum()) * y
+        return float(value), grad
+
     def value_and_gradient(self, points):
+        """Values (m,) and gradients (m, N) at ``points``; a single state
+        takes the short path described in the module docstring."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[0] == 1:
+            y = points[0]
+            val, grad = self._expansion_at(y)
+            if self.variant == "structured":
+                qy = y @ self.q_matrix
+                yqy = float(qy @ y)
+                if not yqy > 0.0:
+                    # at the origin the correction vanishes identically; pin the limit
+                    return np.zeros(1), np.zeros_like(points)
+                root = math.sqrt(yqy)
+                h = root + val
+                val = h * h
+                grad += qy / root
+                grad *= 2.0 * h
+            return np.array([val]), grad[None, :]
         vals, grads = hermite_apply(self.kernel, self.centers, self.alphas, self.betas, points)
         if self.variant == "plain":
             return vals, grads

@@ -197,6 +197,8 @@ class BvpSolution:
     dim_state: int
     refine_rounds: int = 0
     max_defect: float = 0.0
+    # step halvings of the Newton line search, summed like newton_iterations
+    line_search_halvings: int = 0
 
     @property
     def times(self) -> np.ndarray:
@@ -276,6 +278,7 @@ def solve_pmp(
 
     kl, ku = _band_widths(model.dim_state)
     iteration = 0
+    halvings = 0
     while norm > NEWTON_TOL * (1.0 + float(np.max(np.abs(z)))):
         if iteration == config.newton_max_iter:
             raise BvpFailure(
@@ -303,6 +306,7 @@ def solve_pmp(
                 accepted = True
                 break
             lam *= 0.5
+            halvings += 1
         if not accepted:
             raise BvpFailure(
                 f"line search stalled at residual {norm:.3e}", residual=norm, iterations=iteration
@@ -313,6 +317,7 @@ def solve_pmp(
         z=z,
         newton_iterations=iteration,
         dim_state=model.dim_state,
+        line_search_halvings=halvings,
     )
 
 
@@ -348,6 +353,7 @@ def solve_open_loop(
     guess = initial_guess(model, x0, taus, q_matrix)
     sol = solve_pmp(model, x0, taus, guess, config)
     newton_iterations = sol.newton_iterations
+    halvings = sol.line_search_halvings
 
     rounds = 0
     for rounds in range(config.refine_rounds + 1):
@@ -362,8 +368,10 @@ def solve_open_loop(
         guess = _interp_nodes(sol.taus, sol.z, taus_new)
         sol = solve_pmp(model, x0, taus_new, guess, config)
         newton_iterations += sol.newton_iterations
+        halvings += sol.line_search_halvings
 
     sol.newton_iterations = newton_iterations
+    sol.line_search_halvings = halvings
     sol.refine_rounds = rounds
     sol.max_defect = worst
     return sol

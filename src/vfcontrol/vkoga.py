@@ -22,7 +22,10 @@ square-root data [sqrt(v_j); grad v_j / (2 sqrt(v_j))]: where the quadratic
 model is already exact, the structured right-hand side is rounding noise.
 
 Ties in the score break toward the lowest candidate index, which together
-with the deterministic CG solve makes the whole selection reproducible.
+with the deterministic CG solve makes the whole selection reproducible.  The
+tie rule holds up to rounding: the batched scan rounds a row by its position
+in the batch, so an exact copy of a sample can score a last bit above its
+original and be taken first.
 Every step records the surrogate it fitted, so one run to n centers also
 holds the surrogate at each smaller count.
 """

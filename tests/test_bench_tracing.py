@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
+import vfcontrol.evaluate
 import vfcontrol.explore
 import vfcontrol.vkoga
+from vfcontrol.hermite import quadratic_surrogate
 from vfcontrol.kernels import WendlandC4
 from vfcontrol.models import build_linear
 from vfcontrol.openloop import OpenLoopConfig
@@ -56,6 +58,25 @@ def test_benchmark_tracing_instruments_and_restores():
     assert tracer.counters["numerics.cg_solve.iterations"] == steps
     assert spans["hermite.HermiteOperator.matvec"]["calls"] == 2 * steps
     assert spans["hermite.fit"]["calls"] == steps
+
+
+def test_traced_rollout_records_its_right_hand_side_evaluations():
+    """The tracer wraps ``Surrogate.value_and_gradient`` and names the calls
+    made inside a rollout ``evaluate.rhs``: one per right-hand side the
+    integrator asks for, plus the batched ones of its Jacobians."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer("test")
+    model = build_linear([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]])
+    surrogate = quadratic_surrogate(quadratic_matrix(model))
+    tracing.instrument(tracer)
+    try:
+        run = vfcontrol.evaluate.simulate_feedback(model, surrogate, np.array([0.7, -0.2]), 3.0)
+        spans = tracer.aggregate()
+    finally:
+        tracer.restore()
+    assert not run.escaped
+    assert spans["evaluate.simulate_feedback"]["calls"] == 1
+    assert spans["evaluate.rhs"]["calls"] >= run.rhs_evaluations > 0
 
 
 def test_traced_open_loop_solve_factors_once_per_newton_step():

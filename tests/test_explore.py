@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from vfcontrol.explore import (
     save_dataset,
     solve_testset,
 )
-from vfcontrol.models import build_linear
+from vfcontrol.models import build_linear, hjb_residual
 from vfcontrol.openloop import OpenLoopConfig, Trajectory, solve_open_loop, to_trajectory
 from vfcontrol.riccati import quadratic_matrix
 
@@ -145,6 +146,24 @@ def test_exploration_quarantines_residual_violations(lqr_setup):
     assert "residual" in data.meta["quarantined"][0]["reason"]
 
 
+def test_hjb_margin_is_the_worst_residual_over_its_bound(lqr_setup):
+    """Each stored solve records the largest ratio of a sample's HJB residual
+    to its bound; a tolerance that ratio exceeds fourfold quarantines the
+    trajectory with a reason that says so."""
+    model, qm, solver = lqr_setup
+    config = ExploreConfig(n_trajectories=1, hjb_tol=1e-6, solver=solver)
+    data = run_exploration(model, np.array([[1.0]]), qm, config)
+    (traj,), (solve,) = data.trajectories, data.meta["solves"]
+    resid = np.abs(hjb_residual(model, traj.states, traj.grads))
+    margin = float(np.max(resid / (config.hjb_tol * (1.0 + model.r(traj.states)))))
+    assert solve["hjb_margin"] == margin
+    assert 0.0 < margin <= 1.0
+    tight = replace(config, hjb_tol=config.hjb_tol * margin / 4.0)
+    with pytest.warns(UserWarning, match="exploration produced"):
+        quarantined = run_exploration(model, np.array([[1.0]]), qm, tight)
+    assert quarantined.meta["quarantined"] == [{"index": 0, "reason": "residual check failed (4.00x over the bound)"}]
+
+
 def test_flattened_keeps_every_sample_and_appends_the_origin():
     """A sample repeated across trajectories stays in the flattened data, in
     trajectory order; the greedy fit, not the dataset, turns duplicates away."""
@@ -205,9 +224,11 @@ def test_dataset_roundtrips_through_json(tmp_path, lqr_setup):
     # the solver counters of every stored trajectory survive exactly
     assert len(data.meta["solves"]) == data.n_trajectories
     for solve in data.meta["solves"]:
-        assert set(solve) == {"newton_iterations", "refine_rounds", "max_defect"}
+        assert set(solve) == {"newton_iterations", "line_search_halvings", "refine_rounds", "max_defect", "hjb_margin"}
         assert solve["newton_iterations"] >= 1 and solve["refine_rounds"] == 0
+        assert solve["line_search_halvings"] >= 0
         assert 0.0 < solve["max_defect"] < 1.0
+        assert 0.0 <= solve["hjb_margin"] <= 1.0
     assert again.meta["solves"] == data.meta["solves"]
     for a, b in zip(again.trajectories, data.trajectories):
         np.testing.assert_array_equal(a.states, b.states)

@@ -486,3 +486,125 @@ def test_the_factor_turns_away_exactly_the_near_duplicates(dim, n, n_twins, stru
     ref = np.linalg.solve(m, rhs)
     got = stack_coeffs(alphas, betas)
     assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
+
+
+def rounding_bound(sur, y):
+    """How far two evaluation orders of the expansion at y may round apart.
+
+    Every term of the value or of a gradient component is a coefficient
+    (alpha_i or a component of beta_i), with a factor of at most 4, times one
+    profile derivative times at most two coordinates of x_i or y, and for the
+    structured kernel times at most <x_i, y>^2 more.  A term takes at most 16
+    roundings and the sum over centers n more, so the terms contribute
+    4 (16 + n) eps times the summed magnitudes, with every coefficient
+    counted as at least the smallest normal number.  The profiles themselves are
+    evaluated on squared distances that each order rounds, within
+    (N + 2) eps (||x_i|| + ||y||)^2, so they may differ by as much as the
+    profile moves over that interval.
+    """
+    x = sur.centers
+    n, dim = x.shape
+    eps = np.finfo(float).eps
+    structured = isinstance(sur.kernel, StructuredKernel)
+    base = sur.kernel.base if structured else sur.kernel
+    d = x - y
+    sq = np.sum(d * d, axis=1)
+    norms = np.linalg.norm(x, axis=1) + np.linalg.norm(y)
+    ds = (dim + 2) * eps * norms**2
+    mid, lo, hi = (np.stack(base.profile(s)) for s in (sq, sq - ds, sq + ds))
+    spread = np.sum(np.abs(hi - mid) + np.abs(mid - lo), axis=0)
+    # below the smallest normal number a rounding errs by up to eps * tiny
+    coefficients = np.abs(sur.alphas) + np.sum(np.abs(sur.betas), axis=1) + np.finfo(float).tiny
+    weight = coefficients * (1.0 + norms) ** 2
+    if structured:
+        weight *= (1.0 + np.abs(x @ y)) ** 2
+    return float(weight @ (4.0 * (16 + n) * eps * np.sum(np.abs(mid), axis=0) + 4.0 * spread))
+
+
+def square_form_bound(q_matrix, y, h, w, tol):
+    """How far two evaluation orders of s = h^2 and grad s = 2 h w may round
+    apart, with h = sqrt(y^T Q y) + e and w = Q y / sqrt(y^T Q y) + grad e,
+    when e and grad e are known to ``tol``.  y^T Q y and Q y are sums of
+    terms bounded by |y|^T |Q| |y| and |Q| |y|, each rounded within
+    (N + 2) eps of those; the square and the product take two roundings.
+    Returns the bounds on s and on each component of grad s."""
+    eps = np.finfo(float).eps
+    rounding = (y.size + 2) * eps
+    aqy = np.abs(q_matrix) @ np.abs(y)
+    root = np.sqrt(y @ q_matrix @ y)
+    d_root = rounding * (np.abs(y) @ aqy) / (2.0 * root)
+    d_h = tol + d_root
+    d_w = rounding * aqy / root + aqy * d_root / root**2 + tol + 2 * eps * np.abs(w)
+    value = (2.0 * abs(h) + d_h) * d_h + 2 * eps * h * h
+    grad = 2.0 * (abs(h) + d_h) * d_w + 2.0 * d_h * np.abs(w) + 4 * eps * abs(h) * np.abs(w)
+    return value, grad
+
+
+@settings(max_examples=80, deadline=None)
+@given(structured_surrogates(), st.booleans(), st.booleans())
+def test_one_row_evaluation_agrees_with_the_batch(case, plain, structured_kernel):
+    """A single state takes the short path of ``value_and_gradient``; it
+    matches the same row of a batch through ``hermite_apply`` to rounding
+    (see ``rounding_bound``).  Probes include the origin and, for larger
+    gamma, states outside every center's support."""
+    sur, probes = case
+    dim = sur.centers.shape[1]
+    if plain:
+        sur = replace(sur, kernel=sur.kernel if structured_kernel else sur.kernel.base, variant="plain", q_matrix=None)
+    probes = np.vstack([probes, np.zeros((1, dim))])
+    # the expansion alone, under either kernel, against hermite_apply
+    expansion = replace(sur, variant="plain", q_matrix=None)
+    vals, grads = hermite_apply(sur.kernel, sur.centers, sur.alphas, sur.betas, probes)
+    batch_v, batch_g = sur.value_and_gradient(probes)
+    for y, v, g, bv, bg in zip(probes, vals, grads, batch_v, batch_g):
+        tol = rounding_bound(sur, y)
+        ev, eg = expansion.value_and_gradient(y[None, :])
+        assert ev.shape == (1,) and eg.shape == (1, dim)
+        assert abs(ev[0] - v) <= tol
+        assert np.max(np.abs(eg[0] - g)) <= tol
+        one_v, one_g = sur.value_and_gradient(y)
+        if sur.variant == "plain":
+            np.testing.assert_array_equal(one_v, ev)
+            np.testing.assert_array_equal(one_g, eg)
+            continue
+        assert one_v[0] >= 0.0
+        root = np.sqrt(y @ sur.q_matrix @ y)
+        if not root > 0.0:
+            assert one_v[0] == bv == 0.0
+            continue
+        h = root + v
+        vtol, gtol = square_form_bound(sur.q_matrix, y, h, sur.q_matrix @ y / root + g, tol)
+        assert abs(one_v[0] - bv) <= vtol
+        assert np.all(np.abs(one_g[0] - bg) <= gtol)
+    if sur.variant == "structured":
+        v0, g0 = sur.value_and_gradient(np.zeros(dim))
+        assert v0[0] == 0.0 and np.all(g0[0] == 0.0)
+
+
+def test_one_row_evaluation_builds_no_pair_tables(monkeypatch):
+    import vfcontrol.hermite as hermite
+
+    rng = np.random.default_rng(44)
+    base, kern = both_kernels(3, 0.6)
+    centers = lattice_centers(rng, 4, 3, avoid_origin=True)
+    surrogates = [
+        Surrogate(kernel=base, centers=centers, alphas=rng.normal(size=4), betas=rng.normal(size=(4, 3))),
+        Surrogate(
+            kernel=kern,
+            centers=centers,
+            alphas=rng.normal(size=4),
+            betas=rng.normal(size=(4, 3)),
+            variant="structured",
+            q_matrix=np.eye(3),
+        ),
+    ]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("one-row evaluation built pair tables")
+
+    monkeypatch.setattr(hermite._PairCache, "__init__", refuse)
+    for sur in surrogates:
+        value, grad = sur.value_and_gradient(rng.normal(size=(1, 3)))
+        assert np.isfinite(value[0]) and np.all(np.isfinite(grad))
+        with pytest.raises(AssertionError, match="pair tables"):
+            sur.value_and_gradient(rng.normal(size=(2, 3)))

@@ -243,13 +243,39 @@ def test_newton_iterations_add_up_over_the_refinement(monkeypatch):
 
     def counting(*args, **kwargs):
         sol = solve_one_mesh(*args, **kwargs)
-        counts.append(sol.newton_iterations)
+        counts.append((sol.newton_iterations, sol.line_search_halvings))
         return sol
 
     monkeypatch.setattr(openloop, "solve_pmp", counting)
-    model = build_linear([[-1.0]], [[1.0]])
+    # from this start the first two meshes halve their Newton steps
+    model = build_amp()
     config = OpenLoopConfig(n_nodes=40, refine_rounds=2, refine_tol=1e-12)
-    sol = solve_open_loop(model, np.array([0.8]), quadratic_matrix(model), config)
+    sol = solve_open_loop(model, np.array([1.0, -1.0]), quadratic_matrix(model), config)
     assert sol.refine_rounds >= 1
     assert len(counts) == sol.refine_rounds + 1
-    assert sol.newton_iterations == sum(counts)
+    assert sol.newton_iterations == sum(c for c, _ in counts)
+    assert sol.line_search_halvings == sum(h for _, h in counts) > 0
+
+
+def test_line_search_halvings_count_the_rejected_trial_steps(monkeypatch):
+    """Every residual after the first is one trial step, accepted once per
+    Newton iteration and otherwise halved: from a zero guess the amp solve
+    halves its step 16 times on the way."""
+    calls = []
+    residual = openloop.bvp_residual
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(openloop, "bvp_residual", counting)
+    model = build_amp()
+    config = OpenLoopConfig(n_nodes=40, refine_rounds=0)
+    taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
+    x0 = np.array([0.5, 0.5])
+    guess = np.zeros((taus.size, 5))
+    guess[0, :2] = x0
+    with np.errstate(over="ignore"):  # the rejected full steps overflow exp
+        sol = solve_pmp(model, x0, taus, guess, config)
+    assert sol.line_search_halvings == 16
+    assert len(calls) == 1 + sol.newton_iterations + sol.line_search_halvings
