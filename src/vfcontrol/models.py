@@ -97,7 +97,7 @@ def pmp_rhs(model: ControlAffineModel, z: np.ndarray) -> np.ndarray:
     u = optimal_control(model, x, p)
     dx = model.f(x) + model.g_apply(x, u)
     dp = -(model.jac_f_T_apply(x, p) + model.dgu_dx_T_apply(x, u, p) + model.grad_r(x))
-    dv = -(model.r(x) + np.sum((u @ model.R) * u, axis=-1))
+    dv = -(model.r(x) + np.add.reduce((u @ model.R) * u, axis=-1))
     return np.concatenate([dx, dp, dv[..., None]], axis=-1)
 
 
@@ -146,7 +146,7 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
     alpha, beta = params.alpha, params.beta
 
     def q(x):
-        return np.sum(x * x, axis=-1, keepdims=True)
+        return np.add.reduce(x * x, axis=-1, keepdims=True)
 
     def f(x):
         return q(x) * x
@@ -155,10 +155,10 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
         return np.exp(-0.5 * q(x)) * x * u
 
     def gT_apply(x, p):
-        return np.exp(-0.5 * q(x)) * np.sum(x * p, axis=-1, keepdims=True)
+        return np.exp(-0.5 * q(x)) * np.add.reduce(x * p, axis=-1, keepdims=True)
 
     def r(x):
-        qq = np.sum(x * x, axis=-1)
+        qq = np.add.reduce(x * x, axis=-1)
         return alpha * np.exp(qq) * qq * qq
 
     def grad_r(x):
@@ -166,12 +166,12 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
         return 2.0 * alpha * np.exp(qq) * qq * (qq + 2.0) * x
 
     def jac_f_T_apply(x, p):
-        return q(x) * p + 2.0 * x * np.sum(x * p, axis=-1, keepdims=True)
+        return q(x) * p + 2.0 * x * np.add.reduce(x * p, axis=-1, keepdims=True)
 
     def dgu_dx_T_apply(x, u, p):
         # d/dx (e^{-q/2} x u) = u e^{-q/2} (I - x x^T); symmetric, so the
         # transpose action coincides.
-        return u * np.exp(-0.5 * q(x)) * (p - x * np.sum(x * p, axis=-1, keepdims=True))
+        return u * np.exp(-0.5 * q(x)) * (p - x * np.add.reduce(x * p, axis=-1, keepdims=True))
 
     def pmp_jacobian(z):
         # With s = x.p, kappa = e^{-q} / (2 beta), c = kappa s and
@@ -180,7 +180,7 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
         #   v' = -(alpha e^q q^2 + c s / 2).
         x, p = z[..., :n], z[..., n : 2 * n]
         qq = q(x)[..., None]
-        s = np.sum(x * p, axis=-1)[..., None, None]
+        s = np.add.reduce(x * p, axis=-1)[..., None, None]
         kappa = np.exp(-qq) / (2.0 * beta)
         c = kappa * s
         e_q = np.exp(qq)
@@ -294,7 +294,7 @@ def build_nhe(params: NheParameters = NheParameters()) -> ControlAffineModel:
         return p @ b
 
     def r(x):
-        return np.sum(x * x, axis=-1)
+        return np.add.reduce(x * x, axis=-1)
 
     def grad_r(x):
         return 2.0 * x

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import vfcontrol.openloop as openloop
-from vfcontrol.models import build_amp, build_linear, optimal_control
-from vfcontrol.numerics import FD_STEP, fd_jacobian
+from vfcontrol.models import NheParameters, build_amp, build_linear, build_nhe, nhe_node_coords, optimal_control
+from vfcontrol.numerics import FD_STEP, fd_jacobian, integrate_ivp
 from vfcontrol.openloop import (
     NEWTON_TOL,
     BvpFailure,
@@ -157,6 +157,62 @@ def test_initial_guess_shape_and_anchoring():
     np.testing.assert_array_equal(z[0, :2], [1.0, 0.0])
     # the rollout contracts toward the origin
     assert np.linalg.norm(z[-1, :2]) < 1.0
+
+
+def test_initial_guess_pads_with_zeros_after_an_escape():
+    """With the sign of the quadratic model flipped, the feedback u = +q x
+    drives x' = x / 2 + u away from the origin: the rollout leaves the radius
+    10 (1 + |x0|) after node 22 of 41, and every later node is zero."""
+    model = build_linear([[0.5]], [[1.0]])
+    qm = -quadratic_matrix(model)
+    x0 = np.array([1.0])
+    z = initial_guess(model, x0, graded_mesh(40), qm)
+    assert z.shape == (41, 3)
+    np.testing.assert_array_equal(z[0, :1], x0)
+    before, after = z[:23], z[23:]
+    assert np.all(np.isfinite(before))
+    assert np.all(before != 0.0)
+    assert np.all(np.abs(before[:, 0]) < 10.0 * (1.0 + abs(x0[0])))
+    assert np.all(after == 0.0)
+
+
+def tight_rollout(model, x0, taus, q_matrix):
+    """The quadratic-feedback rollout of ``initial_guess``, integrated at rel 1e-10, abs 1e-12."""
+    n = model.dim_state
+
+    def rhs(_t, x):
+        return model.f(x) + model.g_apply(x, optimal_control(model, x, 2.0 * x @ q_matrix))
+
+    sol = integrate_ivp(rhs, x0, (0.0, float(time_stretch(taus[-1]))), rel_tol=1e-10, abs_tol=1e-12)
+    assert sol.times[-1] == time_stretch(taus[-1])  # no escape from these starts
+    xs = sol.at(time_stretch(taus))
+    z = np.column_stack([xs, 2.0 * xs @ q_matrix, np.einsum("ij,jk,ik->i", xs, q_matrix, xs)])
+    z[0, :n] = x0
+    return z
+
+
+@pytest.mark.parametrize("name", ["amp", "nhe"])
+def test_newton_does_not_depend_on_the_guess_tolerance(name):
+    """The loose rollout of ``initial_guess`` and the same rollout at rel 1e-10
+    differ by about 1e-6, yet Newton takes the same iterations and halvings
+    from both and lands on the same solution to 1e-10 relative."""
+    if name == "amp":
+        model, x0 = build_amp(), np.array([1.0, -1.0])
+    else:
+        model = build_nhe(NheParameters(grid_side=3))
+        xi = nhe_node_coords(3)
+        x0 = 0.4 * np.cos(np.pi * xi[:, 0]) * np.cos(np.pi * xi[:, 1])
+    qm = quadratic_matrix(model)
+    config = OpenLoopConfig()
+    taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
+    loose = initial_guess(model, x0, taus, qm)
+    tight = tight_rollout(model, x0, taus, qm)
+    assert np.max(np.abs(loose - tight)) > 1e-9 * np.max(np.abs(tight))
+    a = solve_pmp(model, x0, taus, loose, config)
+    b = solve_pmp(model, x0, taus, tight, config)
+    assert a.newton_iterations == b.newton_iterations >= 2
+    assert a.line_search_halvings == b.line_search_halvings
+    assert np.max(np.abs(a.z - b.z)) <= 1e-10 * np.max(np.abs(b.z))
 
 
 def test_amp_solution_obeys_its_own_feedback_law():
