@@ -28,7 +28,7 @@ from .explore import (
     save_dataset,
     solve_testset,
 )
-from .hermite import load_surrogate, save_surrogate
+from .hermite import load_surrogate, save_surrogate, takes_origin_sample
 from .kernels import StructuredKernel, WendlandC4
 from .models import build_model
 from .openloop import OpenLoopConfig
@@ -108,15 +108,16 @@ def model_from_config(cfg: dict):
     return build_model(section["name"], section.get("params", {}))
 
 
-def kernel_from_config(cfg: dict, dim: int, structured: bool):
+def kernel_from_config(cfg: dict, model, variant: str):
+    """The kernel of ``variant`` and the quadratic matrix it needs, None for plain."""
     section = cfg.get("kernel", {})
     if "gamma" not in section:
         raise ConfigError("config needs kernel.gamma")
     gamma = float(section["gamma"])
-    if structured:
+    if variant == "structured":
         gamma = float(section.get("gamma_structured", gamma))
-        return StructuredKernel(WendlandC4(dim=dim, gamma=gamma))
-    return WendlandC4(dim=dim, gamma=gamma)
+        return StructuredKernel(WendlandC4(dim=model.dim_state, gamma=gamma)), quadratic_matrix(model)
+    return WendlandC4(dim=model.dim_state, gamma=gamma), None
 
 
 def _candidate_kind(spec: dict, section: str, extra=()) -> str:
@@ -166,10 +167,8 @@ def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     model = model_from_config(cfg)
     dataset = load_dataset(getattr(args, "in"))
-    structured = args.variant == "structured"
-    kernel = kernel_from_config(cfg, model.dim_state, structured)
-    qm = quadratic_matrix(model) if structured else None
-    pts, vals, gds = dataset.flattened(include_origin=not structured)
+    kernel, qm = kernel_from_config(cfg, model, args.variant)
+    pts, vals, gds = dataset.flattened(include_origin=takes_origin_sample(kernel))
     config = vkoga_from_config(cfg)
     if args.centers is not None:
         config = replace(config, max_centers=args.centers)
@@ -177,16 +176,9 @@ def cmd_fit(args) -> int:
     save_surrogate(result.surrogate, args.out)
     if args.trace:
         write_trace(result, args.trace)
-    print(
-        json.dumps(
-            {
-                "variant": args.variant,
-                "centers": result.surrogate.n_centers,
-                "final_residual": result.final_residual,
-                "out": args.out,
-            }
-        )
-    )
+    sur = result.surrogate
+    out = {"variant": sur.variant, "centers": sur.n_centers, "final_residual": result.final_residual, "out": args.out}
+    print(json.dumps(out))
     return 0
 
 
@@ -194,18 +186,8 @@ def cmd_cv(args) -> int:
     cfg = load_config(args.config)
     model = model_from_config(cfg)
     dataset = load_dataset(getattr(args, "in"))
-    structured = args.variant == "structured"
-    kernel = kernel_from_config(cfg, model.dim_state, structured)
-    qm = quadratic_matrix(model) if structured else None
-    config = vkoga_from_config(cfg)
-    report = cross_validate(
-        kernel,
-        dataset,
-        config=config,
-        n_folds=args.folds,
-        q_matrix=qm,
-        include_origin=not structured,
-    )
+    kernel, qm = kernel_from_config(cfg, model, args.variant)
+    report = cross_validate(kernel, dataset, config=vkoga_from_config(cfg), n_folds=args.folds, q_matrix=qm)
     save_cv_report(report, args.out)
     print(json.dumps({"max_residual": report.max_residual, "mean_residual": report.mean_residual, "out": args.out}))
     return 0
@@ -214,15 +196,14 @@ def cmd_cv(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     model = model_from_config(cfg)
-    qm = quadratic_matrix(model)
+    kernel_plain, _ = kernel_from_config(cfg, model, "plain")
+    kernel_structured, qm = kernel_from_config(cfg, model, "structured")
     dataset = load_dataset(getattr(args, "in"))
     section = cfg.get("evaluate", {})
     states = _testset_states(cfg, model)
     references = solve_testset(model, states, qm, explore_from_config(cfg).solver)
     counts = section.get("counts", [10, 20, 40, 80])
     horizon = section.get("horizon")
-    kernel_plain = kernel_from_config(cfg, model.dim_state, structured=False)
-    kernel_structured = kernel_from_config(cfg, model.dim_state, structured=True)
     rows = center_curve(
         model,
         dataset,

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .explore import Dataset
-from .hermite import Surrogate, quadratic_surrogate
+from .hermite import Surrogate, quadratic_surrogate, takes_origin_sample
 from .models import ControlAffineModel, optimal_control
 from .numerics import IvpFailure, integrate_ivp
 from .vkoga import VkogaConfig, run_vkoga
@@ -217,9 +217,9 @@ def cross_validate(
     config: VkogaConfig = VkogaConfig(),
     n_folds: int = 5,
     q_matrix=None,
-    include_origin: bool = False,
 ) -> CvReport:
-    """Hold out whole trajectories round-robin, refit, score held-out samples."""
+    """Hold out whole trajectories round-robin, refit, score held-out samples.
+    Training folds get the origin sample if the kernel takes one."""
     n_traj = dataset.n_trajectories
     n_folds = min(n_folds, n_traj)
     if n_folds < 2:
@@ -231,7 +231,7 @@ def cross_validate(
             trajectories=[t for i, t in enumerate(dataset.trajectories) if i % n_folds != fold],
         )
         test = [t for i, t in enumerate(dataset.trajectories) if i % n_folds == fold]
-        pts, vals, gds = train.flattened(include_origin=include_origin)
+        pts, vals, gds = train.flattened(include_origin=takes_origin_sample(kernel))
         result = run_vkoga(kernel, pts, vals, gds, config=config, q_matrix=q_matrix)
         tp = np.concatenate([t.states for t in test])
         tv = np.concatenate([t.values for t in test])
@@ -293,9 +293,9 @@ def center_curve(
     """MRL2 versus center count for both surrogate variants and the quadratic baseline."""
     counts = sorted(set(int(c) for c in counts))
     cfg = replace(config, max_centers=max(counts))
-    pts, vals, gds = dataset.flattened(include_origin=True)
+    pts, vals, gds = dataset.flattened(include_origin=takes_origin_sample(kernel_plain))
     plain = run_vkoga(kernel_plain, pts, vals, gds, config=cfg)
-    pts_s, vals_s, gds_s = dataset.flattened(include_origin=False)
+    pts_s, vals_s, gds_s = dataset.flattened(include_origin=takes_origin_sample(kernel_structured))
     structured = run_vkoga(kernel_structured, pts_s, vals_s, gds_s, config=cfg, q_matrix=q_matrix)
 
     quad = quadratic_surrogate(q_matrix)

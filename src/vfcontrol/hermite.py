@@ -43,6 +43,10 @@ value as a square:
 
 fit through the linearized right-hand side of ``assemble_rhs``; it vanishes
 with vanishing gradient at the origin and is nonnegative by construction.
+The kernel is the variant: a ``Surrogate`` over a ``StructuredKernel`` is
+the square and needs Q, one over a plain kernel is the expansion and takes
+none, ``assemble_rhs`` is structured exactly when it is given Q, and only a
+plain fit gets the origin as a sample (``takes_origin_sample``).
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ __all__ = [
     "stack_coeffs",
     "unstack_coeffs",
     "assemble_rhs",
+    "square_root_domain",
+    "takes_origin_sample",
     "HermiteFactor",
     "fit",
     "FitError",
@@ -81,6 +87,9 @@ MIN_SPACING = 1e-8
 # a Schur block whose smallest eigenvalue is below this fraction of the
 # center's own Gram diagonal is numerically spanned by the earlier centers
 SCHUR_FLOOR = 1e-12
+# x^T Q x below the smallest normal number counts as the origin on both
+# evaluation paths, which round it apart there by whole subnormal units
+_TINY = float(np.finfo(float).tiny)
 
 
 class FitError(RuntimeError):
@@ -259,39 +268,53 @@ def unstack_coeffs(stacked: np.ndarray, n: int, dim: int):
     return stacked[:n], stacked[n:].reshape(n, dim)
 
 
-def assemble_rhs(values, grads, variant: str = "plain", q_matrix=None, centers=None) -> np.ndarray:
-    """Right-hand side of the interpolation system.
+def takes_origin_sample(kernel) -> bool:
+    """Whether a fit over ``kernel`` gets the sample v(0) = 0, grad v(0) = 0:
+    a structured surrogate vanishes there by construction."""
+    return not isinstance(kernel, StructuredKernel)
 
-    Plain: stacked values and gradients as given.  Structured: the linearized
-    square-root data
+
+def square_root_domain(values, points, q_matrix):
+    """x^T Q x at each sample, and the samples whose structured square-root
+    data ``assemble_rhs`` can build: v > 0 and x^T Q x > 0."""
+    xqx = np.einsum("ij,jk,ik->i", points, q_matrix, points)
+    return xqx, (values > 0.0) & (xqx > 0.0)
+
+
+def assemble_rhs(values, grads, q_matrix=None, centers=None):
+    """``(rhs, data)``: the right-hand side of the interpolation system and
+    the data its residual is measured against.
+
+    Plain (no ``q_matrix``): the stacked values and gradients, also as the
+    data.  Structured: the linearized square-root data, defined where
+    v_j > 0 and x_j^T Q x_j > 0,
 
         sqrt(v_j) - sqrt(x_j^T Q x_j),
         grad v_j / (2 sqrt(v_j)) - Q x_j / sqrt(x_j^T Q x_j),
 
-    which requires strictly positive values and nonzero centers.
+    and the data [sqrt(v_j); grad v_j / (2 sqrt(v_j))].
     """
     values = np.asarray(values, dtype=float)
     grads = np.asarray(grads, dtype=float)
-    if variant == "plain":
-        return stack_coeffs(values, grads)
-    if variant != "structured":
-        raise ValueError(f"unknown variant {variant!r}")
-    if q_matrix is None or centers is None:
-        raise ValueError("structured rhs needs the quadratic matrix and the centers")
+    if q_matrix is None:
+        rhs = stack_coeffs(values, grads)
+        return rhs, rhs
+    if centers is None:
+        raise ValueError("structured rhs needs the centers")
     centers = np.asarray(centers, dtype=float)
     qm = np.asarray(q_matrix, dtype=float)
-    if np.any(values <= 0.0):
-        bad = int(np.argmin(values))
-        raise ValueError(f"structured rhs needs positive values; sample {bad} has v = {values[bad]:.3e}")
-    xqx = np.einsum("ij,jk,ik->i", centers, qm, centers)
-    if np.any(xqx <= 0.0):
-        bad = int(np.argmin(xqx))
-        raise ValueError(f"structured rhs is undefined at the origin; sample {bad} has x^T Q x = {xqx[bad]:.3e}")
+    xqx, admissible = square_root_domain(values, centers, qm)
+    if not np.all(admissible):
+        bad = int(np.argmin(admissible))
+        raise ValueError(
+            f"structured rhs needs positive values away from the origin; "
+            f"sample {bad} has v = {values[bad]:.3e} and x^T Q x = {xqx[bad]:.3e}"
+        )
     sv = np.sqrt(values)
     sq = np.sqrt(xqx)
-    rhs_vals = sv - sq
-    rhs_grads = grads / (2.0 * sv[:, None]) - (centers @ qm) / sq[:, None]
-    return stack_coeffs(rhs_vals, rhs_grads)
+    root_grads = grads / (2.0 * sv[:, None])
+    rhs = stack_coeffs(sv - sq, root_grads - (centers @ qm) / sq[:, None])
+    return rhs, stack_coeffs(sv, root_grads)
 
 
 def _gram_blocks(kernel, center, points) -> np.ndarray:
@@ -451,17 +474,31 @@ def fit(
     return alphas, betas, {"iterations": res.iterations, "residual": res.residual, "nugget": nugget}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Surrogate:
-    """A fitted value-function model: coefficients, centers, and the kernel."""
+    """A fitted value-function model: coefficients, centers, and the kernel,
+    whose kind ``variant`` names (see the module docstring)."""
 
     kernel: object
     centers: np.ndarray
     alphas: np.ndarray
     betas: np.ndarray
-    variant: str = "plain"
     q_matrix: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        structured = isinstance(self.kernel, StructuredKernel)
+        if structured and self.q_matrix is None:
+            raise ValueError("a surrogate over a structured kernel needs the quadratic matrix q_matrix")
+        if not structured and self.q_matrix is not None:
+            raise ValueError("a surrogate over a plain kernel takes no quadratic matrix q_matrix")
+        # resolved once: the one-state path reads these on every call
+        object.__setattr__(self, "_structured", structured)
+        object.__setattr__(self, "_base", self.kernel.base if structured else self.kernel)
+
+    @property
+    def variant(self) -> str:
+        return "structured" if self._structured else "plain"
 
     @property
     def n_centers(self) -> int:
@@ -491,15 +528,13 @@ class Surrogate:
         ip, bg = proj[:n], proj[n:]
         sq = sqnorms - 2.0 * ip
         sq += y @ y
-        structured = isinstance(self.kernel, StructuredKernel)
-        base = self.kernel.base if structured else self.kernel
-        psi, dpsi, ddpsi = base.profile(sq)
+        psi, dpsi, ddpsi = self._base.profile(sq)
         cg = offsets - bg                       # <x_i - y, beta_i>
         al = self.alphas
         # t: per center, half its coefficient of y in the gradient
         t = dpsi * al
         t += 2.0 * ddpsi * cg
-        if not structured:
+        if not self._structured:
             value = psi @ al + 2.0 * (dpsi @ cg)
             coef = np.concatenate([-2.0 * t, -2.0 * dpsi])
         else:
@@ -522,10 +557,10 @@ class Surrogate:
         if points.shape[0] == 1:
             y = points[0]
             val, grad = self._expansion_at(y)
-            if self.variant == "structured":
+            if self._structured:
                 qy = y @ self.q_matrix
                 yqy = float(qy @ y)
-                if not yqy > 0.0:
+                if yqy < _TINY:
                     # at the origin the correction vanishes identically; pin the limit
                     return np.zeros(1), np.zeros_like(points)
                 root = math.sqrt(yqy)
@@ -535,19 +570,19 @@ class Surrogate:
                 grad *= 2.0 * h
             return np.array([val]), grad[None, :]
         vals, grads = hermite_apply(self.kernel, self.centers, self.alphas, self.betas, points)
-        if self.variant == "plain":
+        if not self._structured:
             return vals, grads
         qm = self.q_matrix
         xqx = np.einsum("ij,jk,ik->i", points, qm, points)
-        nonzero = xqx > 0.0
-        root = np.sqrt(np.where(nonzero, xqx, 1.0))
-        h = np.where(nonzero, root, 0.0) + vals
+        origin = xqx < _TINY
+        root = np.sqrt(np.where(origin, 1.0, xqx))
+        h = np.where(origin, 0.0, root) + vals
         value = h * h
-        qgrad = np.where(nonzero[:, None], (points @ qm) / root[:, None], 0.0)
+        qgrad = np.where(origin[:, None], 0.0, (points @ qm) / root[:, None])
         gradient = 2.0 * h[:, None] * (qgrad + grads)
         # at the origin the correction vanishes identically; pin the limit
-        gradient[~nonzero] = 0.0
-        value[~nonzero] = 0.0
+        gradient[origin] = 0.0
+        value[origin] = 0.0
         return value, gradient
 
     def value(self, points):
@@ -570,7 +605,6 @@ def quadratic_surrogate(q_matrix: np.ndarray) -> Surrogate:
         centers=np.zeros((0, dim)),
         alphas=np.zeros(0),
         betas=np.zeros((0, dim)),
-        variant="structured",
         q_matrix=qm,
         meta={"baseline": "quadratic"},
     )
@@ -599,12 +633,15 @@ def load_surrogate(path) -> Surrogate:
         raise ValueError(f"unsupported surrogate schema {doc.get('schema')!r}")
     dim = int(doc["kernel"]["dim"])
     centers = np.asarray(doc["centers"], dtype=float).reshape(-1, dim)
-    return Surrogate(
+    surrogate = Surrogate(
         kernel=kernel_from_spec(doc["kernel"]),
         centers=centers,
         alphas=np.asarray(doc["alphas"], dtype=float),
         betas=np.asarray(doc["betas"], dtype=float).reshape(-1, dim),
-        variant=doc["variant"],
         q_matrix=None if doc["q_matrix"] is None else np.asarray(doc["q_matrix"], dtype=float),
         meta=doc.get("meta", {}),
     )
+    if doc.get("variant") != surrogate.variant:
+        flag = doc["kernel"].get("structured")
+        raise ValueError(f"surrogate variant {doc.get('variant')!r} disagrees with kernel structured = {flag!r}")
+    return surrogate

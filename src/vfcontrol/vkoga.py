@@ -16,10 +16,12 @@ preconditioned with the factor, which converges in one iteration.  The scan
 comes before the selection, so a tolerance that is already met selects
 nothing.
 
-``cg_tol`` bounds each refit's true residual relative to the right-hand
-side, or, for the structured variant, relative to the larger of that and the
-square-root data [sqrt(v_j); grad v_j / (2 sqrt(v_j))]: where the quadratic
-model is already exact, the structured right-hand side is rounding noise.
+A ``StructuredKernel`` needs ``q_matrix``, and only samples whose square-root
+data ``assemble_rhs`` can build become its centers.  ``cg_tol`` bounds each
+refit's true residual relative to the larger of the right-hand side and the
+data ``assemble_rhs`` returns with it, which for the structured variant is
+the square-root data: where the quadratic model is already exact, the
+structured right-hand side is rounding noise.
 
 Ties in the score break toward the lowest candidate index, which together
 with the deterministic CG solve makes the whole selection reproducible.  The
@@ -39,8 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hermite import HermiteFactor, Surrogate, assemble_rhs, fit, stack_coeffs
-from .kernels import StructuredKernel
+from .hermite import HermiteFactor, Surrogate, assemble_rhs, fit, square_root_domain
 
 __all__ = [
     "VkogaConfig",
@@ -81,17 +82,6 @@ class VkogaResult:
         return [s.index for s in self.steps]
 
 
-def _admissible(points, values, structured: bool) -> np.ndarray:
-    """Candidates that can become centers.  The structured square-root data
-    is undefined at the origin and for nonpositive values, so those samples
-    stay in the scan but are never selected."""
-    keep = np.isfinite(values) & np.all(np.isfinite(points), axis=1)
-    if structured:
-        keep &= values > 0.0
-        keep &= np.sum(points * points, axis=1) > 0.0
-    return keep
-
-
 def run_vkoga(
     kernel,
     points,
@@ -105,26 +95,24 @@ def run_vkoga(
     values = np.asarray(values, dtype=float)
     grads = np.asarray(grads, dtype=float)
     m, dim = points.shape
-    structured = isinstance(kernel, StructuredKernel)
-    if structured and q_matrix is None:
-        raise ValueError("structured selection needs the quadratic matrix")
-
-    admissible = _admissible(points, values, structured)
-    dropped = int(m - np.count_nonzero(admissible))
-    if dropped:
-        warnings.warn(f"{dropped} of {m} samples are not admissible as centers", stacklevel=2)
-
+    # the empty surrogate rejects a kernel and q_matrix that disagree
     surrogate = Surrogate(
         kernel=kernel,
         centers=np.zeros((0, dim)),
         alphas=np.zeros(0),
         betas=np.zeros((0, dim)),
-        variant="structured" if structured else "plain",
         q_matrix=None if q_matrix is None else np.asarray(q_matrix, dtype=float),
     )
+    qm = surrogate.q_matrix
+    # samples that cannot become centers stay in the scan but are never selected
+    selectable = np.isfinite(values) & np.all(np.isfinite(points), axis=1)
+    if qm is not None:
+        selectable &= square_root_domain(values, points, qm)[1]
+    dropped = int(m - np.count_nonzero(selectable))
+    if dropped:
+        warnings.warn(f"{dropped} of {m} samples are not admissible as centers", stacklevel=2)
     result = VkogaResult(surrogate=surrogate)
     selected: list[int] = []
-    selectable = admissible.copy()
     factor = HermiteFactor(kernel, dim, config.nugget)
 
     while True:
@@ -144,20 +132,11 @@ def run_vkoga(
 
         selected.append(best)
         centers = points[selected]
-        rhs = assemble_rhs(
-            values[selected],
-            grads[selected],
-            variant=surrogate.variant,
-            q_matrix=surrogate.q_matrix,
-            centers=centers if structured else None,
-        )
+        rhs, data = assemble_rhs(values[selected], grads[selected], q_matrix=qm, centers=centers)
         cg_tol = config.cg_tol
-        if structured:
-            root = np.sqrt(values[selected])
-            data_norm = np.linalg.norm(stack_coeffs(root, grads[selected] / (2.0 * root[:, None])))
-            rhs_norm = np.linalg.norm(rhs)
-            if data_norm > rhs_norm > 0.0:
-                cg_tol *= data_norm / rhs_norm
+        data_norm, rhs_norm = np.linalg.norm(data), np.linalg.norm(rhs)
+        if data_norm > rhs_norm > 0.0:
+            cg_tol *= data_norm / rhs_norm
         alphas, betas, info = fit(
             kernel,
             centers,
@@ -172,8 +151,7 @@ def run_vkoga(
             centers=centers,
             alphas=alphas,
             betas=betas,
-            variant=surrogate.variant,
-            q_matrix=surrogate.q_matrix,
+            q_matrix=qm,
             meta={"nugget": config.nugget, "cg_tol": config.cg_tol},
         )
         result.surrogate = surrogate

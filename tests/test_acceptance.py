@@ -275,9 +275,7 @@ def test_criterion_07_full_scale_error_targets(amp, amp_data80, amp_test_states,
     scores = []
     for gamma in gammas:
         try:
-            report = cross_validate(
-                WendlandC4(dim=2, gamma=gamma), data, cv_cfg, n_folds=5, include_origin=True
-            )
+            report = cross_validate(WendlandC4(dim=2, gamma=gamma), data, cv_cfg, n_folds=5)
             scores.append(report.mean_residual)
         except FitError:
             # a width whose fits stall at these tolerances rules itself out

@@ -1,11 +1,13 @@
 """The benchmark's pipeline module builds package objects at import time.
 
 ``bench/pipeline.py`` constructs ``OpenLoopConfig`` and ``VkogaConfig``
-instances with keyword arguments when it is loaded, and ``build_inputs``
-calls the model, Riccati and candidate generators by name, so a change to one
-of those signatures would break ``bench/run.py`` without touching any other
-test.  These tests load the module from its file and build every workload's
-configuration and the ``amp2d`` inputs.
+instances with keyword arguments when it is loaded, ``build_inputs`` calls
+the model, Riccati and candidate generators by name, and ``run_pass`` and
+``gate`` call the explore, fit and evaluate API, so a change to one of those
+signatures would break ``bench/run.py`` without touching any other test.
+These tests load the module from its file, build every workload's
+configuration and the ``amp2d`` inputs, and run one tiny gated pass of each
+workload.
 """
 
 import importlib.util
@@ -45,3 +47,11 @@ def test_amp2d_inputs_build(pipeline):
     assert inputs.test_states.shape == (2, 2)
     assert inputs.q_matrix.shape == (2, 2)
     assert np.all(np.isfinite(inputs.q_matrix))
+
+
+@pytest.mark.parametrize("name", ["amp2d", "nhe36"])
+def test_one_tiny_pass_passes_every_gate(pipeline, name):
+    inputs = pipeline.build_inputs(pipeline.workload(name, tiny=True), seed=11)
+    p = pipeline.run_pass(inputs)
+    assert pipeline.gate(inputs, p, pipeline.baseline_mrl2(inputs, p.references)) == []
+    assert set(pipeline.digests(p)) == {"dataset", "references", "plain", "structured"}

@@ -103,6 +103,29 @@ def test_explore_output_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_every_artifact_reruns_byte_identically(tmp_path, capsys):
+    """Two runs of fit (plain, and structured with its trace), cv and
+    evaluate on one dataset write the same bytes."""
+    config = write_config(tmp_path)
+    data = str(tmp_path / "data.json")
+    assert main(["explore", "--config", config, "--out", data]) == 0
+    commands = {
+        "plain.json": ["fit"],
+        "structured.json": ["fit", "--variant", "structured", "--trace", "{dir}/trace.csv"],
+        "cv.json": ["cv", "--folds", "2"],
+        "curves.csv": ["evaluate"],
+    }
+    for run in ("a", "b"):
+        out = tmp_path / run
+        out.mkdir()
+        for name, (command, *options) in commands.items():
+            options = [option.format(dir=out) for option in options]
+            assert main([command, "--config", config, "--in", data, "--out", str(out / name), *options]) == 0
+    capsys.readouterr()
+    for name in [*commands, "trace.csv"]:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_structured_cv_runs_on_the_bundled_lqr_config(tmp_path, capsys):
     """The scalar problem's value function is the quadratic model itself, so
     each fold's structured right-hand side is rounding noise; cross-validation

@@ -1,11 +1,12 @@
-from dataclasses import replace
+import json
+from dataclasses import FrozenInstanceError, replace
 
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -193,7 +194,7 @@ def test_plain_interpolation_conditions():
     values = rng.normal(size=5)
     grads = rng.normal(size=(5, 2))
     cg_tol = 1e-10
-    alphas, betas, _ = fit(kern, centers, assemble_rhs(values, grads), cg_tol=cg_tol)
+    alphas, betas, _ = fit(kern, centers, assemble_rhs(values, grads)[0], cg_tol=cg_tol)
     sur = Surrogate(kernel=kern, centers=centers, alphas=alphas, betas=betas)
     sv, sg = sur.value_and_gradient(centers)
     scale = float(np.max(np.abs(values) + np.linalg.norm(grads, axis=1)))
@@ -211,9 +212,9 @@ def test_structured_interpolation_conditions():
     values = np.einsum("ij,jk,ik->i", centers, qm, centers) * rng.uniform(0.5, 2.0, size=5)
     grads = rng.normal(size=(5, 2))
     cg_tol = 1e-11
-    rhs = assemble_rhs(values, grads, variant="structured", q_matrix=qm, centers=centers)
+    rhs, _ = assemble_rhs(values, grads, q_matrix=qm, centers=centers)
     alphas, betas, _ = fit(kern, centers, rhs, cg_tol=cg_tol)
-    sur = Surrogate(kernel=kern, centers=centers, alphas=alphas, betas=betas, variant="structured", q_matrix=qm)
+    sur = Surrogate(kernel=kern, centers=centers, alphas=alphas, betas=betas, q_matrix=qm)
     sv, sg = sur.value_and_gradient(centers)
     scale = float(np.max(np.abs(values) + np.linalg.norm(grads, axis=1)))
     resid = np.abs(values - sv) + np.linalg.norm(grads - sg, axis=1)
@@ -221,24 +222,27 @@ def test_structured_interpolation_conditions():
 
 
 def test_assemble_rhs_validation():
-    with pytest.raises(ValueError, match="variant"):
-        assemble_rhs(np.ones(2), np.ones((2, 1)), variant="mystery")
-    with pytest.raises(ValueError, match="positive"):
-        assemble_rhs(
-            np.array([1.0, -1.0]),
-            np.ones((2, 2)),
-            variant="structured",
-            q_matrix=np.eye(2),
-            centers=np.ones((2, 2)),
-        )
-    with pytest.raises(ValueError, match="origin"):
-        assemble_rhs(
-            np.array([1.0, 1.0]),
-            np.ones((2, 2)),
-            variant="structured",
-            q_matrix=np.eye(2),
-            centers=np.array([[1.0, 0.0], [0.0, 0.0]]),
-        )
+    with pytest.raises(ValueError, match="sample 1 has v = -1"):
+        assemble_rhs(np.array([1.0, -1.0]), np.ones((2, 2)), q_matrix=np.eye(2), centers=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="origin; sample 1 has .* x\\^T Q x = 0"):
+        assemble_rhs(np.array([1.0, 1.0]), np.ones((2, 2)), q_matrix=np.eye(2), centers=np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="centers"):
+        assemble_rhs(np.ones(2), np.ones((2, 2)), q_matrix=np.eye(2))
+
+
+def test_assemble_rhs_is_structured_exactly_when_given_q():
+    """Plain: the stacked data, which is also what the residual is measured
+    against.  Structured: the square-root data minus the quadratic model's."""
+    values = np.array([2.0, 8.0])
+    grads = np.array([[4.0, 0.0], [0.0, 8.0]])
+    centers = np.array([[1.0, 0.0], [0.0, 2.0]])
+    rhs, data = assemble_rhs(values, grads)
+    np.testing.assert_array_equal(rhs, stack_coeffs(values, grads))
+    assert data is rhs
+    rhs, data = assemble_rhs(values, grads, q_matrix=np.eye(2), centers=centers)
+    root = np.sqrt(values)
+    np.testing.assert_array_equal(data, stack_coeffs(root, grads / (2.0 * root[:, None])))
+    np.testing.assert_allclose(rhs, data - stack_coeffs([1.0, 2.0], centers / [[1.0], [2.0]]), rtol=1e-15)
 
 
 def test_surrogate_gradient_matches_finite_differences():
@@ -269,7 +273,6 @@ def test_structured_surrogate_vanishes_at_origin():
         centers=centers,
         alphas=rng.normal(size=3),
         betas=rng.normal(size=(3, 2)),
-        variant="structured",
         q_matrix=np.eye(2),
     )
     v, g = sur.value_and_gradient(np.zeros((1, 2)))
@@ -278,6 +281,11 @@ def test_structured_surrogate_vanishes_at_origin():
     # and the value is a perfect square, hence nonnegative, everywhere
     probes = rng.uniform(-2, 2, size=(200, 2))
     assert np.all(sur.value(probes) >= 0.0)
+    # a NaN state is not read as the origin, on either path
+    nan = np.array([[np.nan, 0.5]])
+    for points in (nan, np.vstack([nan, probes[:2]])):
+        v, g = sur.value_and_gradient(points)
+        assert np.isnan(v[0]) and np.all(np.isnan(g[0]))
 
 
 def test_hermite_apply_with_zero_centers():
@@ -304,7 +312,7 @@ def test_native_norm_is_monotone_under_nesting():
     grads = rng.normal(size=(6, 2))
     norms = []
     for n in (2, 4, 6):
-        alphas, betas, _ = fit(kern, centers[:n], assemble_rhs(values[:n], grads[:n]), cg_tol=1e-12)
+        alphas, betas, _ = fit(kern, centers[:n], assemble_rhs(values[:n], grads[:n])[0], cg_tol=1e-12)
         norms.append(native_norm_sq(Surrogate(kernel=kern, centers=centers[:n], alphas=alphas, betas=betas)))
     assert norms[0] <= norms[1] + 1e-8
     assert norms[1] <= norms[2] + 1e-8
@@ -330,7 +338,6 @@ def test_surrogate_save_load_roundtrip(tmp_path):
         centers=centers,
         alphas=rng.normal(size=3),
         betas=rng.normal(size=(3, 2)),
-        variant="structured",
         q_matrix=np.array([[2.0, 0.1], [0.1, 1.0]]),
         meta={"nugget": 1e-9, "cg_tol": 1e-10},
     )
@@ -348,6 +355,33 @@ def test_surrogate_save_load_roundtrip(tmp_path):
     path2 = tmp_path / "sur2.json"
     save_surrogate(again, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_a_surrogate_cannot_disagree_with_its_kernel(tmp_path):
+    """The kernel is the variant: a structured kernel needs Q, a plain one
+    takes none, the variant cannot be set, and a file whose variant was
+    edited does not load."""
+    base, kern = both_kernels(2, 0.8)
+    coeffs = dict(centers=np.ones((1, 2)), alphas=np.ones(1), betas=np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="plain kernel takes no quadratic matrix"):
+        Surrogate(kernel=base, q_matrix=np.eye(2), **coeffs)
+    with pytest.raises(ValueError, match="structured kernel needs the quadratic matrix"):
+        Surrogate(kernel=kern, **coeffs)
+    plain = Surrogate(kernel=base, **coeffs)
+    structured = Surrogate(kernel=kern, q_matrix=np.eye(2), **coeffs)
+    assert (plain.variant, structured.variant) == ("plain", "structured")
+    with pytest.raises(TypeError):
+        replace(structured, variant="plain")
+    with pytest.raises(FrozenInstanceError):
+        structured.kernel = base
+    for sur, edited, flag in ((structured, "plain", True), (plain, "structured", False)):
+        path = tmp_path / f"{sur.variant}.json"
+        save_surrogate(sur, path)
+        doc = json.loads(path.read_text())
+        doc["variant"] = edited
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"variant '{edited}' disagrees with kernel structured = {flag}"):
+            load_surrogate(path)
 
 
 def test_load_surrogate_rejects_unknown_schema(tmp_path):
@@ -371,7 +405,6 @@ def structured_surrogates(draw, max_centers=4):
         centers=draw(arrays(float, (n, dim), elements=coords)),
         alphas=draw(arrays(float, n, elements=coeffs)),
         betas=draw(arrays(float, (n, dim), elements=coeffs)),
-        variant="structured",
         q_matrix=factor @ factor.T + 0.1 * np.eye(dim),
     )
     probes = draw(arrays(float, (draw(st.integers(1, 8)), dim), elements=st.floats(-3.0, 3.0, allow_nan=False)))
@@ -396,7 +429,7 @@ def test_save_load_roundtrips_generated_arrays_bit_for_bit(tmp_path_factory, cas
     finite = st.floats(allow_nan=False, allow_infinity=False)
     sur = replace(sur, alphas=data.draw(arrays(float, sur.alphas.shape, elements=finite)))
     if plain:
-        sur = replace(sur, kernel=sur.kernel.base, variant="plain", q_matrix=None)
+        sur = replace(sur, kernel=sur.kernel.base, q_matrix=None)
     path = tmp_path_factory.mktemp("sur") / "sur.json"
     save_surrogate(sur, path)
     again = load_surrogate(path)
@@ -540,9 +573,24 @@ def square_form_bound(q_matrix, y, h, w, tol):
     return value, grad
 
 
+# y^T Q y = 7.1e-310 is subnormal, where the one-state and the batch path
+# round it three subnormal units apart; both read it as the origin
+SUBNORMAL_PROBE = (
+    Surrogate(
+        kernel=StructuredKernel(WendlandC4(dim=3, gamma=1.0)),
+        centers=np.zeros((1, 3)),
+        alphas=np.zeros(1),
+        betas=np.zeros((1, 3)),
+        q_matrix=np.ones((3, 3)) @ np.ones((3, 3)).T + 0.1 * np.eye(3),
+    ),
+    np.full((1, 3), 5.1e-156),
+)
+
+
 @settings(max_examples=80, deadline=None)
-@given(structured_surrogates(), st.booleans(), st.booleans())
-def test_one_row_evaluation_agrees_with_the_batch(case, plain, structured_kernel):
+@given(structured_surrogates(), st.booleans())
+@example(SUBNORMAL_PROBE, False)
+def test_one_row_evaluation_agrees_with_the_batch(case, plain):
     """A single state takes the short path of ``value_and_gradient``; it
     matches the same row of a batch through ``hermite_apply`` to rounding
     (see ``rounding_bound``).  Probes include the origin and, for larger
@@ -550,28 +598,29 @@ def test_one_row_evaluation_agrees_with_the_batch(case, plain, structured_kernel
     sur, probes = case
     dim = sur.centers.shape[1]
     if plain:
-        sur = replace(sur, kernel=sur.kernel if structured_kernel else sur.kernel.base, variant="plain", q_matrix=None)
+        sur = replace(sur, kernel=sur.kernel.base, q_matrix=None)
     probes = np.vstack([probes, np.zeros((1, dim))])
-    # the expansion alone, under either kernel, against hermite_apply
-    expansion = replace(sur, variant="plain", q_matrix=None)
+    # the bare expansion, under the surrogate's kernel, against hermite_apply
     vals, grads = hermite_apply(sur.kernel, sur.centers, sur.alphas, sur.betas, probes)
     batch_v, batch_g = sur.value_and_gradient(probes)
     for y, v, g, bv, bg in zip(probes, vals, grads, batch_v, batch_g):
         tol = rounding_bound(sur, y)
-        ev, eg = expansion.value_and_gradient(y[None, :])
-        assert ev.shape == (1,) and eg.shape == (1, dim)
-        assert abs(ev[0] - v) <= tol
-        assert np.max(np.abs(eg[0] - g)) <= tol
+        ev, eg = sur._expansion_at(y)
+        assert abs(ev - v) <= tol
+        assert np.max(np.abs(eg - g)) <= tol
         one_v, one_g = sur.value_and_gradient(y)
+        assert one_v.shape == (1,) and one_g.shape == (1, dim)
         if sur.variant == "plain":
-            np.testing.assert_array_equal(one_v, ev)
-            np.testing.assert_array_equal(one_g, eg)
+            assert one_v[0] == ev
+            np.testing.assert_array_equal(one_g[0], eg)
             continue
         assert one_v[0] >= 0.0
-        root = np.sqrt(y @ sur.q_matrix @ y)
-        if not root > 0.0:
+        yqy = y @ sur.q_matrix @ y
+        if not yqy >= np.finfo(float).tiny:
             assert one_v[0] == bv == 0.0
+            assert np.all(one_g[0] == 0.0) and np.all(bg == 0.0)
             continue
+        root = np.sqrt(yqy)
         h = root + v
         vtol, gtol = square_form_bound(sur.q_matrix, y, h, sur.q_matrix @ y / root + g, tol)
         assert abs(one_v[0] - bv) <= vtol
@@ -594,7 +643,6 @@ def test_one_row_evaluation_builds_no_pair_tables(monkeypatch):
             centers=centers,
             alphas=rng.normal(size=4),
             betas=rng.normal(size=(4, 3)),
-            variant="structured",
             q_matrix=np.eye(3),
         ),
     ]

@@ -62,7 +62,7 @@ def test_selection_matches_a_dense_greedy_replay():
         selected.append(best)
         centers = points[selected]
         m = dense_hermite_matrix(kern, centers)
-        coeffs = scipy.linalg.solve(m, assemble_rhs(values[selected], grads[selected]))
+        coeffs = scipy.linalg.solve(m, assemble_rhs(values[selected], grads[selected])[0])
         alphas, betas = unstack_coeffs(coeffs, len(selected), 2)
         surrogate = Surrogate(kernel=kern, centers=centers, alphas=alphas, betas=betas)
 
@@ -167,6 +167,21 @@ def test_structured_run_requires_q_matrix():
     points, values, grads = sample_bump(rng, 5, 2)
     with pytest.raises(ValueError, match="quadratic"):
         run_vkoga(kern, points, values, grads)
+    with pytest.raises(ValueError, match="plain kernel takes no quadratic matrix"):
+        run_vkoga(kern.base, points, values, grads, q_matrix=np.eye(2))
+
+
+def test_structured_centers_are_where_the_square_root_data_is_defined():
+    """With a semidefinite Q, a sample off the origin can have x^T Q x = 0;
+    it stays in the scan but never becomes a center, as at the origin."""
+    rng = np.random.default_rng(60)
+    kern = StructuredKernel(WendlandC4(dim=2, gamma=0.5))
+    points, values, grads = sample_bump(rng, 8, 2)
+    points[2] = [0.0, 0.7]
+    with pytest.warns(UserWarning, match="1 of 8 samples are not admissible"):
+        result = run_vkoga(kern, points, values, grads, VkogaConfig(max_centers=8), q_matrix=np.diag([1.0, 0.0]))
+    assert len(result.selected_indices) == 7
+    assert 2 not in result.selected_indices
 
 
 def test_fit_metadata_lands_on_the_surrogate():
@@ -212,7 +227,7 @@ def test_structured_fit_of_quadratic_data_meets_cg_tol():
     points = np.concatenate([x0 * decay for x0 in (-1.0, -0.5, 0.25, 0.75, 1.0)])[:, None]
     values = q * points[:, 0] ** 2 * (1.0 + 1e-13 * rng.normal(size=len(points)))
     grads = 2.0 * q * points * (1.0 + 1e-13 * rng.normal(size=points.shape))
-    rhs = assemble_rhs(values, grads, "structured", np.array([[q]]), points)
+    rhs, _ = assemble_rhs(values, grads, q_matrix=np.array([[q]]), centers=points)
     assert np.linalg.norm(rhs) < 1e-11
     config = VkogaConfig(max_centers=20, cg_tol=1e-9, nugget=1e-10)
     result = run_vkoga(kern, points, values, grads, config, q_matrix=np.array([[q]]))
