@@ -10,7 +10,9 @@ actions, which keeps costate evaluations O(dim) for the grid-based problems.
 The one assembled Jacobian is ``pmp_jacobian``, the derivative of the whole
 optimality system that Newton collocation needs, which ``build_amp``,
 ``build_nhe`` and ``build_linear`` write in closed form.  Every map
-broadcasts over leading batch axes with the state on the last axis.
+broadcasts over leading batch axes with the state on the last axis.  A model
+declares its maps, R and the cost matrix; R^{-1}, the linearization
+A = J_f(0), B = g(0) and the control dimension are computed from them.
 
 Bundled models:
 
@@ -19,13 +21,15 @@ Bundled models:
   the analytic yardstick for the whole pipeline.
 * ``nhe``: a semilinear heat equation on the unit square, discretized by a
   5-point Neumann Laplacian on a cell-centered grid, with distributed control
-  on a subdomain.
+  on a subdomain; ``build_nhe`` is ``build_linear``'s heat model plus the
+  reaction.
 * ``lqr``: linear dynamics with quadratic cost, for closed-form sanity checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,7 +57,6 @@ __all__ = [
 class ControlAffineModel:
     name: str
     dim_state: int
-    dim_control: int
     f: Callable
     g_apply: Callable          # (x, u) -> g(x) u
     gT_apply: Callable         # (x, p) -> g(x)^T p
@@ -65,14 +68,33 @@ class ControlAffineModel:
     # taken to be symmetric, as every cost weight is
     pmp_jacobian: Callable
     R: np.ndarray
-    R_inv: np.ndarray
-    lin_A: np.ndarray          # J_f(0)
-    lin_B: np.ndarray          # g(0)
     cost_matrix: np.ndarray    # quadratic part of r at the origin
     # Overrides the Riccati route for the quadratic value model when the
     # linearization at 0 is degenerate (as for amp, where A = 0 and B = 0).
     quadratic_value_matrix: Optional[np.ndarray] = None
     params: dict = field(default_factory=dict)
+
+    @property
+    def dim_control(self) -> int:
+        return self.R.shape[0]
+
+    # derived once, on first use
+
+    @cached_property
+    def R_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.R)
+
+    @cached_property
+    def lin_A(self) -> np.ndarray:
+        """J_f(0): row i is J_f(0)^T e_i."""
+        n = self.dim_state
+        return self.jac_f_T_apply(np.zeros((n, n)), np.eye(n))
+
+    @cached_property
+    def lin_B(self) -> np.ndarray:
+        """g(0): column j is g(0) e_j."""
+        m = self.dim_control
+        return self.g_apply(np.zeros((m, self.dim_state)), np.eye(m)).T.copy()
 
 
 def optimal_control(model: ControlAffineModel, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -205,7 +227,6 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
     return ControlAffineModel(
         name="amp",
         dim_state=n,
-        dim_control=1,
         f=f,
         g_apply=g_apply,
         gT_apply=gT_apply,
@@ -215,9 +236,6 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
         dgu_dx_T_apply=dgu_dx_T_apply,
         pmp_jacobian=pmp_jacobian,
         R=np.array([[beta]]),
-        R_inv=np.array([[1.0 / beta]]),
-        lin_A=np.zeros((n, n)),
-        lin_B=np.zeros((n, 1)),
         cost_matrix=np.zeros((n, n)),
         quadratic_value_matrix=2.0 * c * np.eye(n),
         params={"dim": n, "alpha": alpha, "beta": beta},
@@ -278,20 +296,19 @@ def nhe_assemble(params: NheParameters):
 
 
 def build_nhe(params: NheParameters = NheParameters()) -> ControlAffineModel:
-    """Semilinear heat model x' = A x + reaction * (x^2 - x^3) + B u, r = ||x||^2."""
+    """Semilinear heat model x' = A x + reaction * (x^2 - x^3) + B u, r = ||x||^2.
+
+    The linear heat model of :func:`build_linear` plus the reaction term.
+    """
     a, b = nhe_assemble(params)
-    n = a.shape[0]
-    m = b.shape[1]
+    n, m = b.shape
     beta = params.reaction
+    linear = build_linear(a, b, np.eye(n), params.control_penalty * np.eye(m))
+    linear_jacobian = linear.pmp_jacobian
+    diag = np.arange(n)
 
     def f(x):
         return x @ a.T + beta * (x * x - x * x * x)
-
-    def g_apply(x, u):
-        return u @ b.T
-
-    def gT_apply(x, p):
-        return p @ b
 
     def r(x):
         return np.add.reduce(x * x, axis=-1)
@@ -302,45 +319,23 @@ def build_nhe(params: NheParameters = NheParameters()) -> ControlAffineModel:
     def jac_f_T_apply(x, p):
         return p @ a + beta * (2.0 * x - 3.0 * x * x) * p
 
-    def dgu_dx_T_apply(x, u, p):
-        return np.zeros_like(x)
-
-    penalty = params.control_penalty
-    r_inv = (1.0 / penalty) * np.eye(m)
-    gain = -0.5 * b @ r_inv @ b.T
-    diag = np.arange(n)
-
     def pmp_jacobian(z):
         x, p = z[..., :n], z[..., n : 2 * n]
         reaction = beta * (2.0 * x - 3.0 * x * x)
-        jac = np.zeros(z.shape[:-1] + (2 * n + 1, 2 * n + 1))
-        jac[..., :n, :n] = a
+        jac = linear_jacobian(z)
         jac[..., diag, diag] += reaction
-        jac[..., :n, n : 2 * n] = gain
-        jac[..., n + diag, diag] = -(beta * (2.0 - 6.0 * x) * p + 2.0)
-        jac[..., n : 2 * n, n : 2 * n] = -a.T
+        jac[..., n + diag, diag] -= beta * (2.0 - 6.0 * x) * p
         jac[..., n + diag, n + diag] -= reaction
-        jac[..., 2 * n, :n] = -2.0 * x
-        jac[..., 2 * n, n : 2 * n] = p @ gain.T
         return jac
 
-    return ControlAffineModel(
+    return replace(
+        linear,
         name="nhe",
-        dim_state=n,
-        dim_control=m,
         f=f,
-        g_apply=g_apply,
-        gT_apply=gT_apply,
         r=r,
         grad_r=grad_r,
         jac_f_T_apply=jac_f_T_apply,
-        dgu_dx_T_apply=dgu_dx_T_apply,
         pmp_jacobian=pmp_jacobian,
-        R=penalty * np.eye(m),
-        R_inv=r_inv,
-        lin_A=a,
-        lin_B=b,
-        cost_matrix=np.eye(n),
         params={
             "grid_side": params.grid_side,
             "diffusivity": params.diffusivity,
@@ -360,7 +355,6 @@ def build_linear(
     b: np.ndarray,
     cost_matrix: Optional[np.ndarray] = None,
     control_weight: Optional[np.ndarray] = None,
-    name: str = "lqr",
 ) -> ControlAffineModel:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -391,24 +385,26 @@ def build_linear(
     def dgu_dx_T_apply(x, u, p):
         return np.zeros_like(x)
 
-    r_inv = np.linalg.inv(rw)
-    gain = -0.5 * b @ r_inv @ b.T
+    gain = -0.5 * b @ np.linalg.inv(rw) @ b.T
+    c_sym = c + c.T
+    # the state and costate rows do not depend on z
+    rows = np.zeros((2 * n + 1, 2 * n + 1))
+    rows[:n, :n] = a
+    rows[:n, n : 2 * n] = gain
+    rows[n : 2 * n, :n] = -2.0 * c.T
+    rows[n : 2 * n, n : 2 * n] = -a.T
 
     def pmp_jacobian(z):
         x, p = z[..., :n], z[..., n : 2 * n]
-        jac = np.zeros(z.shape[:-1] + (2 * n + 1, 2 * n + 1))
-        jac[..., :n, :n] = a
-        jac[..., :n, n : 2 * n] = gain
-        jac[..., n : 2 * n, :n] = -2.0 * c.T
-        jac[..., n : 2 * n, n : 2 * n] = -a.T
-        jac[..., 2 * n, :n] = -(x @ (c + c.T))
+        jac = np.empty(z.shape[:-1] + rows.shape)
+        jac[...] = rows
+        jac[..., 2 * n, :n] = -(x @ c_sym)
         jac[..., 2 * n, n : 2 * n] = p @ gain.T
         return jac
 
     return ControlAffineModel(
-        name=name,
+        name="lqr",
         dim_state=n,
-        dim_control=m,
         f=f,
         g_apply=g_apply,
         gT_apply=gT_apply,
@@ -418,9 +414,6 @@ def build_linear(
         dgu_dx_T_apply=dgu_dx_T_apply,
         pmp_jacobian=pmp_jacobian,
         R=rw,
-        R_inv=r_inv,
-        lin_A=a,
-        lin_B=b,
         cost_matrix=c,
         params={"A": a.tolist(), "B": b.tolist(), "cost": c.tolist(), "R": rw.tolist()},
     )

@@ -203,11 +203,14 @@ class BvpSolution:
     z: np.ndarray
     # from solve_open_loop: summed over every mesh of the refinement
     newton_iterations: int
-    dim_state: int
     refine_rounds: int = 0
     max_defect: float = 0.0
     # step halvings of the Newton line search, summed like newton_iterations
     line_search_halvings: int = 0
+
+    @property
+    def dim_state(self) -> int:
+        return (self.z.shape[1] - 1) // 2
 
     @property
     def times(self) -> np.ndarray:
@@ -329,7 +332,6 @@ def solve_pmp(
         taus=taus,
         z=z,
         newton_iterations=iteration,
-        dim_state=model.dim_state,
         line_search_halvings=halvings,
     )
 

@@ -12,9 +12,12 @@ the raw samples and the centers: a sample that it turns away (a
 near-duplicate of a center, or a numerically singular Schur block) is
 dropped from the selection, so duplicates in the data cost a scan entry and
 nothing else.  Each refit is a matrix-free CG solve
-preconditioned with the factor, which converges in one iteration.  The scan
-comes before the selection, so a tolerance that is already met selects
-nothing.
+preconditioned with the factor, which converges in one iteration.  A refit
+whose CG cannot reach ``cg_tol`` (a Schur block just above the factor's
+floor can put it out of reach) turns its sample away too, with a warning
+that names the sample and the residual CG reached; the factor and the
+surrogate stay as they were.  The scan comes before the selection, so a
+tolerance that is already met selects nothing.
 
 A ``StructuredKernel`` needs ``q_matrix``, and only samples whose square-root
 data ``assemble_rhs`` can build become its centers.  ``cg_tol`` bounds each
@@ -41,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hermite import HermiteFactor, Surrogate, assemble_rhs, fit, square_root_domain
+from .hermite import FitError, HermiteFactor, Surrogate, assemble_rhs, fit, square_root_domain
 
 __all__ = [
     "VkogaConfig",
@@ -127,6 +130,7 @@ def run_vkoga(
         if best_rho <= config.eps_tol_f or len(selected) >= config.max_centers:
             break
         selectable[best] = False
+        kept = factor.centers, factor.lower
         if not factor.append(points[best]):
             continue
 
@@ -137,15 +141,21 @@ def run_vkoga(
         data_norm, rhs_norm = np.linalg.norm(data), np.linalg.norm(rhs)
         if data_norm > rhs_norm > 0.0:
             cg_tol *= data_norm / rhs_norm
-        alphas, betas, info = fit(
-            kernel,
-            centers,
-            rhs,
-            cg_tol=cg_tol,
-            max_iter=config.cg_max_iter,
-            nugget=config.nugget,
-            factor=factor,
-        )
+        try:
+            alphas, betas, info = fit(
+                kernel,
+                centers,
+                rhs,
+                cg_tol=cg_tol,
+                max_iter=config.cg_max_iter,
+                nugget=config.nugget,
+                factor=factor,
+            )
+        except FitError as err:
+            factor.centers, factor.lower = kept
+            selected.pop()
+            warnings.warn(f"sample {best} turned away: {err}", stacklevel=2)
+            continue
         surrogate = Surrogate(
             kernel=kernel,
             centers=centers,

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import fd_gradient_check
 from vfcontrol.models import (
     AmpParameters,
+    ControlAffineModel,
     NheParameters,
     amp_true_gradient,
     amp_true_value,
@@ -206,6 +209,34 @@ def test_linear_model_pieces():
     np.testing.assert_allclose(model.g_apply(x, np.array([3.0])), [0.0, 3.0])
     np.testing.assert_allclose(model.gT_apply(x, np.array([5.0, 7.0])), [7.0])
     assert model.r(x) == pytest.approx(5.0)
+
+
+def linearizations():
+    """(model, A, B, R^{-1}) in closed form for every bundled kind."""
+    for dim in (2, 5):
+        yield build_amp(AmpParameters(dim=dim)), np.zeros((dim, dim)), np.zeros((dim, 1)), np.array([[1.0 / AMP.beta]])
+    for side in (3, 6):
+        params = NheParameters(grid_side=side)
+        a, b = nhe_assemble(params)
+        yield build_nhe(params), a, b, (1.0 / params.control_penalty) * np.eye(b.shape[1])
+    a, b = np.array([[0.0, 1.0], [-2.0, -0.5]]), np.array([[0.0], [1.0]])
+    yield build_linear(a, b, control_weight=[[0.5]]), a, b, np.array([[2.0]])
+
+
+def test_linearization_and_control_weight_are_derived_exactly():
+    for model, a, b, r_inv in linearizations():
+        assert np.array_equal(model.lin_A, a), model.name
+        assert np.array_equal(model.lin_B, b), model.name
+        assert np.array_equal(model.R_inv, r_inv), model.name
+        assert model.dim_control == model.R.shape[0] == b.shape[1]
+
+
+@pytest.mark.parametrize("derived", ["R_inv", "lin_A", "lin_B", "dim_control"])
+def test_derived_facts_cannot_be_declared(derived):
+    model = build_linear([[-1.0]], [[1.0]])
+    declared = {f.name: getattr(model, f.name) for f in fields(ControlAffineModel)}
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{derived}'"):
+        ControlAffineModel(**declared, **{derived: getattr(model, derived)})
 
 
 BUNDLED = {

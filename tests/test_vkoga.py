@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, lattice_centers
-from vfcontrol.hermite import Surrogate, assemble_rhs, unstack_coeffs
+from vfcontrol.hermite import FitError, Surrogate, assemble_rhs, fit, unstack_coeffs
 from vfcontrol.kernels import StructuredKernel, WendlandC4
 from vfcontrol.vkoga import VkogaConfig, run_vkoga, write_trace
 
@@ -232,6 +232,33 @@ def test_structured_fit_of_quadratic_data_meets_cg_tol():
     config = VkogaConfig(max_centers=20, cg_tol=1e-9, nugget=1e-10)
     result = run_vkoga(kern, points, values, grads, config, q_matrix=np.array([[q]]))
     assert [s.cg_iterations for s in result.steps] == [1] * 20
+
+
+def test_a_refit_that_misses_cg_tol_turns_its_sample_away():
+    """Sample 1, taken last, sits 0.007 from sample 0: its Schur block clears
+    the factor's floor, but CG stalls at a relative residual near 1e-8.  The
+    run warns, drops the sample and keeps the two centers before it; every
+    step it keeps meets its tolerance."""
+    points = np.array([[0.732], [0.739], [0.037]])
+    values = np.exp(-points[:, 0] ** 2)
+    grads = -2.0 * points * values[:, None]
+    q = np.array([[1.0]])
+    config = VkogaConfig(max_centers=3, cg_tol=1e-10)
+    with pytest.warns(UserWarning, match=r"sample 1 turned away: CG stalled at relative residual \d"):
+        result = run_vkoga(StructuredKernel(WendlandC4(1, 0.5)), points, values, grads, config, q_matrix=q)
+    assert result.selected_indices == [0, 2]
+    np.testing.assert_array_equal(result.surrogate.centers, points[[0, 2]])
+    for step in result.steps:
+        chosen = result.selected_indices[: step.iteration]
+        rhs, data = assemble_rhs(values[chosen], grads[chosen], q_matrix=q, centers=points[chosen])
+        scale = max(1.0, np.linalg.norm(data) / np.linalg.norm(rhs))
+        assert step.cg_residual <= config.cg_tol * scale
+    # a direct fit of all three still fails loudly
+    order = [0, 2, 1]
+    rhs, data = assemble_rhs(values[order], grads[order], q_matrix=q, centers=points[order])
+    scale = max(1.0, np.linalg.norm(data) / np.linalg.norm(rhs))
+    with pytest.raises(FitError, match="CG stalled"):
+        fit(StructuredKernel(WendlandC4(1, 0.5)), points[order], rhs, cg_tol=config.cg_tol * scale)
 
 
 @settings(max_examples=40, deadline=None)
