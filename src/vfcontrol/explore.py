@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .models import ControlAffineModel, hjb_residual, nhe_node_coords
 from .openloop import BvpFailure, BvpSolution, OpenLoopConfig, Trajectory, solve_open_loop, to_trajectory
@@ -58,6 +57,10 @@ def candidate_grid(bounds: Sequence[tuple[float, float]], n_per_axis: int) -> np
 
 def candidate_sobol(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> np.ndarray:
     """Scrambled Sobol points in a box; the seed fixes the scrambling."""
+    # imported here: scipy.stats takes longer to import than the rest of the
+    # package, and only Sobol pools need it
+    from scipy.stats import qmc
+
     bounds = np.asarray(bounds, dtype=float)
     sampler = qmc.Sobol(d=bounds.shape[0], scramble=True, seed=seed)
     unit = sampler.random(n)
@@ -252,6 +255,7 @@ def run_exploration(
             {
                 "newton_iterations": sol.newton_iterations,
                 "line_search_halvings": sol.line_search_halvings,
+                "chord_steps": sol.chord_steps,
                 "refine_rounds": sol.refine_rounds,
                 "max_defect": sol.max_defect,
                 "hjb_margin": margin,

@@ -12,15 +12,25 @@ That extrapolated condition is the far-end boundary residual.
 
 Discretization is Hermite-Simpson collocation on a mesh graded toward both
 ends (fast initial transients live near tau = 0, the algebraic tail near
-tau = 1), solved by a damped Newton method.  The residual lists the
-x-boundary rows, then the collocation rows interval by interval, then the
-tail rows; each interval couples only its two end nodes, so in this order the
-Jacobian is banded.  Its blocks come from the model's closed-form
-``pmp_jacobian`` at all nodes and all midpoints, are written straight into
-LAPACK band storage, and the system is factored by banded LU with partial
-pivoting (``dgbtrf``; Ascher, Mattheij & Russell, ch. 7).  A midpoint-rule
-defect flags intervals whose local truncation error is still large; those get
-split and the solve repeats on the refined mesh.
+tau = 1), solved by a simplified Newton method on the kept banded LU.  The
+residual lists the x-boundary rows, then the collocation rows interval by
+interval, then the tail rows; each interval couples only its two end nodes,
+so in this order the Jacobian is banded.  Its blocks come from the model's
+closed-form ``pmp_jacobian`` at all nodes and all midpoints, are written
+straight into LAPACK band storage, and the system is factored by banded LU
+with partial pivoting (``dgbtrf``; Ascher, Mattheij & Russell, ch. 7).
+
+After a full, undamped Newton step the factor is kept, and the next step
+solves with it at the new iterate (a chord step; Deuflhard, *Newton Methods
+for Nonlinear Problems*, sec. 2.1).  A chord step is accepted only if it cuts
+the max-norm residual to at most :data:`CHORD_CONTRACTION` times the current
+one; otherwise the Jacobian is re-assembled and re-factored at the current
+iterate for a Newton step, damped by halving as needed.  A damped step
+(length below 1) drops the factor, so the step after it factors afresh.
+Once the iterate is in Newton's quadratic basin, one factorization per mesh
+usually suffices.  A midpoint-rule defect flags intervals whose local
+truncation error is still large; those get split and the solve repeats on
+the refined mesh.
 """
 
 from __future__ import annotations
@@ -52,6 +62,11 @@ __all__ = [
 
 # Newton stops once the max-norm residual is below NEWTON_TOL * (1 + max|z|)
 NEWTON_TOL = 1e-11
+# A chord step on the kept factor is accepted only if it cuts the max-norm
+# residual to at most this fraction of the current one; each accepted chord
+# step shrinks the residual 4x, and each rejected one forces a factorization,
+# so newton_max_iter still bounds the loop
+CHORD_CONTRACTION = 0.25
 # Relative and absolute LSODA tolerances of the initial_guess rollout.  The
 # guess only has to land in Newton's convergence region: on 34 starts of
 # amp (dimension 2), 34 of nhe (grid side 6) and 12 of amp (dimension 4),
@@ -140,15 +155,9 @@ def _assemble_jacobian(model, taus, z, delta_tau):
     kl, ku = _band_widths(n)
 
     rate, _, h, z_mid, mid_rate = _midpoints(model, taus, z)
+    # scaled copies: pmp_jacobian may return a read-only view
     a = rate[:, None, None] * model.pmp_jacobian(z)
     a_mid = mid_rate[:, None, None] * model.pmp_jacobian(z_mid)
-
-    eye = np.eye(nz)
-    hh = h[:, :, None]
-    dmid_left = 0.5 * eye + (hh / 8.0) * a[:-1]
-    dmid_right = 0.5 * eye - (hh / 8.0) * a[1:]
-    left = -eye - (hh / 6.0) * (a[:-1] + 4.0 * np.matmul(a_mid, dmid_left))
-    right = eye - (hh / 6.0) * (a[1:] + 4.0 * np.matmul(a_mid, dmid_right))
 
     ldab = 2 * kl + ku + 1
     flat = np.zeros(ldab * n_nodes * nz)
@@ -159,8 +168,24 @@ def _assemble_jacobian(model, taus, z, delta_tau):
         start = kl + ku + row + col * (ldab - 1)
         return as_strided(flat[start:], shape=(count, rows, nz), strides=(step * nz * ldab, step, step * (ldab - 1)))
 
-    blocks(n, 0, k_intervals, nz)[...] = left
-    blocks(n, nz, k_intervals, nz)[...] = right
+    # Interval k's left block is -I - h/6 (a_k + 4 a_mid (I/2 + h/8 a_k)) and
+    # its right block I - h/6 (a_k+1 + 4 a_mid (I/2 - h/8 a_k+1)).  Both run
+    # through the same two work arrays, operation by operation in that order
+    # (so the bits are those of the plain expression), and the last operation
+    # writes the band.  The product goes to a contiguous array: matmul into
+    # the strided band view skips BLAS.
+    eye = np.eye(nz)
+    hh = h[:, :, None]
+    dmid = np.empty((k_intervals, nz, nz))
+    work = np.empty_like(dmid)
+    for col, ends, sign, ident in ((0, a[:-1], np.add, -eye), (nz, a[1:], np.subtract, eye)):
+        np.multiply(hh / 8.0, ends, out=dmid)
+        sign(0.5 * eye, dmid, out=dmid)
+        np.matmul(a_mid, dmid, out=work)
+        np.multiply(4.0, work, out=work)
+        np.add(ends, work, out=work)
+        np.multiply(hh / 6.0, work, out=work)
+        np.subtract(ident, work, out=blocks(n, col, k_intervals, nz))
     # x rows pin node 0; the extrapolated tail rows pin the last node
     flat[kl + ku + ldab * np.arange(n)] = 1.0
     blocks(n + k_intervals * nz, k_intervals * nz, 1, n + 1)[0] = (eye + delta_tau * a[-1])[n:]
@@ -207,6 +232,8 @@ class BvpSolution:
     max_defect: float = 0.0
     # step halvings of the Newton line search, summed like newton_iterations
     line_search_halvings: int = 0
+    # chord steps tried on a kept factor, accepted or not, summed likewise
+    chord_steps: int = 0
 
     @property
     def dim_state(self) -> int:
@@ -281,7 +308,17 @@ def solve_pmp(
     guess: np.ndarray,
     config: OpenLoopConfig = OpenLoopConfig(),
 ) -> BvpSolution:
-    """Damped Newton on the collocation system from the supplied iterate."""
+    """Simplified Newton on the collocation system from the supplied iterate.
+
+    Each pass of the loop first tries a chord step if a factor is kept: one
+    ``dgbtrs`` solve with the factor of an earlier iterate, accepted if the
+    max-norm residual falls to :data:`CHORD_CONTRACTION` times the current
+    one or below.  Without a kept factor, or when the chord step is turned
+    down, the Jacobian is assembled and factored at the current iterate, and
+    the Newton step is damped by halving until the residual decreases.  The
+    factor is kept only after a full step.  ``newton_iterations`` counts the
+    factorizations and ``config.newton_max_iter`` bounds them.
+    """
     x0 = np.asarray(x0, dtype=float)
     z = np.array(guess, dtype=float)
     if z.shape != (taus.size, 2 * model.dim_state + 1):
@@ -295,7 +332,19 @@ def solve_pmp(
     kl, ku = _band_widths(model.dim_state)
     iteration = 0
     halvings = 0
+    chords = 0
+    kept = False
     while norm > NEWTON_TOL * (1.0 + float(np.max(np.abs(z)))):
+        if kept:
+            chords += 1
+            z_new = z + dgbtrs(lu, kl, ku, -res, piv, overwrite_b=True)[0].reshape(z.shape)
+            res_new = bvp_residual(model, taus, z_new, x0, config.delta_tau)
+            norm_new = float(np.max(np.abs(res_new)))
+            # a non-finite residual compares False and is turned down
+            if norm_new <= CHORD_CONTRACTION * norm:
+                z, res, norm = z_new, res_new, norm_new
+                continue
+
         if iteration == config.newton_max_iter:
             raise BvpFailure(
                 f"no convergence in {iteration} Newton iterations (residual {norm:.3e})",
@@ -327,12 +376,14 @@ def solve_pmp(
             raise BvpFailure(
                 f"line search stalled at residual {norm:.3e}", residual=norm, iterations=iteration
             )
+        kept = lam == 1.0
 
     return BvpSolution(
         taus=taus,
         z=z,
         newton_iterations=iteration,
         line_search_halvings=halvings,
+        chord_steps=chords,
     )
 
 
@@ -369,6 +420,7 @@ def solve_open_loop(
     sol = solve_pmp(model, x0, taus, guess, config)
     newton_iterations = sol.newton_iterations
     halvings = sol.line_search_halvings
+    chords = sol.chord_steps
 
     rounds = 0
     for rounds in range(config.refine_rounds + 1):
@@ -384,9 +436,11 @@ def solve_open_loop(
         sol = solve_pmp(model, x0, taus_new, guess, config)
         newton_iterations += sol.newton_iterations
         halvings += sol.line_search_halvings
+        chords += sol.chord_steps
 
     sol.newton_iterations = newton_iterations
     sol.line_search_halvings = halvings
+    sol.chord_steps = chords
     sol.refine_rounds = rounds
     sol.max_defect = worst
     return sol

@@ -12,6 +12,7 @@ from vfcontrol.hermite import MIN_SPACING
 from vfcontrol.kernels import StructuredKernel
 from vfcontrol.models import AmpParameters
 from vfcontrol.numerics import FD_STEP
+from vfcontrol.openloop import _band_widths, _midpoints
 
 
 # -- pointwise kernel oracles: the dense reference for the matrix-free algebra
@@ -219,3 +220,41 @@ def fd_gradient_check(f, grad, x, h=1e-6):
     """Max absolute deviation between ``grad(x)`` and a central difference of ``f``."""
     g = np.asarray(grad(np.asarray(x, dtype=float)), dtype=float)
     return float(np.max(np.abs(g - fd_gradient(f, x, h))))
+
+
+# -- the collocation Jacobian, block by block
+
+
+def band_jacobian_reference(model, taus, z, delta_tau):
+    """Jacobian of ``openloop.bvp_residual`` in LAPACK band storage, ``ab[kl + ku + r - c, c]``.
+
+    The Hermite-Simpson blocks come from the plain expression, one temporary
+    per term, and are placed interval by interval through index arrays; the
+    library assembles the same arithmetic with reused work arrays and strided
+    views, so the two must agree bit for bit.
+    """
+    n = model.dim_state
+    n_nodes, nz = z.shape
+    kl, ku = _band_widths(n)
+    rate, _, h, z_mid, mid_rate = _midpoints(model, taus, z)
+    a = rate[:, None, None] * model.pmp_jacobian(z)
+    a_mid = mid_rate[:, None, None] * model.pmp_jacobian(z_mid)
+    eye = np.eye(nz)
+    hh = h[:, :, None]
+    dmid_left = 0.5 * eye + (hh / 8.0) * a[:-1]
+    dmid_right = 0.5 * eye - (hh / 8.0) * a[1:]
+    left = -eye - (hh / 6.0) * (a[:-1] + 4.0 * np.matmul(a_mid, dmid_left))
+    right = eye - (hh / 6.0) * (a[1:] + 4.0 * np.matmul(a_mid, dmid_right))
+
+    ab = np.zeros((2 * kl + ku + 1, n_nodes * nz))
+
+    def put(row, col, block):
+        i, j = np.indices(block.shape)
+        ab[kl + ku + row + i - col - j, col + j] = block
+
+    put(0, 0, np.eye(n))
+    for k in range(n_nodes - 1):
+        put(n + k * nz, k * nz, left[k])
+        put(n + k * nz, (k + 1) * nz, right[k])
+    put(n + (n_nodes - 1) * nz, (n_nodes - 1) * nz, (eye + delta_tau * a[-1])[n:])
+    return ab

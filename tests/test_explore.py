@@ -224,9 +224,11 @@ def test_dataset_roundtrips_through_json(tmp_path, lqr_setup):
     # the solver counters of every stored trajectory survive exactly
     assert len(data.meta["solves"]) == data.n_trajectories
     for solve in data.meta["solves"]:
-        assert set(solve) == {"newton_iterations", "line_search_halvings", "refine_rounds", "max_defect", "hjb_margin"}
+        assert set(solve) == {
+            "newton_iterations", "line_search_halvings", "chord_steps", "refine_rounds", "max_defect", "hjb_margin"
+        }
         assert solve["newton_iterations"] >= 1 and solve["refine_rounds"] == 0
-        assert solve["line_search_halvings"] >= 0
+        assert solve["line_search_halvings"] >= 0 and solve["chord_steps"] >= 0
         assert 0.0 < solve["max_defect"] < 1.0
         assert 0.0 <= solve["hjb_margin"] <= 1.0
     assert again.meta["solves"] == data.meta["solves"]

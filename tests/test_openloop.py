@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vfcontrol.openloop as openloop
+from helpers import band_jacobian_reference
 from vfcontrol.models import NheParameters, build_amp, build_linear, build_nhe, nhe_node_coords, optimal_control
 from vfcontrol.numerics import FD_STEP, fd_jacobian, integrate_ivp
 from vfcontrol.openloop import (
@@ -191,8 +192,9 @@ def tight_rollout(model, x0, taus, q_matrix):
 @pytest.mark.parametrize("name", ["amp", "nhe"])
 def test_newton_does_not_depend_on_the_guess_tolerance(name):
     """The loose rollout of ``initial_guess`` and the same rollout at rel 1e-10
-    differ by about 1e-6, yet Newton takes the same iterations and halvings
-    from both and lands on the same solution to 1e-10 relative."""
+    differ by about 1e-6, yet Newton takes the same factorizations, chord
+    steps and halvings from both and lands on the same solution to 1e-10
+    relative."""
     if name == "amp":
         model, x0 = build_amp(), np.array([1.0, -1.0])
     else:
@@ -207,7 +209,9 @@ def test_newton_does_not_depend_on_the_guess_tolerance(name):
     assert np.max(np.abs(loose - tight)) > 1e-9 * np.max(np.abs(tight))
     a = solve_pmp(model, x0, taus, loose, config)
     b = solve_pmp(model, x0, taus, tight, config)
-    assert a.newton_iterations == b.newton_iterations >= 2
+    assert a.newton_iterations == b.newton_iterations
+    assert a.chord_steps == b.chord_steps
+    assert a.newton_iterations + a.chord_steps >= 2
     assert a.line_search_halvings == b.line_search_halvings
     assert np.max(np.abs(a.z - b.z)) <= 1e-10 * np.max(np.abs(b.z))
 
@@ -276,6 +280,153 @@ def test_band_jacobian_equals_finite_differences_of_the_residual(name):
     np.testing.assert_allclose(dense, fd, rtol=1e-7, atol=64.0 * np.finfo(float).eps * scale)
 
 
+def nhe_start(grid_side):
+    xi = nhe_node_coords(grid_side)
+    return 0.4 * np.cos(np.pi * xi[:, 0]) * np.cos(np.pi * xi[:, 1])
+
+
+@pytest.mark.parametrize("name", ["lqr", "amp", "nhe"])
+@pytest.mark.parametrize("refined", [False, True])
+def test_band_jacobian_is_bitwise_the_block_expression(name, refined):
+    """The assembly through reused work arrays and strided band views gives
+    the bits of the plain block expression, on a graded mesh and on a
+    refined one whose split intervals break the grading."""
+    if name == "lqr":
+        model, x0 = build_linear([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], control_weight=[[0.5]]), np.array([0.5, -0.3])
+    elif name == "amp":
+        model, x0 = build_amp(), np.array([0.5, -0.3])
+    else:
+        model, x0 = build_nhe(NheParameters(grid_side=3)), nhe_start(3)
+    delta_tau = 1e-3
+    taus = graded_mesh(24, tau_end=1.0 - delta_tau)
+    if refined:
+        taus = np.sort(np.concatenate([taus, 0.5 * (taus[:-1] + taus[1:])[::3]]))
+    rng = np.random.default_rng(7)
+    z = initial_guess(model, x0, taus, quadratic_matrix(model))
+    z += rng.uniform(-0.05, 0.05, size=z.shape)
+    ab = _assemble_jacobian(model, taus, z, delta_tau)
+    reference = band_jacobian_reference(model, taus, z, delta_tau)
+    assert ab.shape == reference.shape
+    assert np.array_equal(ab.view(np.int64), reference.view(np.int64))
+
+
+def logged_solve(monkeypatch, model, x0, taus, guess, config):
+    """``solve_pmp`` with its residuals, assemblies and factorizations logged in
+    order, as (kind, iterate, max-norm residual) with None where it does not apply."""
+    events = []
+    residual, assemble, factor = openloop.bvp_residual, openloop._assemble_jacobian, openloop.splu
+
+    def logged_residual(*args, **kwargs):
+        res = residual(*args, **kwargs)
+        events.append(("residual", np.array(args[2]), float(np.max(np.abs(res)))))
+        return res
+
+    def logged_assembly(*args, **kwargs):
+        events.append(("jacobian", np.array(args[2]), None))
+        return assemble(*args, **kwargs)
+
+    def logged_factor(*args, **kwargs):
+        events.append(("lu", None, None))
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(openloop, "bvp_residual", logged_residual)
+    monkeypatch.setattr(openloop, "_assemble_jacobian", logged_assembly)
+    monkeypatch.setattr(openloop, "splu", logged_factor)
+    return openloop.solve_pmp(model, x0, taus, guess, config), events
+
+
+def amp_from_zero():
+    """The amp solve from a zero guess, whose first Newton steps are halved."""
+    model, x0 = build_amp(), np.array([0.5, 0.5])
+    config = OpenLoopConfig(n_nodes=40, refine_rounds=0)
+    taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
+    guess = np.zeros((taus.size, 5))
+    guess[0, :2] = x0
+    return model, x0, taus, guess, config
+
+
+def nhe_from_rollout():
+    """The nhe solve (grid side 3) from the quadratic-feedback rollout, which
+    lands in Newton's quadratic basin."""
+    model, x0 = build_nhe(NheParameters(grid_side=3)), nhe_start(3)
+    config = OpenLoopConfig(n_nodes=40)
+    taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
+    return model, x0, taus, initial_guess(model, x0, taus, quadratic_matrix(model)), config
+
+
+def test_a_chord_step_that_does_not_contract_forces_a_factorization_at_the_same_iterate(monkeypatch):
+    """With a contraction no chord step can meet, every chord trial is turned
+    down, and the next Jacobian is assembled at the iterate the trial started
+    from, not at the trial point."""
+    monkeypatch.setattr(openloop, "CHORD_CONTRACTION", 0.0)
+    sol, events = logged_solve(monkeypatch, *nhe_from_rollout())
+    kinds = [kind for kind, _, _ in events]
+    assert sol.line_search_halvings == 0
+    assert sol.newton_iterations >= 2
+    assert kinds.count("lu") == kinds.count("jacobian") == sol.newton_iterations
+    assert sol.chord_steps == sol.newton_iterations - 1
+    assemblies = [i for i, kind in enumerate(kinds) if kind == "jacobian"]
+    for i in assemblies[1:]:
+        (start_kind, start, _), (trial_kind, trial, _) = events[i - 2], events[i - 1]
+        assert start_kind == trial_kind == "residual"
+        assert np.array_equal(events[i][1], start)
+        assert not np.array_equal(events[i][1], trial)
+
+
+def test_a_solve_in_the_quadratic_basin_factors_once(monkeypatch):
+    """From the rollout, the nhe iterate is already in Newton's quadratic
+    basin: one assembly and one banded LU, then chord steps on that factor."""
+    sol, events = logged_solve(monkeypatch, *nhe_from_rollout())
+    kinds = [kind for kind, _, _ in events]
+    assert kinds.count("lu") == kinds.count("jacobian") == sol.newton_iterations == 1
+    assert sol.chord_steps >= 1 and sol.line_search_halvings == 0
+
+
+def test_factorizations_and_chord_steps_add_up_over_the_refinement(monkeypatch):
+    """Over every mesh of a refined solve, the banded LU runs once per Newton
+    iteration, and its triangular solve once per Newton iteration and once
+    per chord step: the solution's counts are sums over the meshes."""
+    counts = {"splu": 0, "dgbtrs": 0}
+    for name in counts:
+        original = getattr(openloop, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(openloop, name, counting)
+    model = build_amp()
+    config = OpenLoopConfig(n_nodes=40, refine_rounds=2, refine_tol=1e-12)
+    sol = solve_open_loop(model, np.array([1.0, -1.0]), quadratic_matrix(model), config)
+    assert sol.refine_rounds >= 1
+    assert counts["splu"] == sol.newton_iterations
+    assert counts["dgbtrs"] == sol.newton_iterations + sol.chord_steps
+    assert sol.chord_steps >= 1
+
+
+def test_a_damped_step_drops_the_factor(monkeypatch):
+    """After a Newton step shorter than the full one, the next step is a fresh
+    factorization at the new iterate, never a chord step: the line search is
+    replayed from the logged residuals (trial j has length 2^-(j-1), and the
+    first that decreases the residual is taken)."""
+    with np.errstate(over="ignore"):
+        sol, events = logged_solve(monkeypatch, *amp_from_zero())
+    damped = 0
+    for i, (kind, z, _) in enumerate(events):
+        if kind != "jacobian":
+            continue
+        norm = next(n for k, y, n in reversed(events[:i]) if k == "residual" and np.array_equal(y, z))
+        assert events[i + 1][0] == "lu"
+        j, lam = 1, 1.0
+        while not (np.isfinite(events[i + 1 + j][2]) and events[i + 1 + j][2] < norm * (1.0 - 1e-4 * lam)):
+            j, lam = j + 1, 0.5 * lam
+        if j > 1 and i + 2 + j < len(events):
+            damped += 1
+            assert events[i + 2 + j][0] == "jacobian"
+            assert np.array_equal(events[i + 2 + j][1], events[i + 1 + j][1])
+    assert damped >= 1 and sol.chord_steps >= 1
+
+
 def test_singular_collocation_jacobian_is_a_bvp_failure():
     """A model whose Jacobian is -2^-10 I makes the tail rows I + dt dtau/dt J
     vanish exactly on a two-interval mesh with dt = 2^-10 (the last node's
@@ -311,9 +462,9 @@ def test_newton_iterations_add_up_over_the_refinement(monkeypatch):
 
 
 def test_line_search_halvings_count_the_rejected_trial_steps(monkeypatch):
-    """Every residual after the first is one trial step, accepted once per
-    Newton iteration and otherwise halved: from a zero guess the amp solve
-    halves its step 16 times on the way."""
+    """Every residual after the first is one trial step: a chord step, or a
+    Newton step accepted once per factorization and otherwise halved.  From a
+    zero guess the amp solve halves its step 16 times on the way."""
     calls = []
     residual = openloop.bvp_residual
 
@@ -322,13 +473,8 @@ def test_line_search_halvings_count_the_rejected_trial_steps(monkeypatch):
         return residual(*args, **kwargs)
 
     monkeypatch.setattr(openloop, "bvp_residual", counting)
-    model = build_amp()
-    config = OpenLoopConfig(n_nodes=40, refine_rounds=0)
-    taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
-    x0 = np.array([0.5, 0.5])
-    guess = np.zeros((taus.size, 5))
-    guess[0, :2] = x0
+    model, x0, taus, guess, config = amp_from_zero()
     with np.errstate(over="ignore"):  # the rejected full steps overflow exp
         sol = solve_pmp(model, x0, taus, guess, config)
     assert sol.line_search_halvings == 16
-    assert len(calls) == 1 + sol.newton_iterations + sol.line_search_halvings
+    assert len(calls) == 1 + sol.newton_iterations + sol.line_search_halvings + sol.chord_steps

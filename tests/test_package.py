@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,12 @@ def package_imports(name: str) -> set[str]:
 @pytest.mark.parametrize("name", SOLVER_SIDE)
 def test_solver_modules_import_nothing_from_the_surrogate_side(name):
     assert package_imports(name) & SURROGATE_SIDE == set()
+
+
+def test_the_command_line_does_not_import_scipy_stats():
+    """Only a Sobol pool needs ``scipy.stats``, whose import costs more than the
+    rest of the package's, so importing the front end leaves it out."""
+    probe = "import sys, vfcontrol.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(vfcontrol.__path__[0]).parent)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
