@@ -134,7 +134,10 @@ def candidates_from_config(spec: dict, model) -> np.ndarray:
     if kind == "grid":
         return candidate_grid(spec["bounds"], int(spec["n_per_axis"]))
     if kind == "sobol":
-        return candidate_sobol(spec["bounds"], int(spec["n"]), int(spec.get("seed", 0)))
+        try:
+            return candidate_sobol(spec["bounds"], int(spec["n"]), int(spec.get("seed", 0)))
+        except ValueError as err:
+            raise ConfigError(f"sobol candidates {json.dumps(spec)}: {err}") from None
     options = {k: v for k, v in spec.items() if k not in ("kind", "grid_side")}
     grid_side = int(spec.get("grid_side", model.params.get("grid_side", 0)))
     if grid_side <= 0:
@@ -228,11 +231,11 @@ def cmd_simulate(args) -> int:
     if x0.shape != (model.dim_state,):
         raise ConfigError(f"start state has shape {x0.shape}, model needs ({model.dim_state},)")
     run = simulate_feedback(model, surrogate, x0, horizon=args.horizon)
+    summary = {"cost": run.cost, "escaped": run.escaped, "integrator_failed": run.integrator_failed}
     doc = {
         "schema": RUN_SCHEMA,
         "x0": x0.tolist(),
-        "cost": run.cost,
-        "escaped": run.escaped,
+        **summary,
         "rhs_evaluations": run.rhs_evaluations,
         "jacobian_evaluations": run.jacobian_evaluations,
         "times": run.times.tolist(),
@@ -241,7 +244,7 @@ def cmd_simulate(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    print(json.dumps({"cost": run.cost, "escaped": run.escaped, "out": args.out}))
+    print(json.dumps({**summary, "out": args.out}))
     return 0
 
 

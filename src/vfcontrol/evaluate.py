@@ -51,7 +51,10 @@ class ClosedLoopRun:
     times: np.ndarray
     states: np.ndarray
     cost: float
+    # the run ended before the horizon, because the state left the radius or
+    # because the integrator failed; integrator_failed tells the two apart
     escaped: bool
+    integrator_failed: bool = False
     interpolant: object = None  # integrator dense output, if the run has one
     # integrator counts of the rollout; 0 for runs built from stored arrays
     rhs_evaluations: int = 0
@@ -92,9 +95,11 @@ def simulate_feedback(
     """Integrate the closed loop under the surrogate feedback, accumulating cost.
 
     LSODA switches to BDF when the loop is stiff.  The run stops once the
-    state leaves the radius 10 (1 + ||x0||).  The right-hand side broadcasts
-    over a leading batch axis, so each stiff-mode Jacobian is one batched
-    surrogate evaluation.
+    state leaves the radius 10 (1 + ||x0||), or where the integrator fails;
+    either way it is ``escaped``, and ``integrator_failed`` marks the second
+    case, whose run holds the start and the last valid state.  The right-hand
+    side broadcasts over a leading batch axis, so each stiff-mode Jacobian is
+    one batched surrogate evaluation.
     """
     x0 = np.asarray(x0, dtype=float)
     n = model.dim_state
@@ -124,6 +129,7 @@ def simulate_feedback(
             states=states,
             cost=float(last[n]),
             escaped=True,
+            integrator_failed=True,
             rhs_evaluations=err.rhs_evaluations,
             jacobian_evaluations=err.jacobian_evaluations,
         )

@@ -55,16 +55,64 @@ def candidate_grid(bounds: Sequence[tuple[float, float]], n_per_axis: int) -> np
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def candidate_sobol(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> np.ndarray:
-    """Scrambled Sobol points in a box; the seed fixes the scrambling."""
-    # imported here: scipy.stats takes longer to import than the rest of the
-    # package, and only Sobol pools need it
-    from scipy.stats import qmc
+# Joe & Kuo (2008) primitive polynomials, leading and trailing terms included,
+# each with its initial direction numbers m_1 .. m_s, for Sobol dimensions 2-16;
+# dimension 1 is van der Corput's sequence, every m_j = 1
+_JOE_KUO = (
+    (3, 1), (7, 1, 3), (11, 1, 3, 1), (13, 1, 1, 1), (19, 1, 1, 3, 3), (25, 1, 3, 5, 13),
+    (37, 1, 1, 5, 5, 17), (41, 1, 1, 5, 5, 5), (47, 1, 1, 7, 11, 19), (55, 1, 1, 5, 1, 1),
+    (59, 1, 1, 1, 3, 11), (61, 1, 3, 5, 5, 31), (67, 1, 3, 3, 9, 7, 49), (91, 1, 1, 1, 15, 21, 21),
+    (97, 1, 3, 1, 13, 27, 49),
+)
+SOBOL_MAX_DIM = len(_JOE_KUO) + 1
+SOBOL_BITS = 30
 
+
+def _direction_numbers(d: int) -> np.ndarray:
+    """The (d, SOBOL_BITS) direction integers, the j-th scaled by 2^(29 - j)."""
+    rows = [[1] * SOBOL_BITS]
+    for poly, *m in _JOE_KUO[: d - 1]:
+        s = len(m)
+        for j in range(s, SOBOL_BITS):
+            new = m[j - s] ^ (m[j - s] << s)
+            for k in range(1, s):
+                if (poly >> (s - k)) & 1:
+                    new ^= m[j - k] << k
+            m.append(new)
+        rows.append(m)
+    return np.array(rows, dtype=np.int64) << np.arange(SOBOL_BITS - 1, -1, -1)
+
+
+def candidate_sobol(bounds: Sequence[tuple[float, float]], n: int, seed: int) -> np.ndarray:
+    """Scrambled Sobol points in a box; the seed fixes the scrambling.
+
+    The unit points are bit for bit scipy's ``qmc.Sobol(d, scramble=True,
+    seed=seed).random(n)``: Joe-Kuo direction numbers on 30 bits, scrambled by
+    a random lower-triangular bit matrix (Matousek's linear matrix scramble)
+    and a digital shift, both drawn from ``default_rng(seed)`` in scipy's
+    order, then taken in Gray-code order.  Up to 16 dimensions and 2^30 points.
+    """
     bounds = np.asarray(bounds, dtype=float)
-    sampler = qmc.Sobol(d=bounds.shape[0], scramble=True, seed=seed)
-    unit = sampler.random(n)
-    return bounds[:, 0] + unit * (bounds[:, 1] - bounds[:, 0])
+    d = bounds.shape[0]
+    if not 1 <= d <= SOBOL_MAX_DIM:
+        raise ValueError(f"Sobol points are drawn in 1 to {SOBOL_MAX_DIM} dimensions, not {d}")
+    if not 0 <= n <= 2**SOBOL_BITS:
+        raise ValueError(f"at most 2**{SOBOL_BITS} Sobol points can be drawn, not {n}")
+    if n & (n - 1):
+        warnings.warn("The balance properties of Sobol' points require n to be a power of 2.", stacklevel=2)
+    rng = np.random.default_rng(seed)
+    msb_first = np.arange(SOBOL_BITS - 1, -1, -1)
+    shift = rng.integers(0, 2, size=(d, SOBOL_BITS), dtype=np.uint32) @ (1 << msb_first[::-1])
+    scramble = np.tril(rng.integers(0, 2, size=(d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    scramble[:, msb_first, msb_first] = 1
+    # each direction integer's bits, most significant first, times the matrix, mod 2
+    bits = (_direction_numbers(d)[:, :, None] >> msb_first) & 1
+    directions = ((bits @ scramble.transpose(0, 2, 1)) & 1) @ (1 << msb_first)
+    # point i + 1 flips the direction of the lowest zero bit of i
+    i = np.arange(max(n - 1, 0))
+    lowest_zero = np.frexp(i ^ (i + 1))[1] - 1
+    points = np.bitwise_xor.accumulate(np.vstack([shift, directions[:, lowest_zero].T]), axis=0)[:n]
+    return bounds[:, 0] + points * 2.0**-SOBOL_BITS * (bounds[:, 1] - bounds[:, 0])
 
 
 def candidate_modes(

@@ -82,9 +82,10 @@ def test_pipeline_runs_end_to_end(tmp_path, capsys):
         main(["simulate", "--config", config, "--surrogate", plain, "--x0", "[0.8]", "--out", run_path]) == 0
     )
     out = json.loads(capsys.readouterr().out)
-    assert not out["escaped"]
+    assert not out["escaped"] and out["integrator_failed"] is False
     doc = json.loads(open(run_path).read())
     assert doc["schema"] == "vfcontrol-run-v1"
+    assert doc["escaped"] is False and doc["integrator_failed"] is False
     assert doc["rhs_evaluations"] > 0
     assert doc["jacobian_evaluations"] >= 0
     # a good scalar fit lands near the optimal cost q x0^2

@@ -133,8 +133,29 @@ def test_feedback_simulation_flags_escapes():
     # a sign-flipped value model turns the feedback destabilizing
     run = simulate_feedback(model, quadratic_surrogate(-qm), np.array([0.8]), horizon=50.0)
     assert run.escaped
+    assert not run.integrator_failed
     assert run.times[-1] < 50.0
     assert np.max(np.abs(run.states)) >= 10.0
+
+
+def test_an_integrator_failure_is_told_apart_from_an_escape(lqr):
+    model, qm = lqr
+    surrogate = quadratic_surrogate(qm)
+
+    class TurnsNonFinite:
+        """The optimal feedback, until its gradient turns NaN near the origin."""
+
+        def gradient(self, x):
+            return np.where(np.abs(x) < 0.4, np.nan, surrogate.gradient(x))
+
+    run = simulate_feedback(model, TurnsNonFinite(), np.array([0.8]), horizon=25.0)
+    assert run.integrator_failed
+    # the run still ends before the horizon, so it counts as escaped
+    assert run.escaped
+    assert run.times[-1] < 25.0
+    # it holds the start and the last valid state, well inside the radius
+    np.testing.assert_array_equal(run.states[0], [0.8])
+    assert np.all(np.isfinite(run.states)) and np.max(np.abs(run.states)) < 1.0
 
 
 def test_states_at_holds_the_last_state():

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vfcontrol.cli import candidates_from_config, explore_from_config, load_config, model_from_config
+from vfcontrol.cli import ConfigError, candidates_from_config, explore_from_config, load_config, model_from_config
 from vfcontrol.explore import (
     Dataset,
     ExploreConfig,
@@ -50,6 +51,57 @@ def test_candidate_sobol_is_seeded_and_bounded():
     assert np.any(a != c)
     assert a.shape == (32, 2)
     assert np.all(np.abs(a) <= 1.0)
+
+
+# seeds of the bench's data draws (11, 77 and both shifted by 2^20) among others
+SOBOL_SEEDS = [0, 1, 2, 3, 9, 10, 11, 77, 11 + 2**20, 77 + 2**20, 12345, 2**31 - 1, 2**40 + 5, *range(100, 120)]
+SOBOL_COUNTS = [0, 1, 2, 3, 5, 256, 512, 1000]
+
+
+def user_warnings(caught) -> list[str]:
+    return [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_candidate_sobol_is_scipys_scrambled_sobol_bit_for_bit(dim):
+    from scipy.stats import qmc
+
+    bounds = np.array([(-1.0, 1.0)] * dim)
+    bounds[0] = (0.5, 3.0)
+    width = bounds[:, 1] - bounds[:, 0]
+    for seed in SOBOL_SEEDS:
+        for n in SOBOL_COUNTS:
+            with warnings.catch_warnings(record=True) as theirs:
+                warnings.simplefilter("always")
+                expected = bounds[:, 0] + qmc.Sobol(dim, scramble=True, seed=seed).random(n) * width
+            with warnings.catch_warnings(record=True) as ours:
+                warnings.simplefilter("always")
+                got = candidate_sobol(bounds, n, seed)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert np.array_equal(got, expected), (seed, n)
+            # both warn that n is not a power of 2, in the same words
+            assert user_warnings(ours) == user_warnings(theirs)
+            assert len(user_warnings(ours)) == (n in (3, 5, 1000))
+
+
+# (dimension, count, what the error says); the count is checked before
+# anything is drawn, so 2^30 + 1 allocates nothing
+SOBOL_LIMITS = [(0, 8, "1 to 16 dimensions"), (17, 8, "1 to 16 dimensions"), (2, 2**30 + 1, "at most 2**30")]
+
+
+@pytest.mark.parametrize("dim, n, reason", SOBOL_LIMITS)
+def test_candidate_sobol_rejects_what_its_table_and_bits_cannot_draw(dim, n, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        candidate_sobol([(-1.0, 1.0)] * dim, n, seed=0)
+
+
+@pytest.mark.parametrize("dim, n, reason", SOBOL_LIMITS)
+def test_sobol_limits_are_config_errors_naming_the_spec(dim, n, reason):
+    spec = {"kind": "sobol", "bounds": [[-1.0, 1.0]] * dim, "n": n, "seed": 5}
+    with pytest.raises(ConfigError) as err:
+        candidates_from_config(spec, model=None)
+    assert "sobol" in str(err.value) and reason in str(err.value)
+    assert f'"n": {n}' in str(err.value)
 
 
 def test_candidate_modes_count_and_range():

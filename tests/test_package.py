@@ -46,9 +46,24 @@ def test_solver_modules_import_nothing_from_the_surrogate_side(name):
 
 
 def test_the_command_line_does_not_import_scipy_stats():
-    """Only a Sobol pool needs ``scipy.stats``, whose import costs more than the
-    rest of the package's, so importing the front end leaves it out."""
-    probe = "import sys, vfcontrol.cli; print('scipy.stats' in sys.modules)"
+    """``scipy.stats`` takes longer to import than the rest of the package.
+    The package draws its own Sobol points, so neither the front end nor the
+    amp config's candidate and test pools load it, and no module names it."""
+    config = Path(vfcontrol.__path__[0]).parents[1] / "configs" / "amp.json"
+    probe = "\n".join(
+        [
+            "import sys",
+            "from vfcontrol.cli import candidates_from_config, load_config, model_from_config",
+            f"cfg = load_config({str(config)!r})",
+            "model = model_from_config(cfg)",
+            "pool = candidates_from_config(cfg['explore']['candidates'], model)",
+            "spec = {k: v for k, v in cfg['evaluate']['testset'].items() if k != 'size'}",
+            "tests = candidates_from_config(spec, model)",
+            "print(pool.shape, tests.shape, 'scipy.stats' in sys.modules)",
+        ]
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(vfcontrol.__path__[0]).parent)}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "(512, 2) (256, 2) False"
+    naming = [p.name for p in Path(vfcontrol.__path__[0]).rglob("*.py") if "scipy.stats" in p.read_text()]
+    assert naming == []
