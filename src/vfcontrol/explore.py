@@ -195,11 +195,6 @@ class Dataset:
     def n_samples(self) -> int:
         return sum(len(t) for t in self.trajectories)
 
-    def start_states(self) -> np.ndarray:
-        if not self.trajectories:
-            return np.zeros((0, self.dim))
-        return np.stack([t.x0 for t in self.trajectories])
-
     def flattened(self, include_origin: bool = False):
         """All samples as (points, values, grads), trajectory by trajectory,
         with the origin appended as one more sample on request.  Every sample
@@ -214,29 +209,6 @@ class Dataset:
         if not points:
             return np.zeros((0, self.dim)), np.zeros(0), np.zeros((0, self.dim))
         return np.concatenate(points), np.concatenate(values), np.concatenate(grads)
-
-    def prefix(self, n: int) -> "Dataset":
-        meta = dict(self.meta)
-        if "solves" in meta:
-            meta["solves"] = meta["solves"][:n]
-        return Dataset(
-            dim=self.dim,
-            trajectories=self.trajectories[:n],
-            eps_history=self.eps_history[:n],
-            meta=meta,
-        )
-
-    @property
-    def c_max_state(self) -> float:
-        pts, _, _ = self.flattened()
-        return float(np.max(np.linalg.norm(pts, axis=1))) if pts.size else 0.0
-
-    @property
-    def c_max_value(self) -> float:
-        _, vals, gds = self.flattened()
-        if vals.size == 0:
-            return 0.0
-        return float(np.max(np.abs(vals) + np.linalg.norm(gds, axis=1)))
 
 
 def _trajectory_checks(

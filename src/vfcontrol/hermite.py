@@ -24,17 +24,20 @@ leaving the factor as it was, a center within ``MIN_SPACING`` of one it holds
 whose Schur block has an eigenvalue below ``SCHUR_FLOOR`` times its own Gram
 diagonal.  So the factor is always exact, never floored.
 
-The same contraction evaluated at off-center points is the surrogate itself,
-so ``hermite_apply`` doubles as the Gram matvec (query points = centers) and
-as batched surrogate evaluation: the greedy scan, LSODA's Jacobian batches,
-cross-validation.  A single state, which is what the online feedback and
-every rollout right-hand side evaluate, takes a short path instead.  A
-``Surrogate`` keeps its center-only terms (||x_i||^2, <beta_i, x_i> and the
-stacked [x; beta]), so the value and gradient at y take one
-``WendlandC4.profile`` call on the n squared distances and a dozen vector
-operations, with the gradient collapsed to scalar * y + coef @ [x; beta] and
-no pair tables built.  That row matches the same row of a batch to
-rounding, not bit for bit.
+One function, ``_expand``, evaluates the expansion, for both kernels and
+for every caller: the feedback state, the batches of the greedy scan, LSODA's
+Jacobians and cross-validation (``Surrogate.value_and_gradient``,
+``hermite_apply``), and the Gram matvec, which is the expansion at the
+centers themselves (``HermiteOperator``).  Its tables come from
+``_geometry``, which puts the centers on the last axis, so one state (N,) and
+a batch (m, N) run the same code: <x_i, y> and <beta_i, y> from one product
+y @ [x; beta]^T, one profile call on ||x_i||^2 - 2 <x_i, y> + ||y||^2, and
+the gradient collapsed to 2 (sum_i t_i y + h @ [x; beta]), one matrix
+product however many points there are.  A surrogate keeps its center-only
+terms (||x_i||^2, <beta_i, x_i>, [x; beta]); the operator keeps <x_i, x_j>
+and the profile tables, which CG reuses on every matvec.  A row still need
+not round as the same row of a batch does: BLAS rounds a product by its
+shape.
 
 The structured variant replaces k by <x, y>^2 k(x, y) and represents the
 value as a square:
@@ -43,6 +46,11 @@ value as a square:
 
 fit through the linearized right-hand side of ``assemble_rhs``; it vanishes
 with vanishing gradient at the origin and is nonnegative by construction.
+``Surrogate.value_and_gradient`` forms the square twice: on scalars for one
+state and vectorized for a batch.  The vectorized form costs a single state
+too much: at N = 36 it took 23-27 us against 5-11 us for the scalar form
+(timeit minima on a 2-core shared host), next to about 40 us for the whole
+one-state expansion.
 The kernel is the variant: a ``Surrogate`` over a ``StructuredKernel`` is
 the square and needs Q, one over a plain kernel is the expansion and takes
 none, ``assemble_rhs`` is structured exactly when it is given Q, and only a
@@ -96,123 +104,74 @@ class FitError(RuntimeError):
     pass
 
 
-def _pairwise_sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xs = np.sum(x * x, axis=1)
-    ys = np.sum(y * y, axis=1)
-    s = x @ y.T
-    s *= -2.0
-    s += xs[:, None]
-    s += ys[None, :]
-    return np.maximum(s, 0.0, out=s)
+def _base_kernel(kernel):
+    return kernel.base if isinstance(kernel, StructuredKernel) else kernel
 
 
-class _PairCache:
-    """Coefficient-independent pairwise tables between centers and points.
-
-    Everything that depends only on geometry lives here, so repeated
-    applications with fresh coefficients (the CG inner loop) pay only for the
-    O(n m N) contractions.
-    """
-
-    __slots__ = ("x", "y", "structured", "psi", "dpsi", "ddpsi",
-                 "ip_psi", "ip2_psi", "ip_dpsi", "ip2_dpsi", "ip2_ddpsi")
-
-    def __init__(self, kernel, centers, points):
-        self.x = np.asarray(centers, dtype=float)
-        self.y = np.atleast_2d(np.asarray(points, dtype=float))
-        self.structured = isinstance(kernel, StructuredKernel)
-        base = kernel.base if self.structured else kernel
-        self.psi, self.dpsi, self.ddpsi = base.profile(_pairwise_sqdist(self.x, self.y))
-        if self.structured:
-            ip = self.x @ self.y.T
-            ip2 = ip * ip
-            self.ip_psi = ip * self.psi
-            self.ip2_psi = ip2 * self.psi
-            self.ip_dpsi = ip * self.dpsi
-            self.ip2_dpsi = ip2 * self.dpsi
-            self.ip2_ddpsi = ip2 * self.ddpsi
-
-
-class _Work:
-    """Scratch arrays for ``_apply_cached``: n x m tables, m x N rows and one
-    n x N block.  ``HermiteOperator`` keeps one, so a Krylov loop allocates
-    nothing larger than a vector per matvec."""
-
-    __slots__ = ("tables", "rows", "block")
-
-    def __init__(self, cache: "_PairCache"):
-        (n, m), dim = cache.psi.shape, cache.x.shape[1]
-        self.tables = [np.empty((n, m)) for _ in range(3 if cache.structured else 2)]
-        self.rows = [np.empty((m, dim)) for _ in range(3)]
-        self.block = np.empty((n, dim))
-
-
-def _apply_cached(cache: "_PairCache", alphas, betas, work: _Work, vals: np.ndarray, grads: np.ndarray):
-    """Write the values at the cache's points into ``vals`` (m,) and the
-    gradients into ``grads`` (m, N), every larger temporary into ``work``."""
-    x, y = cache.x, cache.y
-    al = np.asarray(alphas, dtype=float)
+def _center_terms(centers, betas):
+    """||x_i||^2, <beta_i, x_i> and the stacked (2n, N) matrix [x; beta]."""
+    x = np.asarray(centers, dtype=float)
     be = np.asarray(betas, dtype=float)
-    tmp = work.tables[-1]
-    r1, r2, r3 = work.rows
+    return (x * x).sum(axis=1), (be * x).sum(axis=1), np.concatenate([x, be])
 
-    def spread(table, out):             # sum_i table_ij y_j
-        return np.multiply(np.sum(table, axis=0)[:, None], y, out=out)
 
-    def gather(table, out):             # sum_i table_ij x_i
-        return np.matmul(table.T, x, out=out)
+def _geometry(base, sqnorms, stacked, y):
+    """The tables of the expansion at ``y``, (N,) or (m, N), with the n
+    centers on the last axis: every table has shape (..., n).
 
-    def add(scale, term):               # grads += scale * term, term overwritten
-        term *= scale
-        np.add(grads, term, out=grads)
+    Returns <x_i, y> and <beta_i, y>, both from the one product
+    y @ [x; beta]^T (``stacked`` may be x alone; the second table is then
+    empty), and the profile triple of ``base`` at
+    ||x_i - y||^2 = ||x_i||^2 - 2 <x_i, y> + ||y||^2.
+    """
+    n = sqnorms.shape[0]
+    proj = y @ stacked.T
+    ip = proj[..., :n]
+    sq = sqnorms - 2.0 * ip
+    sq += (y * y).sum(axis=-1, keepdims=True)
+    return ip, proj[..., n:], base.profile(sq)
 
-    c = np.sum(np.multiply(be, x, out=work.block), axis=1)  # <beta_i, x_i>
-    bg = np.matmul(be, y.T, out=work.tables[0])             # <beta_i, y_j>
 
-    if not cache.structured:
-        psi, dpsi, ddpsi = cache.psi, cache.dpsi, cache.ddpsi
-        np.add(psi.T @ al, 2.0 * (dpsi.T @ c - np.einsum("ij,ij->j", dpsi, bg)), out=vals)
-        w = np.multiply(dpsi, al[:, None], out=tmp)
-        spread(w, grads)
-        grads -= gather(w, r1)
-        grads *= 2.0
-        pb = np.matmul(dpsi.T, be, out=r2)
-        np.subtract(bg, c[:, None], out=bg)  # <y_j - x_i, beta_i>
-        u = np.multiply(ddpsi, bg, out=tmp)
-        pb *= -2.0
-        q = gather(u, r1)
-        q -= spread(u, r3)
-        q *= 4.0
-        pb += q
-        grads += pb
-        return
+def _expand(structured, alphas, offsets, stacked, y, ip, bg, profile):
+    """Values (...) and gradients (..., N) at ``y`` of the expansion with
+    coefficients ``alphas`` and the betas in ``stacked`` = [x; beta], whose
+    <beta_i, x_i> are ``offsets``, from the tables of ``_geometry``.
 
-    cg = np.subtract(c[:, None], bg, out=work.tables[1])  # <x_i - y_j, beta_i>
-    np.add(
-        cache.ip2_psi.T @ al,
-        2.0 * (np.einsum("ij,ij->j", cache.ip_psi, bg) + np.einsum("ij,ij->j", cache.ip2_dpsi, cg)),
-        out=vals,
-    )
-    # sum_i alpha_i grad_2 kappa(x_i, y_j)
-    gather(np.multiply(al[:, None], cache.ip_psi, out=tmp), grads)
-    grads *= 2.0
-    ma2 = np.multiply(al[:, None], cache.ip2_dpsi, out=tmp)
-    q = spread(ma2, r1)
-    q -= gather(ma2, r2)
-    add(2.0, q)
-    # sum_i E_kappa(x_i, y_j) beta_i, by the product rule around E_k of the base
-    add(2.0, gather(np.multiply(cache.psi, bg, out=tmp), r1))
-    add(2.0, np.matmul(cache.ip_psi.T, be, out=r1))
-    m3 = np.multiply(cache.ip_dpsi, bg, out=tmp)
-    q = spread(m3, r1)
-    q -= gather(m3, r2)
-    add(4.0, q)
-    add(4.0, gather(np.multiply(cache.ip_dpsi, cg, out=tmp), r1))
-    add(-2.0, np.matmul(cache.ip2_dpsi.T, be, out=r1))
-    m5b = np.multiply(cache.ip2_ddpsi, cg, out=tmp)
-    q = gather(m5b, r1)
-    q -= spread(m5b, r2)
-    add(-4.0, q)
+    The gradient is collapsed to 2 (sum_i t_i y + h @ [x; beta]): t and h
+    are elementwise in the tables, so the contraction over the centers is
+    one matrix product for one state or for m of them.
+    """
+    psi, dpsi, ddpsi = profile
+    al = alphas
+    n = psi.shape[-1]
+    cg = offsets - bg
+    cg *= 2.0                               # 2 <x_i - y, beta_i>
+    # t: per center, half its coefficient of y in the gradient
+    t = ddpsi * cg
+    t += dpsi * al
+    # h: half the coefficients of [x; beta], written in place of a concatenate
+    h = np.empty(psi.shape[:-1] + (2 * n,))
+    if not structured:
+        value = psi @ al + (dpsi * cg).sum(axis=-1)
+        np.negative(t, out=h[..., :n])
+        np.negative(dpsi, out=h[..., n:])
+    else:
+        ip_psi = ip * psi
+        ip_dpsi = ip * dpsi
+        ip2_dpsi = ip * ip_dpsi
+        bg2 = 2.0 * bg
+        t *= ip * ip
+        t += ip_dpsi * bg2
+        value = (ip_psi * (al * ip + bg2) + ip2_dpsi * cg).sum(axis=-1)
+        cx = al * ip_psi
+        cx += psi * bg
+        cx += ip_dpsi * cg
+        np.subtract(cx, t, out=h[..., :n])
+        np.subtract(ip_psi, ip2_dpsi, out=h[..., n:])
+    grad = h @ stacked
+    grad += t.sum(axis=-1, keepdims=True) * y
+    grad *= 2.0
+    return value, grad
 
 
 def hermite_apply(kernel, centers, alphas, betas, points):
@@ -221,30 +180,27 @@ def hermite_apply(kernel, centers, alphas, betas, points):
     Returns ``(values (m,), grads (m, N))``.  ``kernel`` may be a plain
     radial kernel or a :class:`StructuredKernel`.
     """
-    x = np.asarray(centers, dtype=float)
+    sqnorms, offsets, stacked = _center_terms(centers, betas)
     y = np.atleast_2d(np.asarray(points, dtype=float))
-    n, dim = x.shape
-    vals, grads = np.zeros(y.shape[0]), np.zeros((y.shape[0], dim))
-    if n:
-        cache = _PairCache(kernel, x, y)
-        _apply_cached(cache, alphas, betas, _Work(cache), vals, grads)
-    return vals, grads
+    tables = _geometry(_base_kernel(kernel), sqnorms, stacked, y)
+    structured = isinstance(kernel, StructuredKernel)
+    return _expand(structured, np.asarray(alphas, dtype=float), offsets, stacked, y, *tables)
 
 
 class HermiteOperator:
     """The Gram matvec bound to a fixed center set.
 
-    Building the operator evaluates all pairwise kernel profiles once; each
-    :meth:`matvec` afterwards costs only the coefficient contractions, which
-    is what a Krylov loop should pay per iteration.
+    Building the operator evaluates <x_i, x_j> and the pairwise kernel
+    profiles once; each :meth:`matvec` afterwards is ``_expand`` at the
+    centers, which is what a Krylov loop should pay per iteration.
     """
 
     def __init__(self, kernel, centers):
         self.centers = np.asarray(centers, dtype=float)
         self.n, self.dim = self.centers.shape
         self.kernel = kernel
-        self._cache = _PairCache(kernel, self.centers, self.centers)
-        self._work = _Work(self._cache)
+        x = self.centers
+        self._ip, _, self._profile = _geometry(_base_kernel(kernel), (x * x).sum(axis=1), x, x)
 
     @property
     def size(self) -> int:
@@ -252,9 +208,11 @@ class HermiteOperator:
 
     def matvec(self, stacked: np.ndarray) -> np.ndarray:
         alphas, betas = unstack_coeffs(stacked, self.n, self.dim)
-        out = np.empty(self.size)
-        _apply_cached(self._cache, alphas, betas, self._work, out[: self.n], out[self.n :].reshape(self.n, self.dim))
-        return out
+        x = self.centers
+        _, offsets, both = _center_terms(x, betas)
+        structured = isinstance(self.kernel, StructuredKernel)
+        vals, grads = _expand(structured, alphas, offsets, both, x, self._ip, x @ betas.T, self._profile)
+        return stack_coeffs(vals, grads)
 
 
 def stack_coeffs(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -322,26 +280,28 @@ def _gram_blocks(kernel, center, points) -> np.ndarray:
 
     Returns ``(m, 1+N, 1+N)`` blocks: row 0 is the value at ``points[j]``,
     rows 1.. its gradient; column 0 is the center's alpha, columns 1.. its
-    beta.  These are the entries ``_apply_cached`` contracts, written out
-    from the same pair tables.
+    beta.  These are the entries ``_expand`` contracts, written out from the
+    tables of ``_geometry``.
     """
-    cache = _PairCache(kernel, np.atleast_2d(center), points)
-    x = cache.x[0]
-    y = cache.y
+    x = np.asarray(center, dtype=float)
+    y = np.asarray(points, dtype=float)
+    ip, _, profile = _geometry(_base_kernel(kernel), np.array([x @ x]), x[None, :], y)
+    ip = ip[:, 0]
+    psi, dpsi, ddpsi = (table[:, 0] for table in profile)
     m, dim = y.shape
     d = y - x                           # y_j - x
     eye = np.eye(dim)
     out = np.empty((m, 1 + dim, 1 + dim))
-    psi, dpsi, ddpsi = cache.psi[0], cache.dpsi[0], cache.ddpsi[0]
-    if not cache.structured:
+    if not isinstance(kernel, StructuredKernel):
         out[:, 0, 0] = psi
         out[:, 0, 1:] = -2.0 * dpsi[:, None] * d
         out[:, 1:, 0] = 2.0 * dpsi[:, None] * d
         out[:, 1:, 1:] = -2.0 * dpsi[:, None, None] * eye
         out[:, 1:, 1:] -= 4.0 * ddpsi[:, None, None] * (d[:, :, None] * d[:, None, :])
         return out
-    ip_psi, ip2_psi = cache.ip_psi[0], cache.ip2_psi[0]
-    ip_dpsi, ip2_dpsi, ip2_ddpsi = cache.ip_dpsi[0], cache.ip2_dpsi[0], cache.ip2_ddpsi[0]
+    ip2 = ip * ip
+    ip_psi, ip2_psi = ip * psi, ip2 * psi
+    ip_dpsi, ip2_dpsi, ip2_ddpsi = ip * dpsi, ip2 * dpsi, ip2 * ddpsi
     # kappa(x, y) = <x, y>^2 k(x, y), differentiated by the product rule
     out[:, 0, 0] = ip2_psi
     out[:, 0, 1:] = 2.0 * ip_psi[:, None] * y - 2.0 * ip2_dpsi[:, None] * d
@@ -492,9 +452,9 @@ class Surrogate:
             raise ValueError("a surrogate over a structured kernel needs the quadratic matrix q_matrix")
         if not structured and self.q_matrix is not None:
             raise ValueError("a surrogate over a plain kernel takes no quadratic matrix q_matrix")
-        # resolved once: the one-state path reads these on every call
+        # resolved once: the feedback reads these on every call
         object.__setattr__(self, "_structured", structured)
-        object.__setattr__(self, "_base", self.kernel.base if structured else self.kernel)
+        object.__setattr__(self, "_base", _base_kernel(self.kernel))
 
     @property
     def variant(self) -> str:
@@ -506,70 +466,35 @@ class Surrogate:
 
     @cached_property
     def _center_terms(self):
-        """||x_i||^2, <beta_i, x_i> and the stacked (2n, N) matrix [x; beta].
-
-        Built on the first one-row evaluation and kept: the greedy fit builds
-        a surrogate per step and evaluates most of them only in batches.
-        """
-        x = np.asarray(self.centers, dtype=float)
-        be = np.asarray(self.betas, dtype=float)
-        return np.sum(x * x, axis=1), np.sum(be * x, axis=1), np.concatenate([x, be])
-
-    def _expansion_at(self, y: np.ndarray):
-        """Value and gradient of the Hermite expansion at the single point ``y``.
-
-        The same sums as ``_apply_cached`` with m = 1, collapsed so that the
-        gradient is ``scalar * y + coef @ [x; beta]``: one profile call on n
-        squared distances and a dozen small vector operations, no pair tables.
-        """
-        sqnorms, offsets, stacked = self._center_terms
-        n = sqnorms.size
-        proj = stacked @ y                      # [<x_i, y>; <beta_i, y>]
-        ip, bg = proj[:n], proj[n:]
-        sq = sqnorms - 2.0 * ip
-        sq += y @ y
-        psi, dpsi, ddpsi = self._base.profile(sq)
-        cg = offsets - bg                       # <x_i - y, beta_i>
-        al = self.alphas
-        # t: per center, half its coefficient of y in the gradient
-        t = dpsi * al
-        t += 2.0 * ddpsi * cg
-        if not self._structured:
-            value = psi @ al + 2.0 * (dpsi @ cg)
-            coef = np.concatenate([-2.0 * t, -2.0 * dpsi])
-        else:
-            ip_psi = ip * psi
-            ip_dpsi = ip * dpsi
-            ip2_dpsi = ip * ip_dpsi
-            t *= ip * ip
-            t += 2.0 * ip_dpsi * bg
-            value = ip_psi @ (al * ip + 2.0 * bg) + 2.0 * (ip2_dpsi @ cg)
-            cx = al * ip_psi + psi * bg + 2.0 * ip_dpsi * cg - t
-            coef = 2.0 * np.concatenate([cx, ip_psi - ip2_dpsi])
-        grad = coef @ stacked
-        grad += (2.0 * t.sum()) * y
-        return float(value), grad
+        """``_center_terms`` of this surrogate, built on its first evaluation
+        and kept (no code mutates a surrogate's arrays)."""
+        return _center_terms(self.centers, self.betas)
 
     def value_and_gradient(self, points):
-        """Values (m,) and gradients (m, N) at ``points``; a single state
-        takes the short path described in the module docstring."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[0] == 1:
-            y = points[0]
-            val, grad = self._expansion_at(y)
+        """Values (m,) and gradients (m, N) at ``points``.
+
+        One state runs the expansion on its 1-D row and the structured
+        square on scalars; a batch runs both vectorized (see the module
+        docstring).
+        """
+        points = np.asarray(points, dtype=float)
+        y = points[0] if points.ndim == 2 and points.shape[0] == 1 else points
+        sqnorms, offsets, stacked = self._center_terms
+        tables = _geometry(self._base, sqnorms, stacked, y)
+        vals, grads = _expand(self._structured, self.alphas, offsets, stacked, y, *tables)
+        if y.ndim == 1:
             if self._structured:
                 qy = y @ self.q_matrix
                 yqy = float(qy @ y)
                 if yqy < _TINY:
                     # at the origin the correction vanishes identically; pin the limit
-                    return np.zeros(1), np.zeros_like(points)
+                    return np.zeros(1), np.zeros((1, y.size))
                 root = math.sqrt(yqy)
-                h = root + val
-                val = h * h
-                grad += qy / root
-                grad *= 2.0 * h
-            return np.array([val]), grad[None, :]
-        vals, grads = hermite_apply(self.kernel, self.centers, self.alphas, self.betas, points)
+                h = root + vals
+                vals = h * h
+                grads += qy / root
+                grads *= 2.0 * h
+            return np.array([vals]), grads[None, :]
         if not self._structured:
             return vals, grads
         qm = self.q_matrix

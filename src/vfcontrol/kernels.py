@@ -71,8 +71,9 @@ class WendlandC4:
         t_m2 = _int_power(t, m - 2)
         t_m1 = t_m2 * t
         a2 = (l + 1) * (l + 3)
-        c1 = -(m + 2) * (m * m - 1)
-        c0 = -(m + 1) * (m + 2)
+        # psi' = (c1 r + c0) (1 - r)^(m-1), gamma^2 / 2 folded into c1 and c0
+        c1 = -0.5 * g * g * (m + 2) * (m * m - 1)
+        c0 = -0.5 * g * g * (m + 1) * (m + 2)
         psi = a2 * r
         psi += 3.0 * m
         psi *= r
@@ -82,7 +83,6 @@ class WendlandC4:
         dpsi = c1 * r
         dpsi += c0
         dpsi *= t_m1
-        dpsi *= 0.5 * g * g
         ddpsi = (0.25 * g ** 4 * m * (m * m - 1) * (m + 2)) * t_m2
         return psi, dpsi, ddpsi
 

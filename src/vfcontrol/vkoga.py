@@ -28,9 +28,11 @@ structured right-hand side is rounding noise.
 
 Ties in the score break toward the lowest candidate index, which together
 with the deterministic CG solve makes the whole selection reproducible.  The
-tie rule holds up to rounding: the batched scan rounds a row by its position
-in the batch, so an exact copy of a sample can score a last bit above its
-original and be taken first.
+tie rule holds up to rounding: the scan's matrix products round a row by
+the shape of the batch it sits in, so an exact copy of a sample can score a
+last bit above its original and be taken first.  The scan runs once at the
+start and once after each accepted refit; a sample turned away leaves every
+score as it was.
 Every step records the surrogate it fitted, so one run to n centers also
 holds the surrogate at each smaller count.
 """
@@ -80,10 +82,6 @@ class VkogaResult:
     steps: list[SelectionStep] = field(default_factory=list)
     final_residual: float = np.inf
 
-    @property
-    def selected_indices(self) -> list[int]:
-        return [s.index for s in self.steps]
-
 
 def run_vkoga(
     kernel,
@@ -118,10 +116,13 @@ def run_vkoga(
     selected: list[int] = []
     factor = HermiteFactor(kernel, dim, config.nugget)
 
+    rho = None
     while True:
-        s_vals, s_grads = surrogate.value_and_gradient(points)
-        rho = np.abs(values - s_vals) + np.linalg.norm(grads - s_grads, axis=1)
-        result.final_residual = float(np.max(rho)) if m else 0.0
+        # the scores change only with the surrogate, i.e. after an accepted refit
+        if rho is None:
+            s_vals, s_grads = surrogate.value_and_gradient(points)
+            rho = np.abs(values - s_vals) + np.linalg.norm(grads - s_grads, axis=1)
+            result.final_residual = float(np.max(rho)) if m else 0.0
         scan = np.where(selectable, rho, -np.inf)
         if not np.any(selectable):
             break
@@ -165,6 +166,7 @@ def run_vkoga(
             meta={"nugget": config.nugget, "cg_tol": config.cg_tol},
         )
         result.surrogate = surrogate
+        rho = None
         result.steps.append(
             SelectionStep(
                 iteration=len(selected),

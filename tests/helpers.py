@@ -8,6 +8,7 @@ solutions, and derivative checks go through finite differences.
 
 import numpy as np
 
+from vfcontrol.explore import Dataset
 from vfcontrol.hermite import MIN_SPACING
 from vfcontrol.kernels import StructuredKernel
 from vfcontrol.models import AmpParameters
@@ -143,6 +144,41 @@ def close_pairs(centers):
     """Index pairs (i, j), i < j, of centers closer than ``MIN_SPACING``."""
     gaps = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
     return {(i, j) for i, j in zip(*np.nonzero(gaps < MIN_SPACING)) if i < j}
+
+
+# -- views of datasets and greedy runs that only the tests read
+
+
+def start_states(data):
+    """The start state of every trajectory of a dataset, in order, (n, N)."""
+    if not data.trajectories:
+        return np.zeros((0, data.dim))
+    return np.stack([t.x0 for t in data.trajectories])
+
+
+def prefix(data, n):
+    """The dataset of the first n trajectories, with their solve records."""
+    meta = dict(data.meta)
+    if "solves" in meta:
+        meta["solves"] = meta["solves"][:n]
+    return Dataset(dim=data.dim, trajectories=data.trajectories[:n], eps_history=data.eps_history[:n], meta=meta)
+
+
+def c_max_state(data):
+    """The largest sample norm of a dataset; 0 for no samples."""
+    pts, _, _ = data.flattened()
+    return float(np.max(np.linalg.norm(pts, axis=1))) if pts.size else 0.0
+
+
+def c_max_value(data):
+    """The largest |v| + ||grad v|| over a dataset's samples; 0 for no samples."""
+    _, vals, gds = data.flattened()
+    return float(np.max(np.abs(vals) + np.linalg.norm(gds, axis=1))) if vals.size else 0.0
+
+
+def selected_indices(result):
+    """The sample index of every center a greedy run selected, in order."""
+    return [step.index for step in result.steps]
 
 
 class AnalyticRun:

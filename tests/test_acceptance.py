@@ -18,7 +18,15 @@ import pytest
 import scipy.linalg
 
 from conftest import record_acceptance
-from helpers import amp_closed_loop, dense_hermite_matrix, lattice_centers, relative_l2
+from helpers import (
+    amp_closed_loop,
+    c_max_value,
+    dense_hermite_matrix,
+    lattice_centers,
+    prefix,
+    relative_l2,
+    selected_indices,
+)
 from vfcontrol.evaluate import cross_validate, evaluate_surrogate, mrl2_error, simulate_feedback
 from vfcontrol.explore import (
     ExploreConfig,
@@ -77,7 +85,7 @@ def amp_data80(amp):
 
 @pytest.fixture(scope="module")
 def amp_data40(amp_data80):
-    return amp_data80.prefix(40)
+    return prefix(amp_data80, 40)
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +212,7 @@ def test_criterion_04_matvec_time_scales_linearly_in_dimension():
 def test_criterion_05_interpolation_conditions_after_greedy_fit(amp, amp_data40):
     model, qm = amp
     cg_tol = 1e-10
-    scale = amp_data40.c_max_value
+    scale = c_max_value(amp_data40)
     config = VkogaConfig(max_centers=100, cg_tol=cg_tol)
     pts, vals, gds = amp_data40.flattened(include_origin=True)
     plain = run_vkoga(WendlandC4(dim=2, gamma=1.0), pts, vals, gds, config)
@@ -214,7 +222,7 @@ def test_criterion_05_interpolation_conditions_after_greedy_fit(amp, amp_data40)
     )
     worst = 0.0
     for res, (p, v, g) in ((plain, (pts, vals, gds)), (structured, (pts_s, vals_s, gds_s))):
-        idx = res.selected_indices
+        idx = selected_indices(res)
         sv, sg = res.surrogate.value_and_gradient(p[idx])
         worst = max(worst, float(np.max(np.abs(v[idx] - sv) + np.linalg.norm(g[idx] - sg, axis=1))))
     bound = 10 * cg_tol * scale
@@ -389,7 +397,7 @@ def test_criterion_10_more_data_cannot_hurt_the_feedback(amp, amp_data80, amp_te
     errors = []
     centers = []
     for n in (20, 40, 80):
-        pts, vals, gds = amp_data80.prefix(n).flattened(include_origin=True)
+        pts, vals, gds = prefix(amp_data80, n).flattened(include_origin=True)
         result = run_vkoga(WendlandC4(dim=2, gamma=1.0), pts, vals, gds, config)
         centers.append(result.surrogate.n_centers)
         worst = 0.0

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import AnalyticRun
+from helpers import AnalyticRun, prefix
 from vfcontrol.evaluate import (
     ClosedLoopRun,
     center_curve,
@@ -191,7 +191,7 @@ def test_cross_validation_holds_out_whole_trajectories(lqr_dataset):
 
 def test_cross_validation_needs_at_least_two_trajectories(lqr_dataset):
     kern = WendlandC4(dim=1, gamma=1.0)
-    single = lqr_dataset.prefix(1)
+    single = prefix(lqr_dataset, 1)
     with pytest.raises(ValueError, match="two trajectories"):
         cross_validate(kern, single, VkogaConfig(max_centers=5))
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import c_max_state, c_max_value, prefix, start_states
 from vfcontrol.cli import ConfigError, candidates_from_config, explore_from_config, load_config, model_from_config
 from vfcontrol.explore import (
     Dataset,
@@ -148,7 +149,7 @@ def test_exploration_picks_far_candidates_first(lqr_setup):
     data = run_exploration(model, candidates, qm, config)
     assert data.n_trajectories == 4
     # starts: +-1 first (tie toward the lower index), then the gap midpoints
-    starts = data.start_states()[:, 0]
+    starts = start_states(data)[:, 0]
     assert abs(starts[0]) == 1.0 and abs(starts[1]) == 1.0
     assert np.all(np.diff(data.eps_history) <= 1e-12)
     assert data.meta["model"] == "lqr"
@@ -244,8 +245,8 @@ def test_flattened_keeps_every_sample_and_appends_the_origin():
     assert vals[-1] == 0.0
     np.testing.assert_array_equal(gds[-1], [0.0, 0.0])
     assert data.n_samples == 3
-    assert data.c_max_state == pytest.approx(1.0)
-    assert data.c_max_value == pytest.approx(5.0)
+    assert c_max_state(data) == pytest.approx(1.0)
+    assert c_max_value(data) == pytest.approx(5.0)
     empty = Dataset(dim=2).flattened(include_origin=True)
     assert [a.shape for a in empty] == [(1, 2), (1,), (1, 2)]
 
@@ -254,9 +255,9 @@ def test_prefix_truncates_in_selection_order(lqr_setup):
     model, qm, solver = lqr_setup
     candidates = np.linspace(-1.0, 1.0, 7)[:, None]
     data = run_exploration(model, candidates, qm, ExploreConfig(n_trajectories=5, solver=solver))
-    head = data.prefix(2)
+    head = prefix(data, 2)
     assert head.n_trajectories == 2
-    np.testing.assert_array_equal(head.start_states(), data.start_states()[:2])
+    np.testing.assert_array_equal(start_states(head), start_states(data)[:2])
     assert head.eps_history == data.eps_history[:2]
     assert head.meta["model"] == "lqr"
     assert head.meta["solves"] == data.meta["solves"][:2]

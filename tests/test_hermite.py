@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, lattice_centers
+from vfcontrol import hermite
 from vfcontrol.hermite import (
     MIN_SPACING,
     FitError,
@@ -521,6 +522,14 @@ def test_the_factor_turns_away_exactly_the_near_duplicates(dim, n, n_twins, stru
     assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
 
 
+def expansion_at(sur, y):
+    """The bare expansion at the one state y (N,), as ``value_and_gradient``
+    runs it on a 1-D row."""
+    sqnorms, offsets, stacked = sur._center_terms
+    ip, bg, profile = hermite._geometry(sur._base, sqnorms, stacked, y)
+    return hermite._expand(sur.variant == "structured", sur.alphas, offsets, stacked, y, ip, bg, profile)
+
+
 def rounding_bound(sur, y):
     """How far two evaluation orders of the expansion at y may round apart.
 
@@ -591,10 +600,11 @@ SUBNORMAL_PROBE = (
 @given(structured_surrogates(), st.booleans())
 @example(SUBNORMAL_PROBE, False)
 def test_one_row_evaluation_agrees_with_the_batch(case, plain):
-    """A single state takes the short path of ``value_and_gradient``; it
-    matches the same row of a batch through ``hermite_apply`` to rounding
-    (see ``rounding_bound``).  Probes include the origin and, for larger
-    gamma, states outside every center's support."""
+    """A single state runs the expansion on its 1-D row and the structured
+    square on scalars; it matches the same row of a batch through
+    ``hermite_apply`` to rounding (see ``rounding_bound``), not bit for bit,
+    since the products round by their shape.  Probes include the origin and,
+    for larger gamma, states outside every center's support."""
     sur, probes = case
     dim = sur.centers.shape[1]
     if plain:
@@ -605,7 +615,7 @@ def test_one_row_evaluation_agrees_with_the_batch(case, plain):
     batch_v, batch_g = sur.value_and_gradient(probes)
     for y, v, g, bv, bg in zip(probes, vals, grads, batch_v, batch_g):
         tol = rounding_bound(sur, y)
-        ev, eg = sur._expansion_at(y)
+        ev, eg = expansion_at(sur, y)
         assert abs(ev - v) <= tol
         assert np.max(np.abs(eg - g)) <= tol
         one_v, one_g = sur.value_and_gradient(y)
@@ -630,29 +640,57 @@ def test_one_row_evaluation_agrees_with_the_batch(case, plain):
         assert v0[0] == 0.0 and np.all(g0[0] == 0.0)
 
 
-def test_one_row_evaluation_builds_no_pair_tables(monkeypatch):
-    import vfcontrol.hermite as hermite
+def small_surrogates(rng, n=4, dim=3):
+    """A plain and a structured surrogate on the same n centers."""
+    base, kern = both_kernels(dim, 0.6)
+    centers = lattice_centers(rng, n, dim, avoid_origin=True)
+    plain = Surrogate(kernel=base, centers=centers, alphas=rng.normal(size=n), betas=rng.normal(size=(n, dim)))
+    return plain, replace(plain, kernel=kern, q_matrix=np.eye(dim))
 
+
+def test_one_state_evaluates_the_profile_once_on_n_squared_distances(monkeypatch):
+    """One state takes one profile call on the n squared distances to the
+    centers; a batch of m states one call on an (m, n) table."""
     rng = np.random.default_rng(44)
-    base, kern = both_kernels(3, 0.6)
-    centers = lattice_centers(rng, 4, 3, avoid_origin=True)
-    surrogates = [
-        Surrogate(kernel=base, centers=centers, alphas=rng.normal(size=4), betas=rng.normal(size=(4, 3))),
-        Surrogate(
-            kernel=kern,
-            centers=centers,
-            alphas=rng.normal(size=4),
-            betas=rng.normal(size=(4, 3)),
-            q_matrix=np.eye(3),
-        ),
-    ]
+    shapes = []
+    profile = WendlandC4.profile
 
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("one-row evaluation built pair tables")
+    def counted(self, s):
+        shapes.append(np.shape(s))
+        return profile(self, s)
 
-    monkeypatch.setattr(hermite._PairCache, "__init__", refuse)
-    for sur in surrogates:
-        value, grad = sur.value_and_gradient(rng.normal(size=(1, 3)))
-        assert np.isfinite(value[0]) and np.all(np.isfinite(grad))
-        with pytest.raises(AssertionError, match="pair tables"):
-            sur.value_and_gradient(rng.normal(size=(2, 3)))
+    monkeypatch.setattr(WendlandC4, "profile", counted)
+    for sur in small_surrogates(rng):
+        n = sur.n_centers
+        cases = ((rng.normal(size=(1, 3)), (n,)), (rng.normal(size=3), (n,)), (rng.normal(size=(2, 3)), (2, n)))
+        for points, table in cases:
+            shapes.clear()
+            value, grad = sur.value_and_gradient(points)
+            assert np.isfinite(value[0]) and np.all(np.isfinite(grad))
+            assert shapes == [table]
+
+
+def test_every_evaluation_is_one_expand_call(monkeypatch):
+    """The one-state feedback, a batch, ``hermite_apply`` and the Gram matvec
+    all evaluate the expansion through one ``_expand`` call each."""
+    rng = np.random.default_rng(45)
+    calls = []
+    expand = hermite._expand
+
+    def counted(*args):
+        calls.append(np.shape(args[4]))
+        return expand(*args)
+
+    monkeypatch.setattr(hermite, "_expand", counted)
+    for sur in small_surrogates(rng):
+        n, dim = sur.centers.shape
+        evaluations = [
+            (lambda: sur.value_and_gradient(rng.normal(size=(1, dim))), (dim,)),
+            (lambda: sur.value_and_gradient(rng.normal(size=(5, dim))), (5, dim)),
+            (lambda: hermite_apply(sur.kernel, sur.centers, sur.alphas, sur.betas, rng.normal(size=(3, dim))), (3, dim)),
+            (lambda: HermiteOperator(sur.kernel, sur.centers).matvec(rng.normal(size=n * (1 + dim))), (n, dim)),
+        ]
+        for evaluate, shape in evaluations:
+            calls.clear()
+            evaluate()
+            assert calls == [shape]

@@ -6,8 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, lattice_centers
-from vfcontrol.hermite import FitError, Surrogate, assemble_rhs, fit, unstack_coeffs
+from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, lattice_centers, selected_indices
+from vfcontrol.hermite import FitError, HermiteFactor, Surrogate, assemble_rhs, fit, unstack_coeffs
 from vfcontrol.kernels import StructuredKernel, WendlandC4
 from vfcontrol.vkoga import VkogaConfig, run_vkoga, write_trace
 
@@ -20,13 +20,26 @@ def sample_bump(rng, m, dim):
     return points, values, grads
 
 
+def counted_scans(monkeypatch):
+    """A list that records the batch size of every surrogate evaluation."""
+    scans = []
+    evaluate = Surrogate.value_and_gradient
+
+    def counted(self, points):
+        scans.append(len(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(Surrogate, "value_and_gradient", counted)
+    return scans
+
+
 def test_first_center_is_the_largest_raw_sample():
     rng = np.random.default_rng(50)
     kern = WendlandC4(dim=2, gamma=0.5)
     points, values, grads = sample_bump(rng, 15, 2)
     raw = np.abs(values) + np.linalg.norm(grads, axis=1)
     result = run_vkoga(kern, points, values, grads, VkogaConfig(max_centers=3))
-    assert result.selected_indices[0] == int(np.argmax(raw))
+    assert selected_indices(result)[0] == int(np.argmax(raw))
     assert result.steps[0].residual == pytest.approx(float(np.max(raw)))
 
 
@@ -66,7 +79,7 @@ def test_selection_matches_a_dense_greedy_replay():
         alphas, betas = unstack_coeffs(coeffs, len(selected), 2)
         surrogate = Surrogate(kernel=kern, centers=centers, alphas=alphas, betas=betas)
 
-    assert result.selected_indices == selected
+    assert selected_indices(result) == selected
 
 
 def test_center_residuals_stay_small_after_every_refit():
@@ -80,7 +93,7 @@ def test_center_residuals_stay_small_after_every_refit():
     assert result.steps[-1].surrogate is result.surrogate
     scale = float(np.max(np.abs(values) + np.linalg.norm(grads, axis=1)))
     for count, step in enumerate(result.steps, start=1):
-        idx = result.selected_indices[:count]
+        idx = selected_indices(result)[:count]
         np.testing.assert_array_equal(step.surrogate.centers, points[idx])
         sv, sg = step.surrogate.value_and_gradient(points[idx])
         resid = np.abs(values[idx] - sv) + np.linalg.norm(grads[idx] - sg, axis=1)
@@ -112,7 +125,7 @@ def test_runs_are_deterministic():
     config = VkogaConfig(max_centers=6, cg_tol=1e-11)
     a = run_vkoga(kern, points, values, grads, config)
     b = run_vkoga(kern, points, values, grads, config)
-    assert a.selected_indices == b.selected_indices
+    assert selected_indices(a) == selected_indices(b)
     np.testing.assert_array_equal(a.surrogate.alphas, b.surrogate.alphas)
     np.testing.assert_array_equal(a.surrogate.betas, b.surrogate.betas)
 
@@ -123,7 +136,7 @@ def test_centers_are_pairwise_distinct_and_capped():
     points, values, grads = sample_bump(rng, 20, 2)
     result = run_vkoga(kern, points, values, grads, VkogaConfig(max_centers=7))
     assert len(result.steps) == 7
-    idx = result.selected_indices
+    idx = selected_indices(result)
     assert len(set(idx)) == len(idx)
     centers = result.surrogate.centers
     d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
@@ -142,7 +155,7 @@ def test_near_coincident_samples_give_one_center():
     grads = np.vstack([grads, [[-5.0e-16], [-1.0e-15]]])
     result = run_vkoga(kern, points, values, grads, VkogaConfig(max_centers=20, cg_tol=1e-11))
     assert result.surrogate.n_centers == 7
-    assert len(set(result.selected_indices) & {6, 7}) == 1
+    assert len(set(selected_indices(result)) & {6, 7}) == 1
 
 
 def test_structured_run_drops_inadmissible_samples():
@@ -156,8 +169,8 @@ def test_structured_run_drops_inadmissible_samples():
         result = run_vkoga(
             kern, points, values, grads, VkogaConfig(max_centers=8), q_matrix=np.eye(2)
         )
-    assert 3 not in result.selected_indices
-    assert 7 not in result.selected_indices
+    assert 3 not in selected_indices(result)
+    assert 7 not in selected_indices(result)
     assert result.surrogate.variant == "structured"
 
 
@@ -180,8 +193,8 @@ def test_structured_centers_are_where_the_square_root_data_is_defined():
     points[2] = [0.0, 0.7]
     with pytest.warns(UserWarning, match="1 of 8 samples are not admissible"):
         result = run_vkoga(kern, points, values, grads, VkogaConfig(max_centers=8), q_matrix=np.diag([1.0, 0.0]))
-    assert len(result.selected_indices) == 7
-    assert 2 not in result.selected_indices
+    assert len(selected_indices(result)) == 7
+    assert 2 not in selected_indices(result)
 
 
 def test_fit_metadata_lands_on_the_surrogate():
@@ -234,11 +247,13 @@ def test_structured_fit_of_quadratic_data_meets_cg_tol():
     assert [s.cg_iterations for s in result.steps] == [1] * 20
 
 
-def test_a_refit_that_misses_cg_tol_turns_its_sample_away():
+def test_a_refit_that_misses_cg_tol_turns_its_sample_away(monkeypatch):
     """Sample 1, taken last, sits 0.007 from sample 0: its Schur block clears
     the factor's floor, but CG stalls at a relative residual near 1e-8.  The
-    run warns, drops the sample and keeps the two centers before it; every
-    step it keeps meets its tolerance."""
+    run warns, drops the sample and keeps the two centers before it, with no
+    scan of the unchanged surrogate; every step it keeps meets its
+    tolerance."""
+    scans = counted_scans(monkeypatch)
     points = np.array([[0.732], [0.739], [0.037]])
     values = np.exp(-points[:, 0] ** 2)
     grads = -2.0 * points * values[:, None]
@@ -246,10 +261,11 @@ def test_a_refit_that_misses_cg_tol_turns_its_sample_away():
     config = VkogaConfig(max_centers=3, cg_tol=1e-10)
     with pytest.warns(UserWarning, match=r"sample 1 turned away: CG stalled at relative residual \d"):
         result = run_vkoga(StructuredKernel(WendlandC4(1, 0.5)), points, values, grads, config, q_matrix=q)
-    assert result.selected_indices == [0, 2]
+    assert selected_indices(result) == [0, 2]
+    assert scans == [3] * 3
     np.testing.assert_array_equal(result.surrogate.centers, points[[0, 2]])
     for step in result.steps:
-        chosen = result.selected_indices[: step.iteration]
+        chosen = selected_indices(result)[: step.iteration]
         rhs, data = assemble_rhs(values[chosen], grads[chosen], q_matrix=q, centers=points[chosen])
         scale = max(1.0, np.linalg.norm(data) / np.linalg.norm(rhs))
         assert step.cg_residual <= config.cg_tol * scale
@@ -259,6 +275,28 @@ def test_a_refit_that_misses_cg_tol_turns_its_sample_away():
     scale = max(1.0, np.linalg.norm(data) / np.linalg.norm(rhs))
     with pytest.raises(FitError, match="CG stalled"):
         fit(StructuredKernel(WendlandC4(1, 0.5)), points[order], rhs, cg_tol=config.cg_tol * scale)
+
+
+def test_exact_copies_cost_no_rescan(monkeypatch):
+    """The samples are scanned once at the start and once per accepted refit:
+    an exact copy that the factor turns away leaves the surrogate, hence
+    every score, as it was."""
+    scans, appends = counted_scans(monkeypatch), []
+    append = HermiteFactor.append
+
+    def counted_append(self, center):
+        appends.append(append(self, center))
+        return appends[-1]
+
+    monkeypatch.setattr(HermiteFactor, "append", counted_append)
+    rng = np.random.default_rng(53)
+    points, values, grads = sample_bump(rng, 6, 2)
+    twice = np.concatenate([np.arange(6), np.arange(6)])
+    result = run_vkoga(
+        WendlandC4(dim=2, gamma=0.5), points[twice], values[twice], grads[twice], VkogaConfig(max_centers=12)
+    )
+    assert appends.count(False) > 0 and appends.count(True) == len(result.steps) == 6
+    assert scans == [12] * (len(result.steps) + 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -281,7 +319,7 @@ def test_no_two_centers_are_closer_than_min_spacing(dim, n, n_twins, structured,
     kern = StructuredKernel(base) if structured else base
     config = VkogaConfig(max_centers=len(points), cg_tol=1e-10, nugget=nugget)
     result = run_vkoga(kern, points, values, grads, config, q_matrix=np.eye(dim) if structured else None)
-    idx = result.selected_indices
+    idx = selected_indices(result)
     assert not any(i in idx and j in idx for i, j in close_pairs(points))
     assert close_pairs(result.surrogate.centers) == set()
 
@@ -321,7 +359,7 @@ def test_exact_copies_of_samples_change_nothing(dim, n, n_copies, structured, nu
         q_matrix=q_matrix,
     )
     source = np.concatenate([np.arange(len(points)), copies])
-    assert [int(source[i]) for i in padded.selected_indices] == alone.selected_indices
+    assert [int(source[i]) for i in selected_indices(padded)] == selected_indices(alone)
     assert [s.iteration for s in padded.steps] == [s.iteration for s in alone.steps]
     np.testing.assert_array_equal(padded.surrogate.centers, alone.surrogate.centers)
     np.testing.assert_array_equal(padded.surrogate.alphas, alone.surrogate.alphas)
