@@ -31,6 +31,7 @@ from .vkoga import VkogaConfig, run_vkoga
 
 __all__ = [
     "ClosedLoopRun",
+    "ROLLOUT_TOL",
     "simulate_feedback",
     "mrl2_error",
     "evaluate_surrogate",
@@ -79,9 +80,18 @@ class ClosedLoopRun:
             out[:, j] = np.interp(clipped, self.times, self.states[:, j])
         return out
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
+
+# Relative and absolute LSODA tolerances of evaluate_surrogate's rollouts.
+# The benchmark reads MRL2 as accuracy digits (the mean of -log10 of each
+# rollout's relative error) to four decimals, against references refined to
+# a collocation defect of 1e-6 (nhe) or 1e-8 (amp).  On its 4 references per
+# variant, at seeds 11 and 3 with both draws, rel 1e-7 took 21-24% of the
+# rollouts' right-hand-side calls off rel 1e-8 on amp2d and 7-38% on nhe36,
+# and moved the digits by at most 2.6e-5.  Rel 1e-6 took 39-53% off but
+# moved nhe36's structured digits by 2.3-3.6e-4 on three of its four draws.
+# simulate_feedback keeps rel 1e-8 by default: it reports one rollout's cost
+# to eight digits.
+ROLLOUT_TOL = (1e-7, 1e-9)
 
 
 def simulate_feedback(
@@ -180,14 +190,15 @@ def evaluate_surrogate(
 ):
     """Closed-loop MRL2 of one surrogate against reference solutions.
 
-    Each rollout starts from its reference's first state.  Rollouts run one
-    after another: LSODA keeps one global handle, so concurrent rollouts
-    would only take turns on it.
+    Each rollout starts from its reference's first state and is integrated
+    to :data:`ROLLOUT_TOL`; the rollouts run one after another.
     """
     def run_one(ref):
         t_last = float(np.asarray(ref.times)[-1])
         t_end = t_last if horizon is None else min(horizon, t_last)
-        return simulate_feedback(model, surrogate, np.asarray(ref.states[0]), t_end)
+        return simulate_feedback(
+            model, surrogate, np.asarray(ref.states[0]), t_end, rel_tol=ROLLOUT_TOL[0], abs_tol=ROLLOUT_TOL[1]
+        )
 
     runs = [run_one(ref) for ref in references]
     return mrl2_error(references, runs, horizon=horizon), runs

@@ -7,17 +7,18 @@ builds on these primitives.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-
-_LSODA_LOCK = threading.Lock()
+from scipy.integrate import LSODA, OdeSolution
+from scipy.optimize import brentq
 
 # relative central-difference step of fd_jacobian
 FD_STEP = 1e-6
+# absolute and relative brentq tolerance of the stop root, as solve_ivp's
+# event roots take it
+_ROOT_TOL = 4 * np.finfo(float).eps
 
 __all__ = [
     "FD_STEP",
@@ -185,7 +186,7 @@ def integrate_ivp(
     abs_tol: float = 1e-10,
     stop: Optional[Callable[[float, np.ndarray], float]] = None,
 ) -> IvpResult:
-    """Integrate x' = rhs(t, x) with scipy's LSODA.
+    """Integrate x' = rhs(t, x) with scipy's LSODA, one accepted step at a time.
 
     ``rhs`` must broadcast over a leading batch axis: given states of shape
     (k, n) it returns the k right-hand sides, shape (k, n).  This is checked
@@ -194,16 +195,21 @@ def integrate_ivp(
     PDE states do once the diffusion stiffness bites; its Jacobian then comes
     from :func:`fd_jacobian` of ``rhs(t, .)``, one batched call of 2 n rows,
     rather than from n single-point calls with LSODA's own increments.
-    ``stop``, if given, is a scalar event function; integration ends early at
-    its first sign change.  Step-size underflow or non-finite states raise
-    :class:`IvpFailure` carrying the last valid time and state.  Both outcomes
-    report the solver's right-hand-side and Jacobian counts.
+    ``stop``, if given, is a scalar event function, tested once per accepted
+    step; integration ends at its first sign change, at the root of ``stop``
+    on that step's dense output.  Step-size underflow or non-finite states
+    raise :class:`IvpFailure` carrying the last valid time and state.  Both
+    outcomes report the solver's right-hand-side and Jacobian counts.
+
+    The accepted times and states are those of ``solve_ivp(method="LSODA")``
+    with ``stop`` as its terminal event, bit for bit; the loop skips
+    ``solve_ivp``'s general event bookkeeping on every step.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    t_span = tuple(t_span)
+    t0, t_end = (float(t) for t in t_span)
     contract = f"rhs must broadcast over a leading batch axis: states of shape (1, {x0.size})"
     try:
-        probe = np.shape(rhs(t_span[0], x0[None]))
+        probe = np.shape(rhs(t0, x0[None]))
     except (ValueError, IndexError) as err:
         raise ValueError(f"{contract} raised {type(err).__name__}: {err}") from err
     if probe != (1, x0.size):
@@ -212,31 +218,36 @@ def integrate_ivp(
     def jac(t, x):
         return fd_jacobian(lambda batch: rhs(t, batch), x)
 
-    events = None
-    if stop is not None:
-        def _event(t, y):
-            return stop(t, y)
-
-        _event.terminal = True
-        events = _event
-    # scipy's LSODA keeps one global Fortran handle, so concurrent solves
-    # must take turns
-    with _LSODA_LOCK:
-        out = solve_ivp(
-            rhs,
-            t_span,
-            x0,
-            method="LSODA",
-            rtol=rel_tol,
-            atol=abs_tol,
-            dense_output=True,
-            events=events,
-            jac=jac,
-        )
-    counts = {"rhs_evaluations": int(out.nfev), "jacobian_evaluations": int(out.njev)}
-    if out.status == -1 or not np.all(np.isfinite(out.y)):
-        finite = np.all(np.isfinite(out.y), axis=0)
+    solver = LSODA(rhs, t0, x0, t_end, rtol=rel_tol, atol=abs_tol, jac=jac)
+    times, states, pieces = [t0], [x0], []
+    g = stop(t0, x0) if stop is not None else None
+    message = None
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            break
+        piece = solver.dense_output()
+        t, y = solver.t, solver.y
+        crossed = False
+        if stop is not None:
+            g_new = stop(t, y)
+            crossed = g <= 0.0 <= g_new or g >= 0.0 >= g_new
+            if crossed:
+                t = brentq(lambda s: stop(s, piece(s)), solver.t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                y = piece(t)
+            g = g_new
+        times.append(t)
+        states.append(y)
+        pieces.append(piece)
+        if crossed:
+            break
+    counts = {"rhs_evaluations": int(solver.nfev), "jacobian_evaluations": int(solver.njev)}
+    states = np.array(states)
+    finite = np.all(np.isfinite(states), axis=1)
+    if solver.status == "failed" or not np.all(finite):
         last = int(np.max(np.flatnonzero(finite))) if np.any(finite) else 0
-        raise IvpFailure(str(out.message), float(out.t[last]), out.y[:, last].copy(), **counts)
-    return IvpResult(out.t.copy(), out.y.T.copy(), out.sol, **counts)
-
+        if solver.status != "failed":
+            message = f"the state turned non-finite after t = {times[last]:.6g}"
+        raise IvpFailure(message, float(times[last]), states[last].copy(), **counts)
+    times = np.array(times)
+    return IvpResult(times, states, OdeSolution(times, pieces, alt_segment=True), **counts)

@@ -146,7 +146,7 @@ def close_pairs(centers):
     return {(i, j) for i, j in zip(*np.nonzero(gaps < MIN_SPACING)) if i < j}
 
 
-# -- views of datasets and greedy runs that only the tests read
+# -- views of datasets, greedy runs and rollouts that only the tests read
 
 
 def start_states(data):
@@ -179,6 +179,11 @@ def c_max_value(data):
 def selected_indices(result):
     """The sample index of every center a greedy run selected, in order."""
     return [step.index for step in result.steps]
+
+
+def final_state(run):
+    """The last state of a closed-loop run, (N,)."""
+    return run.states[-1]
 
 
 class AnalyticRun:

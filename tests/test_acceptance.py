@@ -22,6 +22,7 @@ from helpers import (
     amp_closed_loop,
     c_max_value,
     dense_hermite_matrix,
+    final_state,
     lattice_centers,
     prefix,
     relative_l2,
@@ -233,7 +234,7 @@ def test_criterion_05_interpolation_conditions_after_greedy_fit(amp, amp_data40)
     run = simulate_feedback(
         model, structured.surrogate, np.array([1.0, 0.0]), horizon=2000.0, rel_tol=1e-8, abs_tol=1e-10
     )
-    shrink = float(np.linalg.norm(run.final_state))
+    shrink = float(np.linalg.norm(final_state(run)))
     ok = worst <= bound and origin_exact and min_value >= 0.0 and not run.escaped and shrink <= 1e-3
     record_acceptance(
         f"ACCEPTANCE 05 {'PASS' if ok else 'FAIL'}: center residual {worst:.2e} <= {bound:.2e}, "

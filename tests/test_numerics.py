@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from helpers import fd_gradient, fd_gradient_check, fd_jacobian_columns
 from vfcontrol.models import NheParameters, build_amp, build_linear, build_nhe, optimal_control, pmp_rhs
-from vfcontrol.numerics import FD_STEP, CgError, cg_solve, fd_jacobian, integrate_ivp
+from vfcontrol.numerics import FD_STEP, CgError, IvpFailure, cg_solve, fd_jacobian, integrate_ivp
 
 
 def as_op(a):
@@ -147,6 +148,57 @@ def test_integrate_counts_the_stiff_pair_jacobians():
     assert res.rhs_evaluations > res.jacobian_evaluations
     # a non-stiff decay never needs a Jacobian
     assert integrate_ivp(lambda t, x: -x, np.array([1.0]), (0.0, 1.0)).jacobian_evaluations == 0
+
+
+SPIRAL_OUT = np.array([[0.3, -2.0], [2.0, 0.3]])
+
+IVP_CASES = {
+    # name: rhs, x0, t_span, rel_tol, abs_tol, stop
+    "decay": (lambda t, x: -x, [1.0], (0.0, 5.0), 1e-10, 1e-12, None),
+    "stiff pair": (lambda t, x: x @ STIFF_PAIR.T, [1.0, 1.0], (0.0, 10.0), 1e-6, 1e-8, None),
+    "spiral out, stopped": (
+        lambda t, x: x @ SPIRAL_OUT.T, [0.5, 0.0], (0.0, 50.0), 1e-8, 1e-10, lambda t, x: np.linalg.norm(x) - 4.0
+    ),
+    "stop never crossed": (lambda t, x: -x, [1.0], (0.0, 5.0), 1e-6, 1e-8, lambda t, x: x[0] - 2.0),
+}
+
+
+@pytest.mark.parametrize("name", IVP_CASES)
+def test_integrate_ivp_steps_as_solve_ivp_does(name):
+    """integrate_ivp accepts the steps of solve_ivp's LSODA, with ``stop`` as a
+    terminal event, bit for bit: the same times, states, counts and dense output."""
+    rhs, x0, t_span, rel_tol, abs_tol, stop = IVP_CASES[name]
+    x0 = np.array(x0)
+    ours = integrate_ivp(rhs, x0, t_span, rel_tol=rel_tol, abs_tol=abs_tol, stop=stop)
+    event = None
+    if stop is not None:
+        def event(t, y):
+            return stop(t, y)
+
+        event.terminal = True
+
+    def jac(t, y):
+        return fd_jacobian(lambda batch: rhs(t, batch), y)
+
+    ref = solve_ivp(rhs, t_span, x0, method="LSODA", rtol=rel_tol, atol=abs_tol, dense_output=True, events=event, jac=jac)
+    np.testing.assert_array_equal(ours.times, ref.t)
+    np.testing.assert_array_equal(ours.states, ref.y.T)
+    assert (ours.rhs_evaluations, ours.jacobian_evaluations) == (ref.nfev, ref.njev)
+    inside = np.linspace(ref.t[0], ref.t[-1], 97)
+    np.testing.assert_array_equal(ours.at(inside), ref.sol(inside).T)
+    assert ref.status == (1 if name.endswith("stopped") else 0)
+
+
+def test_integrate_reports_a_state_that_turns_non_finite():
+    def rhs(t, x):
+        return np.where(x < 0.5, np.nan, -x)
+
+    with pytest.raises(IvpFailure, match="non-finite") as err:
+        integrate_ivp(rhs, np.array([1.0]), (0.0, 5.0))
+    # the last valid point is a state of x = exp(-t) before it crossed 0.5
+    assert 0.0 < err.value.last_time <= np.log(2.0) + 1e-6
+    assert 0.5 - 1e-6 <= err.value.last_state[0] < 1.0
+    assert err.value.rhs_evaluations > 0
 
 
 def test_integrate_rejects_a_non_broadcasting_rhs_at_once():
