@@ -50,7 +50,7 @@ SECTION_KEYS = {
 CANDIDATE_KEYS = {
     "grid": {"bounds", "n_per_axis"},
     "sobol": {"bounds", "n", "seed"},
-    "modes": {"grid_side", "amplitude_range", "n_amplitude", "frequencies"},
+    "modes": {"grid_side", "amplitude_range", "n_amplitude"},
 }
 
 

@@ -7,8 +7,9 @@ time grids:
 
     MRL2 = mean over references of sqrt( sum ||x_ref - x_fb||^2 / sum ||x_ref||^2 ).
 
-Runs that blow up are stopped at an escape radius and extended by their last
-state, so an unstable feedback scores badly instead of crashing the study.
+Runs that blow up are stopped at an escape radius, and runs whose integrator
+fails keep their path up to the last finite step; either is extended by its
+last state, so an unstable feedback scores badly instead of crashing the study.
 Cross-validation holds out whole trajectories (samples within one trajectory
 are strongly correlated, so sample-level folds would flatter the fit).
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,6 +49,12 @@ CV_SCHEMA = "vfcontrol-cv-v1"
 
 @dataclass
 class ClosedLoopRun:
+    """One closed-loop rollout: its accepted steps, dense output and cost.
+
+    A run that escaped or failed ends early, on the escape radius or at the
+    last finite step; ``states_at`` holds its last state past the end.
+    """
+
     x0: np.ndarray
     times: np.ndarray
     states: np.ndarray
@@ -55,30 +62,18 @@ class ClosedLoopRun:
     # the run ended before the horizon, because the state left the radius or
     # because the integrator failed; integrator_failed tells the two apart
     escaped: bool
+    # dense output of the run: at(times) gives (len(times), >= N) states
+    interpolant: object
     integrator_failed: bool = False
-    interpolant: object = None  # integrator dense output, if the run has one
-    # integrator counts of the rollout; 0 for runs built from stored arrays
+    # integrator counts of the rollout
     rhs_evaluations: int = 0
     jacobian_evaluations: int = 0
 
     def states_at(self, times) -> np.ndarray:
-        """States on an arbitrary grid; past the end of the run the last state holds.
-
-        Runs that kept their integrator interpolant evaluate through it, so
-        the accuracy between accepted steps matches the solver tolerance.
-        Reloaded or crashed runs fall back to linear interpolation on the
-        stored nodes.
-        """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        t_end = self.times[-1]
-        clipped = np.minimum(times, t_end)
-        n = self.states.shape[1]
-        if self.interpolant is not None:
-            return np.asarray(self.interpolant.at(clipped))[:, :n]
-        out = np.empty((times.size, n))
-        for j in range(n):
-            out[:, j] = np.interp(clipped, self.times, self.states[:, j])
-        return out
+        """States on an arbitrary grid through the dense output; past the end
+        of the run the last state holds."""
+        clipped = np.minimum(np.atleast_1d(np.asarray(times, dtype=float)), self.times[-1])
+        return np.asarray(self.interpolant.at(clipped))[:, : self.states.shape[1]]
 
 
 # Relative and absolute LSODA tolerances of evaluate_surrogate's rollouts.
@@ -105,15 +100,15 @@ def simulate_feedback(
     """Integrate the closed loop under the surrogate feedback, accumulating cost.
 
     LSODA switches to BDF when the loop is stiff.  The run stops once the
-    state leaves the radius 10 (1 + ||x0||), or where the integrator fails;
-    either way it is ``escaped``, and ``integrator_failed`` marks the second
-    case, whose run holds the start and the last valid state.  The right-hand
-    side broadcasts over a leading batch axis, so each stiff-mode Jacobian is
-    one batched surrogate evaluation.
+    state leaves the escape radius of :func:`~vfcontrol.numerics.integrate_ivp`,
+    or where the integrator fails; either way it is ``escaped``, and
+    ``integrator_failed`` marks the second case, whose run holds the path up
+    to the last finite step.  The right-hand side broadcasts over a leading
+    batch axis, so each stiff-mode Jacobian is one batched surrogate
+    evaluation.
     """
     x0 = np.asarray(x0, dtype=float)
     n = model.dim_state
-    radius = 10.0 * (1.0 + float(np.linalg.norm(x0)))
 
     def rhs(_t, y):
         x = y[..., :n]
@@ -123,35 +118,20 @@ def simulate_feedback(
         dj = model.r(x) + np.einsum("...i,ij,...j->...", u, model.R, u)
         return np.concatenate([dx, dj[..., None]], axis=-1)
 
-    def escaped(_t, y):
-        return float(np.linalg.norm(y[:n])) - radius
-
     y0 = np.concatenate([x0, [0.0]])
+    failed = False
     try:
-        sol = integrate_ivp(rhs, y0, (0.0, float(horizon)), rel_tol=rel_tol, abs_tol=abs_tol, stop=escaped)
+        sol = integrate_ivp(rhs, y0, (0.0, float(horizon)), rel_tol=rel_tol, abs_tol=abs_tol, escape_dims=n)
     except IvpFailure as err:
-        last = np.asarray(err.last_state, dtype=float)
-        times = np.array([0.0, err.last_time if err.last_time > 0 else 1e-12])
-        states = np.stack([x0, last[:n]])
-        return ClosedLoopRun(
-            x0=x0,
-            times=times,
-            states=states,
-            cost=float(last[n]),
-            escaped=True,
-            integrator_failed=True,
-            rhs_evaluations=err.rhs_evaluations,
-            jacobian_evaluations=err.jacobian_evaluations,
-        )
-
-    stopped_early = sol.times[-1] < horizon * (1.0 - 1e-12)
+        sol, failed = err.partial, True
     return ClosedLoopRun(
         x0=x0,
-        times=np.asarray(sol.times, dtype=float),
+        times=sol.times,
         states=sol.states[:, :n],
         cost=float(sol.states[-1, n]),
-        escaped=bool(stopped_early),
+        escaped=failed or bool(sol.times[-1] < horizon),
         interpolant=sol,
+        integrator_failed=failed,
         rhs_evaluations=sol.rhs_evaluations,
         jacobian_evaluations=sol.jacobian_evaluations,
     )
@@ -269,22 +249,8 @@ def cross_validate(
 
 
 def save_cv_report(report: CvReport, path) -> None:
-    doc = {
-        "schema": CV_SCHEMA,
-        "max_residual": report.max_residual,
-        "mean_residual": report.mean_residual,
-        "folds": [
-            {
-                "fold": f.fold,
-                "n_train_trajectories": f.n_train_trajectories,
-                "n_test_samples": f.n_test_samples,
-                "n_centers": f.n_centers,
-                "max_residual": f.max_residual,
-                "mean_residual": f.mean_residual,
-            }
-            for f in report.folds
-        ],
-    }
+    summary = {"schema": CV_SCHEMA, "max_residual": report.max_residual, "mean_residual": report.mean_residual}
+    doc = {**summary, **asdict(report)}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -46,6 +46,8 @@ DATASET_SCHEMA = "vfcontrol-dataset-v1"
 # stored values may rise or dip below zero by this much, relative to
 # 1 + max|v|, before a trajectory is quarantined
 MONOTONE_TOL = 1e-9
+# integer frequencies b, c, e, f of every candidate_modes field
+MODE_FREQUENCIES = (1, 2)
 
 
 def candidate_grid(bounds: Sequence[tuple[float, float]], n_per_axis: int) -> np.ndarray:
@@ -119,27 +121,25 @@ def candidate_modes(
     grid_side: int,
     amplitude_range: tuple[float, float] = (-0.25, 0.5),
     n_amplitude: int = 7,
-    frequencies: Sequence[int] = (1, 2),
 ) -> np.ndarray:
     """Smooth initial fields for the reaction-diffusion model, one row per field.
 
     Each field is a(sin(b pi s1) sin(c pi s2))^2 + d(sin(e pi s1^2) sin(f pi s2))^2
     evaluated at the cell centers, over the tensor product of amplitude grids
-    for a, d and integer frequency choices for b, c, e, f.
+    for a, d and the frequencies :data:`MODE_FREQUENCIES` for b, c, e, f.
     """
     coords = nhe_node_coords(grid_side)
     s1 = coords[:, 0]
     s2 = coords[:, 1]
     amps = np.linspace(amplitude_range[0], amplitude_range[1], n_amplitude)
-    freqs = list(frequencies)
     fields = []
     for a in amps:
         for d in amps:
-            for b in freqs:
-                for c in freqs:
+            for b in MODE_FREQUENCIES:
+                for c in MODE_FREQUENCIES:
                     first = a * np.sin(b * np.pi * s1) ** 2 * np.sin(c * np.pi * s2) ** 2
-                    for e in freqs:
-                        for f in freqs:
+                    for e in MODE_FREQUENCIES:
+                        for f in MODE_FREQUENCIES:
                             second = d * np.sin(e * np.pi * s1**2) ** 2 * np.sin(f * np.pi * s2) ** 2
                             fields.append(first + second)
     return np.asarray(fields)

@@ -7,6 +7,7 @@ builds on these primitives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -16,7 +17,7 @@ from scipy.optimize import brentq
 
 # relative central-difference step of fd_jacobian
 FD_STEP = 1e-6
-# absolute and relative brentq tolerance of the stop root, as solve_ivp's
+# absolute and relative brentq tolerance of the escape root, as solve_ivp's
 # event roots take it
 _ROOT_TOL = 4 * np.finfo(float).eps
 
@@ -43,21 +44,11 @@ class CgError(RuntimeError):
 
 
 class IvpFailure(RuntimeError):
-    """The integrator could not continue; carries the last valid point and the solver's counts."""
+    """The integrator could not continue; ``partial`` is the run up to the last valid step."""
 
-    def __init__(
-        self,
-        message: str,
-        last_time: float,
-        last_state: np.ndarray,
-        rhs_evaluations: int,
-        jacobian_evaluations: int,
-    ):
+    def __init__(self, message: str, partial: IvpResult):
         super().__init__(message)
-        self.last_time = last_time
-        self.last_state = last_state
-        self.rhs_evaluations = rhs_evaluations
-        self.jacobian_evaluations = jacobian_evaluations
+        self.partial = partial
 
 
 @dataclass
@@ -184,7 +175,7 @@ def integrate_ivp(
     t_span,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
-    stop: Optional[Callable[[float, np.ndarray], float]] = None,
+    escape_dims: int = 0,
 ) -> IvpResult:
     """Integrate x' = rhs(t, x) with scipy's LSODA, one accepted step at a time.
 
@@ -195,14 +186,17 @@ def integrate_ivp(
     PDE states do once the diffusion stiffness bites; its Jacobian then comes
     from :func:`fd_jacobian` of ``rhs(t, .)``, one batched call of 2 n rows,
     rather than from n single-point calls with LSODA's own increments.
-    ``stop``, if given, is a scalar event function, tested once per accepted
-    step; integration ends at its first sign change, at the root of ``stop``
-    on that step's dense output.  Step-size underflow or non-finite states
-    raise :class:`IvpFailure` carrying the last valid time and state.  Both
-    outcomes report the solver's right-hand-side and Jacobian counts.
+
+    A positive ``escape_dims`` k bounds the first k components by the escape
+    radius 10 (1 + ||x0[:k]||): the run ends on the first accepted step that
+    leaves it, at the root of ||x[:k]|| - radius on that step's dense output.
+    Step-size underflow, or an accepted step whose state is not finite, raise
+    :class:`IvpFailure`; its ``partial`` holds the run up to the last finite
+    step, so no later call of ``rhs`` sees a non-finite state.  Either way the
+    result reports the solver's right-hand-side and Jacobian counts.
 
     The accepted times and states are those of ``solve_ivp(method="LSODA")``
-    with ``stop`` as its terminal event, bit for bit; the loop skips
+    with the escape test as its terminal event, bit for bit; the loop skips
     ``solve_ivp``'s general event bookkeeping on every step.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -218,36 +212,41 @@ def integrate_ivp(
     def jac(t, x):
         return fd_jacobian(lambda batch: rhs(t, batch), x)
 
+    k = escape_dims
+    radius = 10.0 * (1.0 + float(np.linalg.norm(x0[:k])))
+
+    def escape(y):
+        # np.linalg.norm's own arithmetic, bit for bit, without its overhead
+        head = y[:k]
+        return math.sqrt(head.dot(head)) - radius
+
     solver = LSODA(rhs, t0, x0, t_end, rtol=rel_tol, atol=abs_tol, jac=jac)
     times, states, pieces = [t0], [x0], []
-    g = stop(t0, x0) if stop is not None else None
-    message = None
+    failure = None
     while solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
+            failure = message
+            break
+        t, y = solver.t, solver.y
+        if not np.isfinite(y).all():
+            failure = f"the state turned non-finite after t = {times[-1]:.6g}"
             break
         piece = solver.dense_output()
-        t, y = solver.t, solver.y
-        crossed = False
-        if stop is not None:
-            g_new = stop(t, y)
-            crossed = g <= 0.0 <= g_new or g >= 0.0 >= g_new
-            if crossed:
-                t = brentq(lambda s: stop(s, piece(s)), solver.t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-                y = piece(t)
-            g = g_new
+        escaped = k > 0 and escape(y) >= 0.0
+        if escaped:
+            t = brentq(lambda s: escape(piece(s)), solver.t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+            y = piece(t)
         times.append(t)
         states.append(y)
         pieces.append(piece)
-        if crossed:
+        if escaped:
             break
-    counts = {"rhs_evaluations": int(solver.nfev), "jacobian_evaluations": int(solver.njev)}
-    states = np.array(states)
-    finite = np.all(np.isfinite(states), axis=1)
-    if solver.status == "failed" or not np.all(finite):
-        last = int(np.max(np.flatnonzero(finite))) if np.any(finite) else 0
-        if solver.status != "failed":
-            message = f"the state turned non-finite after t = {times[last]:.6g}"
-        raise IvpFailure(message, float(times[last]), states[last].copy(), **counts)
-    times = np.array(times)
-    return IvpResult(times, states, OdeSolution(times, pieces, alt_segment=True), **counts)
+    if pieces:
+        dense = OdeSolution(times, pieces, alt_segment=True)
+    else:  # the first step failed: the run holds x0
+        dense = OdeSolution([t0, t0], [lambda t: np.multiply.outer(x0, np.ones_like(t))])
+    run = IvpResult(np.array(times), np.array(states), dense, int(solver.nfev), int(solver.njev))
+    if failure is not None:
+        raise IvpFailure(failure, run)
+    return run

@@ -261,9 +261,10 @@ def initial_guess(model: ControlAffineModel, x0: np.ndarray, taus: np.ndarray, q
 
     States come from integrating x' = f + g u with u fed back from the value
     model x^T Q x; costates and values are that model's gradient and value.
-    If the rollout escapes the radius 10 (1 + ||x0||) (the quadratic feedback
-    need not stabilize far out), everything past the escape time is padded
-    with zeros, which is the correct asymptote anyway.
+    If the rollout escapes the radius of
+    :func:`~vfcontrol.numerics.integrate_ivp` (the quadratic feedback need not
+    stabilize far out), or its integrator fails, everything past the last
+    valid time is padded with zeros, which is the correct asymptote anyway.
 
     The rollout is integrated loosely, to :data:`GUESS_TOL`: Newton sets the
     accuracy of the solution, and the gap between the quadratic-feedback
@@ -272,31 +273,23 @@ def initial_guess(model: ControlAffineModel, x0: np.ndarray, taus: np.ndarray, q
     x0 = np.asarray(x0, dtype=float)
     n = model.dim_state
     qm = np.asarray(q_matrix, dtype=float)
-    radius = 10.0 * (1.0 + float(np.linalg.norm(x0)))
 
     def rhs(_t, x):
         u = optimal_control(model, x, 2.0 * x @ qm)
         return model.f(x) + model.g_apply(x, u)
 
-    def escaped(_t, x):
-        return float(np.linalg.norm(x)) - radius
-
     times = time_stretch(taus)
     try:
-        sol = integrate_ivp(rhs, x0, (0.0, float(times[-1])), rel_tol=GUESS_TOL[0], abs_tol=GUESS_TOL[1], stop=escaped)
+        sol = integrate_ivp(rhs, x0, (0.0, float(times[-1])), rel_tol=GUESS_TOL[0], abs_tol=GUESS_TOL[1], escape_dims=n)
     except IvpFailure as err:
-        sol = None
-        t_reached = err.last_time
-    else:
-        t_reached = float(sol.times[-1])
+        sol = err.partial
 
     z = np.zeros((taus.size, 2 * n + 1))
-    inside = times <= t_reached
-    if sol is not None and np.any(inside):
-        xs = sol.at(times[inside])
-        z[inside, :n] = xs
-        z[inside, n : 2 * n] = 2.0 * xs @ qm
-        z[inside, 2 * n] = np.einsum("ij,jk,ik->i", xs, qm, xs)
+    inside = times <= sol.times[-1]
+    xs = sol.at(times[inside])
+    z[inside, :n] = xs
+    z[inside, n : 2 * n] = 2.0 * xs @ qm
+    z[inside, 2 * n] = np.einsum("ij,jk,ik->i", xs, qm, xs)
     z[0, :n] = x0
     return z
 

@@ -8,6 +8,7 @@ solutions, and derivative checks go through finite differences.
 
 import numpy as np
 
+from vfcontrol.evaluate import ClosedLoopRun
 from vfcontrol.explore import Dataset
 from vfcontrol.hermite import MIN_SPACING
 from vfcontrol.kernels import StructuredKernel
@@ -184,6 +185,26 @@ def selected_indices(result):
 def final_state(run):
     """The last state of a closed-loop run, (N,)."""
     return run.states[-1]
+
+
+class LinearPath:
+    """Piecewise-linear dense output through stored nodes."""
+
+    def __init__(self, times, states):
+        self.times = times
+        self.states = states
+
+    def at(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return np.stack([np.interp(t, self.times, column) for column in self.states.T], axis=1)
+
+
+def run_from_arrays(times, states, cost=0.0):
+    """A closed-loop run given directly by its nodes, interpolated linearly between them."""
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=float)
+    path = LinearPath(times, states)
+    return ClosedLoopRun(x0=states[0], times=times, states=states, cost=cost, escaped=False, interpolant=path)
 
 
 class AnalyticRun:

@@ -204,6 +204,17 @@ def test_unknown_candidate_kind_is_rejected(tmp_path, capsys):
     assert "candidate kind" in err["error"]
 
 
+def test_mode_candidates_take_no_frequencies(tmp_path, capsys):
+    """The mode frequencies are fixed, so a config that names them fails loudly."""
+    config = write_config(
+        tmp_path,
+        explore={"n_trajectories": 2, "candidates": {"kind": "modes", "grid_side": 2, "frequencies": [1, 2]}},
+    )
+    assert main(["explore", "--config", config, "--out", str(tmp_path / "x.json")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "frequencies" in err["error"]
+
+
 def test_simulate_rejects_a_misshapen_start(tmp_path, capsys):
     config = write_config(tmp_path)
     data = str(tmp_path / "data.json")

@@ -4,10 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import AnalyticRun, amp_closed_loop, final_state, prefix
+from helpers import AnalyticRun, amp_closed_loop, final_state, prefix, run_from_arrays
 from vfcontrol.evaluate import (
     ROLLOUT_TOL,
-    ClosedLoopRun,
     center_curve,
     cross_validate,
     evaluate_surrogate,
@@ -29,12 +28,6 @@ def exp_reference(x0, horizon=10.0, n=80):
     times = np.linspace(0.0, horizon, n)
     states = np.asarray(x0)[None, :] * np.exp(-np.sqrt(2.0) * times)[:, None]
     return AnalyticRun(x0, times, states)
-
-
-def run_from_arrays(times, states, cost=0.0):
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    return ClosedLoopRun(x0=states[0], times=times, states=states, cost=cost, escaped=False)
 
 
 @pytest.fixture(scope="module")
@@ -160,9 +153,28 @@ def test_an_integrator_failure_is_told_apart_from_an_escape(lqr):
     # the run still ends before the horizon, so it counts as escaped
     assert run.escaped
     assert run.times[-1] < 25.0
-    # it holds the start and the last valid state, well inside the radius
+    # it keeps its valid path: every accepted step up to the last finite one,
+    # on the optimal path x = 0.8 exp(-sqrt(2) t) and above the NaN band
+    assert run.times.size > 2
     np.testing.assert_array_equal(run.states[0], [0.8])
-    assert np.all(np.isfinite(run.states)) and np.max(np.abs(run.states)) < 1.0
+    assert np.all(np.isfinite(run.states)) and np.all(run.states >= 0.4) and np.max(run.states) <= 0.8
+    np.testing.assert_allclose(run.states[:, 0], 0.8 * np.exp(-np.sqrt(2.0) * run.times), rtol=1e-6)
+    # past its end the last valid state holds
+    np.testing.assert_allclose(run.states_at([run.times[-1], 25.0]), [run.states[-1]] * 2, rtol=0.0, atol=1e-12)
+
+
+def test_a_rollout_whose_first_step_fails_holds_its_start(lqr):
+    model, _ = lqr
+
+    class NonFinite:
+        def gradient(self, x):
+            return np.full_like(x, np.nan)
+
+    run = simulate_feedback(model, NonFinite(), np.array([0.8]), horizon=5.0)
+    assert run.integrator_failed and run.escaped
+    np.testing.assert_array_equal(run.times, [0.0])
+    np.testing.assert_array_equal(run.states_at([0.0, 1.0, 5.0]), [[0.8]] * 3)
+    assert run.cost == 0.0
 
 
 def test_states_at_holds_the_last_state():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from helpers import fd_gradient, fd_gradient_check, fd_jacobian_columns
@@ -127,9 +129,10 @@ def test_integrate_tightening_tolerance_never_hurts():
 
 
 def test_integrate_stop_event_cuts_the_run():
-    res = integrate_ivp(lambda t, x: x, np.array([1.0]), (0.0, 10.0), stop=lambda t, x: x[0] - 5.0)
+    """The escape radius 10 (1 + ||x0||) ends a growing run on the radius."""
+    res = integrate_ivp(lambda t, x: x, np.array([1.0]), (0.0, 10.0), escape_dims=1)
     assert res.times[-1] < 10.0
-    np.testing.assert_allclose(res.states[-1, 0], 5.0, rtol=1e-6)
+    np.testing.assert_allclose(res.states[-1, 0], 20.0, rtol=1e-6)
 
 
 STIFF_PAIR = np.array([[-1000.0, 0.0], [1.0, -1.0]])
@@ -152,28 +155,35 @@ def test_integrate_counts_the_stiff_pair_jacobians():
 
 SPIRAL_OUT = np.array([[0.3, -2.0], [2.0, 0.3]])
 
+
+def spiral_with_cost(t, y):
+    """SPIRAL_OUT plus a third component that integrates ||x||^2 along the path."""
+    x = y[..., :2]
+    return np.concatenate([x @ SPIRAL_OUT.T, np.sum(x * x, axis=-1, keepdims=True)], axis=-1)
+
+
 IVP_CASES = {
-    # name: rhs, x0, t_span, rel_tol, abs_tol, stop
-    "decay": (lambda t, x: -x, [1.0], (0.0, 5.0), 1e-10, 1e-12, None),
-    "stiff pair": (lambda t, x: x @ STIFF_PAIR.T, [1.0, 1.0], (0.0, 10.0), 1e-6, 1e-8, None),
-    "spiral out, stopped": (
-        lambda t, x: x @ SPIRAL_OUT.T, [0.5, 0.0], (0.0, 50.0), 1e-8, 1e-10, lambda t, x: np.linalg.norm(x) - 4.0
-    ),
-    "stop never crossed": (lambda t, x: -x, [1.0], (0.0, 5.0), 1e-6, 1e-8, lambda t, x: x[0] - 2.0),
+    # name: rhs, x0, t_span, rel_tol, abs_tol, escape_dims
+    "decay": (lambda t, x: -x, [1.0], (0.0, 5.0), 1e-10, 1e-12, 0),
+    "stiff pair": (lambda t, x: x @ STIFF_PAIR.T, [1.0, 1.0], (0.0, 10.0), 1e-6, 1e-8, 0),
+    "spiral out, stopped": (lambda t, x: x @ SPIRAL_OUT.T, [0.5, 0.0], (0.0, 50.0), 1e-8, 1e-10, 2),
+    "spiral out with its cost, stopped": (spiral_with_cost, [0.5, 0.0, 0.0], (0.0, 50.0), 1e-8, 1e-10, 2),
+    "stop never crossed": (lambda t, x: -x, [1.0], (0.0, 5.0), 1e-6, 1e-8, 1),
 }
 
 
 @pytest.mark.parametrize("name", IVP_CASES)
 def test_integrate_ivp_steps_as_solve_ivp_does(name):
-    """integrate_ivp accepts the steps of solve_ivp's LSODA, with ``stop`` as a
-    terminal event, bit for bit: the same times, states, counts and dense output."""
-    rhs, x0, t_span, rel_tol, abs_tol, stop = IVP_CASES[name]
+    """integrate_ivp accepts the steps of solve_ivp's LSODA, with the escape
+    radius as a terminal event, bit for bit: the same times, states, counts
+    and dense output."""
+    rhs, x0, t_span, rel_tol, abs_tol, k = IVP_CASES[name]
     x0 = np.array(x0)
-    ours = integrate_ivp(rhs, x0, t_span, rel_tol=rel_tol, abs_tol=abs_tol, stop=stop)
+    ours = integrate_ivp(rhs, x0, t_span, rel_tol=rel_tol, abs_tol=abs_tol, escape_dims=k)
     event = None
-    if stop is not None:
+    if k:
         def event(t, y):
-            return stop(t, y)
+            return np.linalg.norm(y[:k]) - 10.0 * (1.0 + np.linalg.norm(x0[:k]))
 
         event.terminal = True
 
@@ -195,10 +205,58 @@ def test_integrate_reports_a_state_that_turns_non_finite():
 
     with pytest.raises(IvpFailure, match="non-finite") as err:
         integrate_ivp(rhs, np.array([1.0]), (0.0, 5.0))
-    # the last valid point is a state of x = exp(-t) before it crossed 0.5
-    assert 0.0 < err.value.last_time <= np.log(2.0) + 1e-6
-    assert 0.5 - 1e-6 <= err.value.last_state[0] < 1.0
-    assert err.value.rhs_evaluations > 0
+    partial = err.value.partial
+    # the valid path is x = exp(-t) up to its last step before it crossed 0.5
+    assert partial.times.size > 2
+    assert 0.0 < partial.times[-1] <= np.log(2.0) + 1e-6
+    assert 0.5 - 1e-6 <= partial.states[-1, 0] < 1.0
+    np.testing.assert_allclose(partial.states[:, 0], np.exp(-partial.times), rtol=1e-6)
+    np.testing.assert_allclose(partial.at(0.3)[0], np.exp(-0.3), rtol=1e-6)
+    assert partial.rhs_evaluations > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(rate=st.floats(0.05, 50.0), threshold=st.floats(0.01, 0.99))
+def test_a_failed_run_keeps_the_steps_of_the_run_without_the_nan(rate, threshold):
+    """A decay whose right-hand side turns NaN below ``threshold`` fails, and
+    its partial run equals the first steps of the same decay without the NaN,
+    bit for bit; no right-hand-side call sees a non-finite state."""
+    seen = []
+
+    def rhs(t, x):
+        seen.append(bool(np.all(np.isfinite(x))))
+        return np.where(x < threshold, np.nan, -rate * x)
+
+    t_span = (0.0, 20.0 / rate)
+    with pytest.raises(IvpFailure, match="non-finite") as err:
+        integrate_ivp(rhs, np.array([1.0]), t_span)
+    partial = err.value.partial
+    clean = integrate_ivp(lambda t, x: -rate * x, np.array([1.0]), t_span)
+    k = partial.times.size
+    np.testing.assert_array_equal(partial.times, clean.times[:k])
+    np.testing.assert_array_equal(partial.states, clean.states[:k])
+    # at its last time the clean run evaluates the piece of its next step
+    inside = np.linspace(partial.times[0], partial.times[-1], 31)[:-1]
+    np.testing.assert_array_equal(partial.at(inside), clean.at(inside))
+    assert np.all(np.isfinite(partial.states))
+    assert all(seen)
+
+
+def test_a_state_whose_square_overflows_is_still_finite():
+    """Past 1e154 the squared norm overflows, yet the state is finite and the run goes on."""
+    res = integrate_ivp(lambda t, x: x, np.array([1e150]), (0.0, 20.0))
+    assert res.times[-1] == 20.0
+    np.testing.assert_allclose(res.states[-1, 0], 1e150 * np.exp(20.0), rtol=1e-6)
+
+
+def test_a_run_whose_first_step_fails_holds_its_start():
+    with pytest.raises(IvpFailure, match="non-finite after t = 0") as err:
+        integrate_ivp(lambda t, x: np.full_like(x, np.nan), np.array([1.0, -2.0]), (0.0, 5.0))
+    partial = err.value.partial
+    np.testing.assert_array_equal(partial.times, [0.0])
+    np.testing.assert_array_equal(partial.states, [[1.0, -2.0]])
+    np.testing.assert_array_equal(partial.at([0.0, 1.0, 5.0]), [[1.0, -2.0]] * 3)
+    assert partial.rhs_evaluations > 0
 
 
 def test_integrate_rejects_a_non_broadcasting_rhs_at_once():

@@ -174,6 +174,24 @@ def test_initial_guess_pads_with_zeros_after_an_escape():
     assert np.all(after == 0.0)
 
 
+def test_initial_guess_keeps_the_valid_path_of_a_failed_rollout():
+    """A drift that turns NaN inside |x| < 0.4 fails the rollout of the stable
+    x' = -x / 2 + u; the guess keeps the nodes up to the last finite step,
+    equal to those of the rollout without the NaN, and pads the rest with zeros."""
+    model = build_linear([[-0.5]], [[1.0]])
+    qm = quadratic_matrix(model)
+    failing = replace(model, f=lambda x: np.where(np.abs(x) < 0.4, np.nan, model.f(x)))
+    taus = graded_mesh(40)
+    z = initial_guess(failing, np.array([1.0]), taus, qm)
+    clean = initial_guess(model, np.array([1.0]), taus, qm)
+    kept = np.flatnonzero(z[:, 0] != 0.0)
+    assert 2 < kept.size < taus.size
+    np.testing.assert_array_equal(kept, np.arange(kept.size))
+    np.testing.assert_array_equal(z[kept], clean[kept])
+    assert np.all(z[kept, 0] >= 0.4)
+    assert np.all(z[kept.size :] == 0.0)
+
+
 def tight_rollout(model, x0, taus, q_matrix):
     """The quadratic-feedback rollout of ``initial_guess``, integrated at rel 1e-10, abs 1e-12."""
     n = model.dim_state
