@@ -27,13 +27,14 @@ import numpy as np
 from .explore import Dataset
 from .hermite import Surrogate, quadratic_surrogate, takes_origin_sample
 from .models import ControlAffineModel, optimal_control
-from .numerics import IvpFailure, integrate_ivp
+from .numerics import integrate_ivp
 from .vkoga import VkogaConfig, run_vkoga
 
 __all__ = [
     "ClosedLoopRun",
     "ROLLOUT_TOL",
     "simulate_feedback",
+    "simulate_feedback_batch",
     "mrl2_error",
     "evaluate_surrogate",
     "FoldResult",
@@ -65,7 +66,9 @@ class ClosedLoopRun:
     # dense output of the run: at(times) gives (len(times), >= N) states
     interpolant: object
     integrator_failed: bool = False
-    # integrator counts of the rollout
+    # counts of the LSODA integrations the rollout took part in; rollouts
+    # integrated as one stacked system share them, so each run of a batch
+    # reports the whole batch's calls up to where it ended
     rhs_evaluations: int = 0
     jacobian_evaluations: int = 0
 
@@ -99,15 +102,31 @@ def simulate_feedback(
 ) -> ClosedLoopRun:
     """Integrate the closed loop under the surrogate feedback, accumulating cost.
 
-    LSODA switches to BDF when the loop is stiff.  The run stops once the
-    state leaves the escape radius of :func:`~vfcontrol.numerics.integrate_ivp`,
-    or where the integrator fails; either way it is ``escaped``, and
-    ``integrator_failed`` marks the second case, whose run holds the path up
-    to the last finite step.  The right-hand side broadcasts over a leading
-    batch axis, so each stiff-mode Jacobian is one batched surrogate
-    evaluation.
+    The rollout of one start: :func:`simulate_feedback_batch` of one row.
     """
-    x0 = np.asarray(x0, dtype=float)
+    return simulate_feedback_batch(model, surrogate, np.asarray(x0, dtype=float)[None], horizon, rel_tol, abs_tol)[0]
+
+
+def simulate_feedback_batch(
+    model: ControlAffineModel,
+    surrogate: Surrogate,
+    starts: np.ndarray,
+    horizon: float,
+    rel_tol: float = 1e-8,
+    abs_tol: float = 1e-10,
+) -> list[ClosedLoopRun]:
+    """Closed-loop rollouts from the rows of ``starts``, integrated together.
+
+    The (k, N) starts, each with its cost as one more component, are one
+    stacked LSODA system of :func:`~vfcontrol.numerics.integrate_ivp`, which
+    switches to BDF when the loop is stiff.  A run stops once its state
+    leaves the escape radius, or where its state turns non-finite or the
+    integrator fails on it; either way it is ``escaped``, and
+    ``integrator_failed`` marks the second case, whose run holds the path up
+    to the last finite step.  The right-hand side evaluates every row in one
+    surrogate call, and each stiff-mode Jacobian is one more batched call.
+    """
+    starts = np.asarray(starts, dtype=float)
     n = model.dim_state
 
     def rhs(_t, y):
@@ -118,23 +137,22 @@ def simulate_feedback(
         dj = model.r(x) + np.einsum("...i,ij,...j->...", u, model.R, u)
         return np.concatenate([dx, dj[..., None]], axis=-1)
 
-    y0 = np.concatenate([x0, [0.0]])
-    failed = False
-    try:
-        sol = integrate_ivp(rhs, y0, (0.0, float(horizon)), rel_tol=rel_tol, abs_tol=abs_tol, escape_dims=n)
-    except IvpFailure as err:
-        sol, failed = err.partial, True
-    return ClosedLoopRun(
-        x0=x0,
-        times=sol.times,
-        states=sol.states[:, :n],
-        cost=float(sol.states[-1, n]),
-        escaped=failed or bool(sol.times[-1] < horizon),
-        interpolant=sol,
-        integrator_failed=failed,
-        rhs_evaluations=sol.rhs_evaluations,
-        jacobian_evaluations=sol.jacobian_evaluations,
-    )
+    y0 = np.concatenate([starts, np.zeros((starts.shape[0], 1))], axis=1)
+    sols = integrate_ivp(rhs, y0, (0.0, float(horizon)), rel_tol=rel_tol, abs_tol=abs_tol, escape_dims=n)
+    return [
+        ClosedLoopRun(
+            x0=x0,
+            times=sol.times,
+            states=sol.states[:, :n],
+            cost=float(sol.states[-1, n]),
+            escaped=sol.failure is not None or bool(sol.times[-1] < horizon),
+            interpolant=sol,
+            integrator_failed=sol.failure is not None,
+            rhs_evaluations=sol.rhs_evaluations,
+            jacobian_evaluations=sol.jacobian_evaluations,
+        )
+        for x0, sol in zip(starts, sols)
+    ]
 
 
 def mrl2_error(references: Sequence, runs: Sequence[ClosedLoopRun], horizon: Optional[float] = None) -> float:
@@ -142,8 +160,11 @@ def mrl2_error(references: Sequence, runs: Sequence[ClosedLoopRun], horizon: Opt
 
     Each reference needs ``times`` and ``states``; comparison happens on the
     reference grid (optionally truncated).  References that never leave the
-    origin carry no scale and are skipped with a warning.
+    origin carry no scale and are skipped with a warning.  A ValueError says
+    so when there are not as many runs as references.
     """
+    if len(references) != len(runs):
+        raise ValueError(f"{len(references)} references but {len(runs)} runs")
     ratios = []
     for ref, run in zip(references, runs):
         times = np.asarray(ref.times, dtype=float)
@@ -171,16 +192,19 @@ def evaluate_surrogate(
     """Closed-loop MRL2 of one surrogate against reference solutions.
 
     Each rollout starts from its reference's first state and is integrated
-    to :data:`ROLLOUT_TOL`; the rollouts run one after another.
+    to :data:`ROLLOUT_TOL`.  The rollouts that end at the same time are one
+    :func:`simulate_feedback_batch`, so they share every LSODA step and
+    each right-hand side is one surrogate call on all of them.
     """
-    def run_one(ref):
-        t_last = float(np.asarray(ref.times)[-1])
-        t_end = t_last if horizon is None else min(horizon, t_last)
-        return simulate_feedback(
-            model, surrogate, np.asarray(ref.states[0]), t_end, rel_tol=ROLLOUT_TOL[0], abs_tol=ROLLOUT_TOL[1]
-        )
-
-    runs = [run_one(ref) for ref in references]
+    ends = [float(np.asarray(ref.times)[-1]) for ref in references]
+    if horizon is not None:
+        ends = [min(horizon, t) for t in ends]
+    runs = [None] * len(references)
+    for t_end in dict.fromkeys(ends):
+        batch = [i for i, t in enumerate(ends) if t == t_end]
+        starts = np.array([np.asarray(references[i].states[0], dtype=float) for i in batch])
+        for i, run in zip(batch, simulate_feedback_batch(model, surrogate, starts, t_end, *ROLLOUT_TOL)):
+            runs[i] = run
     return mrl2_error(references, runs, horizon=horizon), runs
 
 

@@ -156,17 +156,72 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.nd
 class IvpResult:
     """Solution samples on the accepted steps plus a dense interpolant and the solver's counts."""
 
-    times: np.ndarray   # (k,)
-    states: np.ndarray  # (k, n)
+    times: np.ndarray   # (steps,)
+    states: np.ndarray  # (steps, n)
     _dense: object
     rhs_evaluations: int       # right-hand-side calls made by the solver itself
-    jacobian_evaluations: int  # batched Jacobians, each one more rhs call of 2 n rows
+    jacobian_evaluations: int  # batched Jacobians, each one more rhs call of 2 n rows per start
+    # why the run ended before t_end other than on the escape radius; None if it did not fail
+    failure: Optional[str] = None
 
     def at(self, t) -> np.ndarray:
         """Dense-output evaluation; scalar t gives (n,), array t gives (len(t), n)."""
         t = np.asarray(t, dtype=float)
         out = self._dense(t)
         return out.T if t.ndim else out
+
+
+class _RowView:
+    """The components ``cols`` of a stacked system's dense output: one row's."""
+
+    __slots__ = ("dense", "cols")
+
+    def __init__(self, dense, cols: slice):
+        self.dense = dense
+        self.cols = cols
+
+    def __call__(self, t):
+        return self.dense(t)[self.cols]
+
+
+def _norm(head: np.ndarray) -> float:
+    # np.linalg.norm's own arithmetic, bit for bit, without its overhead
+    return math.sqrt(head.dot(head))
+
+
+class _Row:
+    """One start's run, gathered over every LSODA segment it takes part in."""
+
+    def __init__(self, t0: float, x0: np.ndarray, escape_dims: int):
+        self.times, self.states = [t0], [x0]
+        # per segment: the index in times where it starts, its step dense
+        # outputs (shared by every row of the segment) and the row's columns
+        self.spans = []
+        self.head = escape_dims
+        self.radius = 10.0 * (1.0 + _norm(x0[:escape_dims]))
+        self.rhs_evaluations = self.jacobian_evaluations = 0
+        self.failure = None
+
+    def escape(self, x) -> float:
+        return _norm(x[: self.head]) - self.radius
+
+    def result(self) -> IvpResult:
+        bounds, views = [self.times[0]], []
+        ends = [start for start, _, _ in self.spans[1:]] + [len(self.times) - 1]
+        for (start, pieces, cols), end in zip(self.spans, ends):
+            if end > start:  # a segment whose first step failed adds nothing
+                steps = OdeSolution(self.times[start : end + 1], pieces[: end - start], alt_segment=True)
+                bounds.append(self.times[end])
+                views.append(_RowView(steps, cols))
+        if views:
+            dense = OdeSolution(bounds, views, alt_segment=True)
+        else:  # the first step failed: the run holds x0
+            t0, x0 = self.times[0], self.states[0]
+            dense = OdeSolution([t0, t0], [lambda t: np.multiply.outer(x0, np.ones_like(t))])
+        return IvpResult(
+            np.array(self.times), np.array(self.states), dense,
+            self.rhs_evaluations, self.jacobian_evaluations, self.failure,
+        )
 
 
 def integrate_ivp(
@@ -176,77 +231,130 @@ def integrate_ivp(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
     escape_dims: int = 0,
-) -> IvpResult:
-    """Integrate x' = rhs(t, x) with scipy's LSODA, one accepted step at a time.
+) -> IvpResult | list[IvpResult]:
+    """Integrate x' = rhs(t, x) from one start or a stack of them with scipy's LSODA.
 
+    ``x0`` of shape (k, n) holds k independent starts, integrated as one
+    LSODA system of size k n; ``x0`` of shape (n,) is the stack of one.
     ``rhs`` must broadcast over a leading batch axis: given states of shape
-    (k, n) it returns the k right-hand sides, shape (k, n).  This is checked
-    once on ``x0[None]`` at entry, and a ValueError is raised otherwise.
-    LSODA drops into BDF mode when the loop turns stiff, as semidiscretized
-    PDE states do once the diffusion stiffness bites; its Jacobian then comes
-    from :func:`fd_jacobian` of ``rhs(t, .)``, one batched call of 2 n rows,
-    rather than from n single-point calls with LSODA's own increments.
+    (k, n) it returns the k right-hand sides, shape (k, n), and it gets every
+    evaluation as such rows.  This is checked once on the starts at entry,
+    and a ValueError is raised otherwise.  LSODA drops into BDF mode when
+    the loop turns stiff, as semidiscretized PDE states do once the
+    diffusion stiffness bites; its block-diagonal Jacobian then comes from
+    one :func:`fd_jacobian` call of ``rhs(t, .)`` on the k rows, one batched
+    call of 2 n k rows, rather than from n k single-point calls with LSODA's
+    own increments.  LSODA bounds the local error in a weighted max-norm, so
+    stacking the rows loosens no row's error control.
 
-    A positive ``escape_dims`` k bounds the first k components by the escape
-    radius 10 (1 + ||x0[:k]||): the run ends on the first accepted step that
-    leaves it, at the root of ||x[:k]|| - radius on that step's dense output.
-    Step-size underflow, or an accepted step whose state is not finite, raise
-    :class:`IvpFailure`; its ``partial`` holds the run up to the last finite
-    step, so no later call of ``rhs`` sees a non-finite state.  Either way the
-    result reports the solver's right-hand-side and Jacobian counts.
+    A positive ``escape_dims`` m bounds the first m components of each row
+    by its escape radius 10 (1 + ||x0[:m]||): a row ends on the first
+    accepted step that leaves it, at the root of ||x[:m]|| - radius on that
+    step's dense output.  A row whose state turns non-finite ends at its last
+    finite step.  Either way the rows still running go on from the step just
+    accepted on a fresh LSODA, so no later call of ``rhs`` sees a non-finite
+    state.  When LSODA itself fails on more than one row (step-size
+    underflow, or steps that stall past an overflowing right-hand side),
+    each row still running goes on alone from its last accepted step, so the
+    failure is pinned on the row that causes it.
 
-    The accepted times and states are those of ``solve_ivp(method="LSODA")``
-    with the escape test as its terminal event, bit for bit; the loop skips
-    ``solve_ivp``'s general event bookkeeping on every step.
+    Each row's :class:`IvpResult` holds its accepted steps and the row's
+    view of the dense output over every segment it took part in; its counts
+    are those of the integrations it shared.  A row that failed says why in
+    ``failure``.  From (k, n) starts the k results come back as a list.
+    From one start of shape (n,) the result comes back alone, and a failure
+    raises :class:`IvpFailure` whose ``partial`` holds the run up to the last
+    valid step.
+
+    For one start the accepted times and states are those of
+    ``solve_ivp(method="LSODA")`` with the escape test as its terminal event,
+    bit for bit; the loop skips ``solve_ivp``'s general event bookkeeping on
+    every step.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
+    starts = np.atleast_2d(x0)
     t0, t_end = (float(t) for t in t_span)
-    contract = f"rhs must broadcast over a leading batch axis: states of shape (1, {x0.size})"
+    contract = f"rhs must broadcast over a leading batch axis: states of shape {starts.shape}"
     try:
-        probe = np.shape(rhs(t0, x0[None]))
+        probe = np.shape(rhs(t0, starts))
     except (ValueError, IndexError) as err:
         raise ValueError(f"{contract} raised {type(err).__name__}: {err}") from err
-    if probe != (1, x0.size):
+    if probe != starts.shape:
         raise ValueError(f"{contract} gave right-hand sides of shape {probe}")
 
-    def jac(t, x):
-        return fd_jacobian(lambda batch: rhs(t, batch), x)
+    rows = [_Row(t0, x, escape_dims) for x in starts]
+    segments = [rows]
+    while segments:
+        segments.extend(_segment(rhs, segments.pop(), t_end, rel_tol, abs_tol))
+    results = [row.result() for row in rows]
+    if x0.ndim == 2:
+        return results
+    (run,) = results
+    if run.failure is not None:
+        raise IvpFailure(run.failure, run)
+    return run
 
-    k = escape_dims
-    radius = 10.0 * (1.0 + float(np.linalg.norm(x0[:k])))
 
-    def escape(y):
-        # np.linalg.norm's own arithmetic, bit for bit, without its overhead
-        head = y[:k]
-        return math.sqrt(head.dot(head)) - radius
+def _segment(rhs, rows: list, t_end: float, rel_tol: float, abs_tol: float) -> list:
+    """Integrate ``rows`` together from their common last time until one of
+    them ends early, or all reach ``t_end``; returns the groups of rows that
+    go on from there."""
+    k, n = len(rows), rows[0].states[-1].size
+    shape = (k, n)
+    every = [slice(i * n, (i + 1) * n) for i in range(k)]
 
-    solver = LSODA(rhs, t0, x0, t_end, rtol=rel_tol, atol=abs_tol, jac=jac)
-    times, states, pieces = [t0], [x0], []
-    failure = None
+    def fun(t, y):
+        return rhs(t, y.reshape(shape)).ravel()
+
+    def jac(t, y):
+        blocks = fd_jacobian(lambda batch: rhs(t, batch), y.reshape(shape))
+        full = np.zeros((k * n, k * n))
+        for block, cols in zip(blocks, every):
+            full[cols, cols] = block
+        return full
+
+    t0 = rows[0].times[-1]
+    y0 = np.concatenate([row.states[-1] for row in rows])
+    solver = LSODA(fun, t0, y0, t_end, rtol=rel_tol, atol=abs_tol, jac=jac)
+    pieces = []
+    for row, cols in zip(rows, every):
+        row.spans.append((len(row.times) - 1, pieces, cols))
+    ended, message = [], None
     while solver.status == "running":
         message = solver.step()
-        if solver.status == "failed":
-            failure = message
+        if solver.status == "running" and solver.t == solver.t_old:
+            # past an overflowing right-hand side LSODA reports steps that never advance
+            message = f"the integrator stalled at t = {solver.t:.6g}"
+        if message is not None:
             break
         t, y = solver.t, solver.y
-        if not np.isfinite(y).all():
-            failure = f"the state turned non-finite after t = {times[-1]:.6g}"
-            break
         piece = solver.dense_output()
-        escaped = k > 0 and escape(y) >= 0.0
-        if escaped:
-            t = brentq(lambda s: escape(piece(s)), solver.t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-            y = piece(t)
-        times.append(t)
-        states.append(y)
         pieces.append(piece)
-        if escaped:
+        finite = np.isfinite(y).all()
+        for row, cols in zip(rows, every):
+            state = y[cols]
+            if not (finite or np.isfinite(state).all()):
+                row.failure = f"the state turned non-finite after t = {row.times[-1]:.6g}"
+                ended.append(row)
+                continue
+            t_row = t
+            if row.head and _norm(state[: row.head]) >= row.radius:  # row.escape(state) >= 0
+                t_row = brentq(lambda s: row.escape(piece(s)[cols]), solver.t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                state = piece(t_row)[cols]
+                ended.append(row)
+            row.times.append(t_row)
+            row.states.append(state)
+        if ended:
             break
-    if pieces:
-        dense = OdeSolution(times, pieces, alt_segment=True)
-    else:  # the first step failed: the run holds x0
-        dense = OdeSolution([t0, t0], [lambda t: np.multiply.outer(x0, np.ones_like(t))])
-    run = IvpResult(np.array(times), np.array(states), dense, int(solver.nfev), int(solver.njev))
-    if failure is not None:
-        raise IvpFailure(failure, run)
-    return run
+    for row in rows:
+        row.rhs_evaluations += int(solver.nfev)
+        row.jacobian_evaluations += int(solver.njev)
+    if message is not None:
+        if k == 1:
+            rows[0].failure = message
+            return []
+        return [[row] for row in rows]
+    if solver.status == "running":
+        going_on = [row for row in rows if row not in ended]
+        return [going_on] if going_on else []
+    return []

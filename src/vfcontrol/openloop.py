@@ -273,9 +273,12 @@ def initial_guess(model: ControlAffineModel, x0: np.ndarray, taus: np.ndarray, q
     x0 = np.asarray(x0, dtype=float)
     n = model.dim_state
     qm = np.asarray(q_matrix, dtype=float)
+    # the value model's gradient is x @ (2 Q); doubling is exact, so it has
+    # the bits of (2 x) @ Q
+    grad_matrix = 2.0 * qm
 
     def rhs(_t, x):
-        u = optimal_control(model, x, 2.0 * x @ qm)
+        u = optimal_control(model, x, x @ grad_matrix)
         return model.f(x) + model.g_apply(x, u)
 
     times = time_stretch(taus)
@@ -288,7 +291,7 @@ def initial_guess(model: ControlAffineModel, x0: np.ndarray, taus: np.ndarray, q
     inside = times <= sol.times[-1]
     xs = sol.at(times[inside])
     z[inside, :n] = xs
-    z[inside, n : 2 * n] = 2.0 * xs @ qm
+    z[inside, n : 2 * n] = xs @ grad_matrix
     z[inside, 2 * n] = np.einsum("ij,jk,ik->i", xs, qm, xs)
     z[0, :n] = x0
     return z

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import AnalyticRun, amp_closed_loop, final_state, prefix, run_from_arrays
 from vfcontrol.evaluate import (
@@ -13,6 +15,7 @@ from vfcontrol.evaluate import (
     mrl2_error,
     save_cv_report,
     simulate_feedback,
+    simulate_feedback_batch,
     write_curves,
 )
 from vfcontrol.explore import Dataset, ExploreConfig, run_exploration
@@ -81,6 +84,15 @@ def test_mrl2_normalizes_per_trajectory():
         big = AnalyticRun([scale], times, scale * np.exp(-times)[:, None])
         runs = [run_from_arrays(times, 1.01 * scale * np.exp(-times)[:, None])]
         assert mrl2_error([big], runs) == pytest.approx(0.01, rel=1e-9)
+
+
+def test_mrl2_rejects_runs_that_do_not_match_the_references():
+    refs = [exp_reference(np.array([0.8])), exp_reference(np.array([-0.5]))]
+    run = run_from_arrays(refs[0].times, refs[0].states)
+    with pytest.raises(ValueError, match="2 references but 1 runs"):
+        mrl2_error(refs, [run])
+    with pytest.raises(ValueError, match="1 references but 2 runs"):
+        mrl2_error(refs[:1], [run, run])
 
 
 def test_mrl2_horizon_truncates_the_comparison():
@@ -223,8 +235,55 @@ def test_rollout_tolerance_keeps_the_mrl2_of_tight_rollouts(request, case, scale
     assert not any(run.escaped for run in runs + tight)
     assert mrl2_tight > 1e-3
     assert abs(mrl2 - mrl2_tight) <= ROLLOUT_MRL2_REL * mrl2_tight
-    # the looser rollouts take fewer right-hand-side calls
-    assert sum(run.rhs_evaluations for run in runs) < sum(run.rhs_evaluations for run in tight)
+    # the looser rollouts, one stacked integration whose counts every run of
+    # it reports, take fewer right-hand-side calls than the tight ones together
+    assert len({run.rhs_evaluations for run in runs}) == 1
+    assert runs[0].rhs_evaluations < sum(run.rhs_evaluations for run in tight)
+
+
+def test_evaluate_surrogate_stacks_the_references_that_end_together(lqr):
+    model, qm = lqr
+    refs = [exp_reference(np.array([x0]), horizon) for x0, horizon in ((0.8, 4.0), (-0.5, 6.0), (0.3, 4.0))]
+    mrl2, runs = evaluate_surrogate(model, quadratic_surrogate(qm), refs)
+    assert mrl2 <= 1e-5
+    assert [run.x0[0] for run in runs] == [0.8, -0.5, 0.3]
+    assert [run.times[-1] for run in runs] == [4.0, 6.0, 4.0]
+    # the two runs that end at 4 shared one integration, the other ran alone
+    assert runs[0].rhs_evaluations == runs[2].rhs_evaluations != runs[1].rhs_evaluations
+    alone = simulate_feedback(model, quadratic_surrogate(qm), np.array([-0.5]), 6.0, *ROLLOUT_TOL)
+    np.testing.assert_array_equal(runs[1].states, alone.states)
+
+
+@pytest.fixture(scope="module")
+def batch_cases(lqr, amp):
+    return {"lqr": (lqr, 10.0), "amp": (amp, 20.0)}
+
+
+# bound on a batched run's distance from its solo run, in units of
+# ROLLOUT_TOL's rel |x0| + abs: 30 draws of 2-5 starts read at most 2.2
+BATCH_SPREAD = 100.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(["lqr", "amp"]), data=st.data())
+def test_a_batched_rollout_follows_its_solo_rollout(batch_cases, case, data):
+    """Each run of a stack of 2-5 starts, integrated at ROLLOUT_TOL, stays
+    within a tolerance-scaled distance of the same start's solo run."""
+    (model, qm), horizon = batch_cases[case]
+    n = model.dim_state
+    count = data.draw(st.integers(2, 5), label="count")
+    coordinate = st.floats(-0.7, 0.7, allow_subnormal=False)
+    starts = np.array(data.draw(st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=count, max_size=count)))
+    surrogate = quadratic_surrogate(qm)
+    runs = simulate_feedback_batch(model, surrogate, starts, horizon, *ROLLOUT_TOL)
+    grid = np.linspace(0.0, horizon, 101)
+    for x0, run in zip(starts, runs):
+        solo = simulate_feedback(model, surrogate, x0, horizon, *ROLLOUT_TOL)
+        assert not run.escaped and not solo.escaped
+        np.testing.assert_array_equal(run.x0, x0)
+        bound = BATCH_SPREAD * (ROLLOUT_TOL[0] * np.max(np.abs(x0)) + ROLLOUT_TOL[1])
+        assert np.max(np.abs(run.states_at(grid) - solo.states_at(grid))) <= bound
+        assert run.cost == pytest.approx(solo.cost, rel=BATCH_SPREAD * ROLLOUT_TOL[0], abs=bound)
 
 
 @pytest.mark.parametrize("tol", [(1e-8, 1e-10), ROLLOUT_TOL], ids=["default", "rollout_tol"])

@@ -176,10 +176,12 @@ IVP_CASES = {
 def test_integrate_ivp_steps_as_solve_ivp_does(name):
     """integrate_ivp accepts the steps of solve_ivp's LSODA, with the escape
     radius as a terminal event, bit for bit: the same times, states, counts
-    and dense output."""
+    and dense output.  A start of shape (n,) and a batch of one, shape
+    (1, n), both do."""
     rhs, x0, t_span, rel_tol, abs_tol, k = IVP_CASES[name]
     x0 = np.array(x0)
     ours = integrate_ivp(rhs, x0, t_span, rel_tol=rel_tol, abs_tol=abs_tol, escape_dims=k)
+    (batch,) = integrate_ivp(rhs, x0[None], t_span, rel_tol=rel_tol, abs_tol=abs_tol, escape_dims=k)
     event = None
     if k:
         def event(t, y):
@@ -191,12 +193,89 @@ def test_integrate_ivp_steps_as_solve_ivp_does(name):
         return fd_jacobian(lambda batch: rhs(t, batch), y)
 
     ref = solve_ivp(rhs, t_span, x0, method="LSODA", rtol=rel_tol, atol=abs_tol, dense_output=True, events=event, jac=jac)
-    np.testing.assert_array_equal(ours.times, ref.t)
-    np.testing.assert_array_equal(ours.states, ref.y.T)
-    assert (ours.rhs_evaluations, ours.jacobian_evaluations) == (ref.nfev, ref.njev)
     inside = np.linspace(ref.t[0], ref.t[-1], 97)
-    np.testing.assert_array_equal(ours.at(inside), ref.sol(inside).T)
+    for run in (ours, batch):
+        np.testing.assert_array_equal(run.times, ref.t)
+        np.testing.assert_array_equal(run.states, ref.y.T)
+        assert (run.rhs_evaluations, run.jacobian_evaluations) == (ref.nfev, ref.njev)
+        np.testing.assert_array_equal(run.at(inside), ref.sol(inside).T)
+        assert run.failure is None
     assert ref.status == (1 if name.endswith("stopped") else 0)
+
+
+def own_rate(t, y):
+    """x' = a x for each row's own rate a, carried as its last component."""
+    return np.concatenate([y[:, -1:] * y[:, :-1], np.zeros_like(y[:, -1:])], axis=1)
+
+
+def test_a_row_that_escapes_ends_on_its_own_radius_and_the_others_go_on():
+    starts = np.array([[0.5, -1.0], [2.0, 1.0], [-0.3, -0.2], [1.0, 0.0]])
+    t_end = 8.0
+    runs = integrate_ivp(own_rate, starts, (0.0, t_end), rel_tol=1e-9, abs_tol=1e-12, escape_dims=1)
+    escaped = runs[1]
+    radius = 10.0 * (1.0 + 2.0)
+    assert escaped.failure is None and escaped.times[-1] < t_end
+    np.testing.assert_allclose(escaped.states[-1, 0], radius, rtol=1e-9)
+    np.testing.assert_allclose(escaped.times[-1], np.log(radius / 2.0), rtol=1e-7)
+    for i in (0, 2, 3):
+        run = runs[i]
+        assert run.failure is None and run.times[-1] == t_end
+        # past the escape the rows run on a fresh LSODA, and their dense output
+        # still follows x0 exp(a t) across the restart
+        assert np.any(run.times > escaped.times[-1])
+        grid = np.linspace(0.0, t_end, 41)
+        exact = starts[i, 0] * np.exp(starts[i, 1] * grid)
+        np.testing.assert_allclose(run.at(grid)[:, 0], exact, rtol=1e-6, atol=1e-12)
+    # the rows that went on shared the escaped row's integration and more
+    assert runs[0].rhs_evaluations > escaped.rhs_evaluations
+
+
+def test_a_row_that_turns_non_finite_keeps_its_finite_prefix_and_the_others_go_on():
+    seen = []
+
+    def rhs(t, y):
+        seen.append((y[:, 1].copy(), np.isfinite(y[:, 0])))
+        out = own_rate(t, y)
+        out[y[:, 0] < 0.5, 0] = np.nan
+        return out
+
+    starts = np.array([[1.0, -0.1], [1.0, -1.0], [2.0, 0.05]])
+    t_end = 5.0
+    runs = integrate_ivp(rhs, starts, (0.0, t_end))
+    failed = runs[1]
+    assert "non-finite" in failed.failure
+    assert 0.0 < failed.times[-1] <= np.log(2.0) + 1e-6
+    assert np.all(np.isfinite(failed.states))
+    np.testing.assert_allclose(failed.states[:, 0], np.exp(-failed.times), rtol=1e-6)
+    for i in (0, 2):
+        run = runs[i]
+        assert run.failure is None and run.times[-1] == t_end
+        np.testing.assert_allclose(run.states[:, 0], starts[i, 0] * np.exp(starts[i, 1] * run.times), rtol=1e-6)
+    # within the step that turned it non-finite the corrector may evaluate the
+    # failing row at NaN, but never another row, and the restart drops it
+    assert all(finite[rates != -1.0].all() for rates, finite in seen)
+    assert all(finite.all() for rates, finite in seen if -1.0 not in rates)
+    assert any(rates.size == 2 for rates, _ in seen)
+
+
+def test_an_integrator_failure_is_pinned_on_the_row_that_causes_it():
+    """x' = x^2 blows up at t = 1 / x0.  LSODA stalls there; in a batch the
+    rows still running go on alone, and only the blowing-up row fails."""
+
+    def square(t, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x * x
+
+    with pytest.raises(IvpFailure, match="stalled") as err:
+        integrate_ivp(square, np.array([1.0]), (0.0, 2.0))
+    assert 0.99 < err.value.partial.times[-1] < 1.0
+    starts = np.array([[0.2], [1.0], [-1.0]])
+    runs = integrate_ivp(square, starts, (0.0, 2.0))
+    assert "stalled" in runs[1].failure
+    assert 0.99 < runs[1].times[-1] < 1.0 and np.all(np.isfinite(runs[1].states))
+    for i in (0, 2):
+        assert runs[i].failure is None and runs[i].times[-1] == 2.0
+        np.testing.assert_allclose(runs[i].states[-1, 0], 1.0 / (1.0 / starts[i, 0] - 2.0), rtol=1e-6)
 
 
 def test_integrate_reports_a_state_that_turns_non_finite():
