@@ -120,6 +120,14 @@ def kernel_from_config(cfg: dict, model, variant: str):
     return WendlandC4(dim=model.dim_state, gamma=gamma), None
 
 
+def _dataset_for(model, path):
+    """The dataset at ``path``, after checking that it samples the model's state space."""
+    dataset = load_dataset(path)
+    if dataset.dim != model.dim_state:
+        raise ConfigError(f"dataset {path} has dim {dataset.dim}, but the model's state has dim {model.dim_state}")
+    return dataset
+
+
 def _candidate_kind(spec: dict, section: str, extra=()) -> str:
     """The kind of a candidate-pool spec, after checking its keys against that kind's."""
     kind = spec.get("kind")
@@ -169,7 +177,7 @@ def cmd_explore(args) -> int:
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     model = model_from_config(cfg)
-    dataset = load_dataset(getattr(args, "in"))
+    dataset = _dataset_for(model, getattr(args, "in"))
     kernel, qm = kernel_from_config(cfg, model, args.variant)
     pts, vals, gds = dataset.flattened(include_origin=takes_origin_sample(kernel))
     config = vkoga_from_config(cfg)
@@ -188,7 +196,7 @@ def cmd_fit(args) -> int:
 def cmd_cv(args) -> int:
     cfg = load_config(args.config)
     model = model_from_config(cfg)
-    dataset = load_dataset(getattr(args, "in"))
+    dataset = _dataset_for(model, getattr(args, "in"))
     kernel, qm = kernel_from_config(cfg, model, args.variant)
     report = cross_validate(kernel, dataset, config=vkoga_from_config(cfg), n_folds=args.folds, q_matrix=qm)
     save_cv_report(report, args.out)
@@ -201,7 +209,7 @@ def cmd_evaluate(args) -> int:
     model = model_from_config(cfg)
     kernel_plain, _ = kernel_from_config(cfg, model, "plain")
     kernel_structured, qm = kernel_from_config(cfg, model, "structured")
-    dataset = load_dataset(getattr(args, "in"))
+    dataset = _dataset_for(model, getattr(args, "in"))
     section = cfg.get("evaluate", {})
     states = _testset_states(cfg, model)
     references = solve_testset(model, states, qm, explore_from_config(cfg).solver)

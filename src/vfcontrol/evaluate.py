@@ -125,9 +125,13 @@ def simulate_feedback_batch(
     ``integrator_failed`` marks the second case, whose run holds the path up
     to the last finite step.  The right-hand side evaluates every row in one
     surrogate call, and each stiff-mode Jacobian is one more batched call.
+    A surrogate whose kernel does not have the model's state dimension is a
+    ValueError.
     """
     starts = np.asarray(starts, dtype=float)
     n = model.dim_state
+    if surrogate.kernel.dim != n:
+        raise ValueError(f"the surrogate's kernel has dim {surrogate.kernel.dim}, but the model's state has dim {n}")
 
     def rhs(_t, y):
         x = y[..., :n]

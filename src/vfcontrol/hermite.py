@@ -452,6 +452,14 @@ class Surrogate:
             raise ValueError("a surrogate over a structured kernel needs the quadratic matrix q_matrix")
         if not structured and self.q_matrix is not None:
             raise ValueError("a surrogate over a plain kernel takes no quadratic matrix q_matrix")
+        n, dim = len(self.alphas), self.kernel.dim
+        shapes = {"centers": (n, dim), "alphas": (n,), "betas": (n, dim)}
+        if structured:
+            shapes["q_matrix"] = (dim, dim)
+        for name, shape in shapes.items():
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"surrogate {name} has shape {got}, but {n} alphas and a kernel of dim {dim} need {shape}")
         # resolved once: the feedback reads these on every call
         object.__setattr__(self, "_structured", structured)
         object.__setattr__(self, "_base", _base_kernel(self.kernel))

@@ -44,7 +44,13 @@ class CgError(RuntimeError):
 
 
 class IvpFailure(RuntimeError):
-    """The integrator could not continue; ``partial`` is the run up to the last valid step."""
+    """The integrator could not continue; ``partial`` is the run up to the last valid step.
+
+    No code in this package raises it: :func:`integrate_ivp` reports a failed
+    run in :attr:`IvpResult.failure`.  It stays only for the benchmark
+    tracer's ``ivp_failed`` hook, and goes together with that hook (ROADMAP
+    item 3).
+    """
 
     def __init__(self, message: str, partial: IvpResult):
         super().__init__(message)
@@ -194,9 +200,8 @@ class _Row:
 
     def __init__(self, t0: float, x0: np.ndarray, escape_dims: int):
         self.times, self.states = [t0], [x0]
-        # per segment: the index in times where it starts, its step dense
-        # outputs (shared by every row of the segment) and the row's columns
-        self.spans = []
+        # one view per accepted step: the row's columns of that step's dense output
+        self.views = []
         self.head = escape_dims
         self.radius = 10.0 * (1.0 + _norm(x0[:escape_dims]))
         self.rhs_evaluations = self.jacobian_evaluations = 0
@@ -206,15 +211,8 @@ class _Row:
         return _norm(x[: self.head]) - self.radius
 
     def result(self) -> IvpResult:
-        bounds, views = [self.times[0]], []
-        ends = [start for start, _, _ in self.spans[1:]] + [len(self.times) - 1]
-        for (start, pieces, cols), end in zip(self.spans, ends):
-            if end > start:  # a segment whose first step failed adds nothing
-                steps = OdeSolution(self.times[start : end + 1], pieces[: end - start], alt_segment=True)
-                bounds.append(self.times[end])
-                views.append(_RowView(steps, cols))
-        if views:
-            dense = OdeSolution(bounds, views, alt_segment=True)
+        if self.views:
+            dense = OdeSolution(self.times, self.views, alt_segment=True)
         else:  # the first step failed: the run holds x0
             t0, x0 = self.times[0], self.states[0]
             dense = OdeSolution([t0, t0], [lambda t: np.multiply.outer(x0, np.ones_like(t))])
@@ -231,13 +229,13 @@ def integrate_ivp(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
     escape_dims: int = 0,
-) -> IvpResult | list[IvpResult]:
-    """Integrate x' = rhs(t, x) from one start or a stack of them with scipy's LSODA.
+) -> list[IvpResult]:
+    """Integrate x' = rhs(t, x) from a stack of starts with scipy's LSODA.
 
     ``x0`` of shape (k, n) holds k independent starts, integrated as one
-    LSODA system of size k n; ``x0`` of shape (n,) is the stack of one.
-    ``rhs`` must broadcast over a leading batch axis: given states of shape
-    (k, n) it returns the k right-hand sides, shape (k, n), and it gets every
+    LSODA system of size k n; any other shape is a ValueError.  ``rhs`` must
+    broadcast over a leading batch axis: given states of shape (k, n) it
+    returns the k right-hand sides, shape (k, n), and it gets every
     evaluation as such rows.  This is checked once on the starts at entry,
     and a ValueError is raised otherwise.  LSODA drops into BDF mode when
     the loop turns stiff, as semidiscretized PDE states do once the
@@ -258,21 +256,20 @@ def integrate_ivp(
     each row still running goes on alone from its last accepted step, so the
     failure is pinned on the row that causes it.
 
-    Each row's :class:`IvpResult` holds its accepted steps and the row's
-    view of the dense output over every segment it took part in; its counts
-    are those of the integrations it shared.  A row that failed says why in
-    ``failure``.  From (k, n) starts the k results come back as a list.
-    From one start of shape (n,) the result comes back alone, and a failure
-    raises :class:`IvpFailure` whose ``partial`` holds the run up to the last
-    valid step.
+    Returns a list of k :class:`IvpResult`, one per row.  Each holds the
+    row's accepted steps and its view of every step's dense output; its
+    counts are those of the integrations it shared.  A row that failed says
+    why in ``failure`` and holds its run up to the last valid step; nothing
+    is raised.
 
-    For one start the accepted times and states are those of
+    For a stack of one the accepted times and states are those of
     ``solve_ivp(method="LSODA")`` with the escape test as its terminal event,
     bit for bit; the loop skips ``solve_ivp``'s general event bookkeeping on
     every step.
     """
-    x0 = np.asarray(x0, dtype=float)
-    starts = np.atleast_2d(x0)
+    starts = np.asarray(x0, dtype=float)
+    if starts.ndim != 2 or 0 in starts.shape:
+        raise ValueError(f"integrate_ivp takes a (k, n) stack of starts, got shape {starts.shape}")
     t0, t_end = (float(t) for t in t_span)
     contract = f"rhs must broadcast over a leading batch axis: states of shape {starts.shape}"
     try:
@@ -286,13 +283,7 @@ def integrate_ivp(
     segments = [rows]
     while segments:
         segments.extend(_segment(rhs, segments.pop(), t_end, rel_tol, abs_tol))
-    results = [row.result() for row in rows]
-    if x0.ndim == 2:
-        return results
-    (run,) = results
-    if run.failure is not None:
-        raise IvpFailure(run.failure, run)
-    return run
+    return [row.result() for row in rows]
 
 
 def _segment(rhs, rows: list, t_end: float, rel_tol: float, abs_tol: float) -> list:
@@ -316,9 +307,6 @@ def _segment(rhs, rows: list, t_end: float, rel_tol: float, abs_tol: float) -> l
     t0 = rows[0].times[-1]
     y0 = np.concatenate([row.states[-1] for row in rows])
     solver = LSODA(fun, t0, y0, t_end, rtol=rel_tol, atol=abs_tol, jac=jac)
-    pieces = []
-    for row, cols in zip(rows, every):
-        row.spans.append((len(row.times) - 1, pieces, cols))
     ended, message = [], None
     while solver.status == "running":
         message = solver.step()
@@ -329,7 +317,6 @@ def _segment(rhs, rows: list, t_end: float, rel_tol: float, abs_tol: float) -> l
             break
         t, y = solver.t, solver.y
         piece = solver.dense_output()
-        pieces.append(piece)
         finite = np.isfinite(y).all()
         for row, cols in zip(rows, every):
             state = y[cols]
@@ -338,12 +325,13 @@ def _segment(rhs, rows: list, t_end: float, rel_tol: float, abs_tol: float) -> l
                 ended.append(row)
                 continue
             t_row = t
-            if row.head and _norm(state[: row.head]) >= row.radius:  # row.escape(state) >= 0
+            if row.head and row.escape(state) >= 0:
                 t_row = brentq(lambda s: row.escape(piece(s)[cols]), solver.t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
                 state = piece(t_row)[cols]
                 ended.append(row)
             row.times.append(t_row)
             row.states.append(state)
+            row.views.append(_RowView(piece, cols))
         if ended:
             break
     for row in rows:

@@ -43,7 +43,7 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .models import ControlAffineModel, optimal_control, pmp_rhs
-from .numerics import IvpFailure, integrate_ivp
+from .numerics import integrate_ivp
 
 __all__ = [
     "time_stretch",
@@ -282,10 +282,7 @@ def initial_guess(model: ControlAffineModel, x0: np.ndarray, taus: np.ndarray, q
         return model.f(x) + model.g_apply(x, u)
 
     times = time_stretch(taus)
-    try:
-        sol = integrate_ivp(rhs, x0, (0.0, float(times[-1])), rel_tol=GUESS_TOL[0], abs_tol=GUESS_TOL[1], escape_dims=n)
-    except IvpFailure as err:
-        sol = err.partial
+    (sol,) = integrate_ivp(rhs, x0[None], (0.0, float(times[-1])), rel_tol=GUESS_TOL[0], abs_tol=GUESS_TOL[1], escape_dims=n)
 
     z = np.zeros((taus.size, 2 * n + 1))
     inside = times <= sol.times[-1]

@@ -7,7 +7,7 @@ import pytest
 
 from vfcontrol.cli import main
 from vfcontrol.explore import load_dataset
-from vfcontrol.hermite import load_surrogate
+from vfcontrol.hermite import load_surrogate, quadratic_surrogate, save_surrogate
 
 
 def write_config(tmp_path, **overrides):
@@ -65,7 +65,7 @@ def test_pipeline_runs_end_to_end(tmp_path, capsys):
     cv = str(tmp_path / "cv.json")
     assert main(["cv", "--config", config, "--in", data, "--out", cv, "--folds", "2"]) == 0
     capsys.readouterr()
-    report = json.loads(open(cv).read())
+    report = json.loads(Path(cv).read_text())
     assert report["schema"] == "vfcontrol-cv-v1"
     assert len(report["folds"]) == 2
 
@@ -83,7 +83,7 @@ def test_pipeline_runs_end_to_end(tmp_path, capsys):
     )
     out = json.loads(capsys.readouterr().out)
     assert not out["escaped"] and out["integrator_failed"] is False
-    doc = json.loads(open(run_path).read())
+    doc = json.loads(Path(run_path).read_text())
     assert doc["schema"] == "vfcontrol-run-v1"
     assert doc["escaped"] is False and doc["integrator_failed"] is False
     assert doc["rhs_evaluations"] > 0
@@ -137,7 +137,7 @@ def test_structured_cv_runs_on_the_bundled_lqr_config(tmp_path, capsys):
     assert main(["explore", "--config", config, "--out", data]) == 0
     assert main(["cv", "--config", config, "--in", data, "--out", cv, "--variant", "structured"]) == 0
     capsys.readouterr()
-    report = json.loads(open(cv).read())
+    report = json.loads(Path(cv).read_text())
     assert len(report["folds"]) == 5
     assert all(fold["n_centers"] > 0 for fold in report["folds"])
 
@@ -228,3 +228,32 @@ def test_simulate_rejects_a_misshapen_start(tmp_path, capsys):
     )
     err = json.loads(capsys.readouterr().err)
     assert "shape" in err["error"]
+
+
+@pytest.mark.parametrize("command", [["fit", "--centers", "6"], ["cv", "--folds", "2"], ["evaluate"]])
+def test_a_dataset_of_another_dimension_is_rejected(tmp_path, capsys, command):
+    """A 1-D lqr dataset given to the 2-D amp model is a config error that
+    names both dimensions; fit used to write a kernel of dim 2 over 1-D centers."""
+    data = str(tmp_path / "data.json")
+    assert main(["explore", "--config", write_config(tmp_path), "--out", data]) == 0
+    config = write_config(tmp_path, model={"name": "amp", "params": {"dim": 2}})
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command[0], "--config", config, "--in", data, "--out", str(out), *command[1:]]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "dim 1" in err["error"] and "dim 2" in err["error"]
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_surrogate_of_another_dimension(tmp_path, capsys):
+    """A 2-D surrogate on the 1-D lqr model is named as such, not blamed on
+    the right-hand side's broadcasting."""
+    surrogate = str(tmp_path / "quadratic.json")
+    save_surrogate(quadratic_surrogate(np.eye(2)), surrogate)
+    config = write_config(tmp_path)
+    run = tmp_path / "run.json"
+    assert main(["simulate", "--config", config, "--surrogate", surrogate, "--x0", "[0.5]", "--out", str(run)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "surrogate's kernel has dim 2" in err["error"] and "dim 1" in err["error"]
+    assert "broadcast" not in err["error"]
+    assert not run.exists()

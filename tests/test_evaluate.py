@@ -157,6 +157,8 @@ def test_an_integrator_failure_is_told_apart_from_an_escape(lqr):
     class TurnsNonFinite:
         """The optimal feedback, until its gradient turns NaN near the origin."""
 
+        kernel = surrogate.kernel
+
         def gradient(self, x):
             return np.where(np.abs(x) < 0.4, np.nan, surrogate.gradient(x))
 
@@ -176,9 +178,11 @@ def test_an_integrator_failure_is_told_apart_from_an_escape(lqr):
 
 
 def test_a_rollout_whose_first_step_fails_holds_its_start(lqr):
-    model, _ = lqr
+    model, qm = lqr
 
     class NonFinite:
+        kernel = quadratic_surrogate(qm).kernel
+
         def gradient(self, x):
             return np.full_like(x, np.nan)
 

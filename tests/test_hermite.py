@@ -28,6 +28,7 @@ from vfcontrol.hermite import (
     unstack_coeffs,
 )
 from vfcontrol.kernels import StructuredKernel, WendlandC4
+from vfcontrol.vkoga import VkogaConfig, run_vkoga
 
 
 def both_kernels(dim, gamma):
@@ -391,6 +392,46 @@ def test_load_surrogate_rejects_unknown_schema(tmp_path):
     with pytest.raises(ValueError, match="schema"):
         load_surrogate(path)
 
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("centers", np.ones((3, 1))),
+        ("centers", np.ones(6)),
+        ("alphas", np.ones((3, 1))),
+        ("betas", np.zeros((3, 3))),
+        ("q_matrix", np.eye(3)),
+    ],
+)
+def test_a_surrogate_checks_its_shapes(name, value):
+    """Centers (n, dim), alphas (n,), betas (n, dim) and a structured Q
+    (dim, dim), for the kernel's dim."""
+    _, kern = both_kernels(2, 0.8)
+    coeffs = dict(centers=np.ones((3, 2)), alphas=np.ones(3), betas=np.zeros((3, 2)), q_matrix=np.eye(2))
+    Surrogate(kernel=kern, **coeffs)
+    coeffs[name] = value
+    with pytest.raises(ValueError, match=f"surrogate {name} has shape"):
+        Surrogate(kernel=kern, **coeffs)
+
+
+def test_one_dimensional_samples_make_no_surrogate_under_a_kernel_of_dim_2(tmp_path):
+    """Fitting 1-D samples under a kernel of dim 2 used to write 1-D centers
+    next to that kernel, and loading reshaped 6 such centers into 3 of dim 2
+    while keeping 6 alphas.  Both are shape errors now."""
+    points = np.linspace(-1.0, 1.0, 9)[:, None]
+    values, grads = 0.4 * points[:, 0] ** 2, 0.8 * points
+    with pytest.raises(ValueError, match=re.escape("centers has shape (0, 1), but 0 alphas and a kernel of dim 2 need (0, 2)")):
+        run_vkoga(WendlandC4(dim=2, gamma=0.8), points, values, grads, VkogaConfig(max_centers=6))
+    one_dim = run_vkoga(WendlandC4(dim=1, gamma=0.8), points, values, grads, VkogaConfig(max_centers=6)).surrogate
+    assert one_dim.n_centers == 6
+    path = tmp_path / "sur.json"
+    save_surrogate(one_dim, path)
+    doc = json.loads(path.read_text())
+    doc["kernel"]["dim"] = 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape("centers has shape (3, 2), but 6 alphas and a kernel of dim 2 need (6, 2)")):
+        load_surrogate(path)
 
 @st.composite
 def structured_surrogates(draw, max_centers=4):

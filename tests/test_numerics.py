@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from helpers import fd_gradient, fd_gradient_check, fd_jacobian_columns
 from vfcontrol.models import NheParameters, build_amp, build_linear, build_nhe, optimal_control, pmp_rhs
-from vfcontrol.numerics import FD_STEP, CgError, IvpFailure, cg_solve, fd_jacobian, integrate_ivp
+from vfcontrol.numerics import FD_STEP, CgError, cg_solve, fd_jacobian, integrate_ivp
 
 
 def as_op(a):
@@ -112,8 +114,14 @@ def test_cg_below_its_attainable_floor_stalls_there():
     assert np.all(np.isfinite(err.value.x))
 
 
+def integrate_one(rhs, x0, t_span, **options):
+    """The run of one start: integrate_ivp on the stack of one."""
+    (run,) = integrate_ivp(rhs, np.array(x0, dtype=float)[None], t_span, **options)
+    return run
+
+
 def test_integrate_exponential_decay():
-    res = integrate_ivp(lambda t, x: -x, np.array([1.0]), (0.0, 5.0), rel_tol=1e-10, abs_tol=1e-12)
+    res = integrate_one(lambda t, x: -x, [1.0], (0.0, 5.0), rel_tol=1e-10, abs_tol=1e-12)
     np.testing.assert_allclose(res.states[-1, 0], np.exp(-5.0), rtol=1e-8)
     # dense output hits interior times too
     np.testing.assert_allclose(res.at(1.7)[0], np.exp(-1.7), rtol=1e-7)
@@ -123,14 +131,14 @@ def test_integrate_tightening_tolerance_never_hurts():
     """Halving rel_tol must not increase the error against the exact solution."""
     errs = []
     for rel in (1e-6, 5e-7, 2.5e-7, 1.25e-7):
-        res = integrate_ivp(lambda t, x: -x, np.array([1.0]), (0.0, 3.0), rel_tol=rel, abs_tol=1e-14)
+        res = integrate_one(lambda t, x: -x, [1.0], (0.0, 3.0), rel_tol=rel, abs_tol=1e-14)
         errs.append(abs(res.states[-1, 0] - np.exp(-3.0)))
     assert all(b <= a * 1.001 + 1e-15 for a, b in zip(errs, errs[1:]))
 
 
 def test_integrate_stop_event_cuts_the_run():
     """The escape radius 10 (1 + ||x0||) ends a growing run on the radius."""
-    res = integrate_ivp(lambda t, x: x, np.array([1.0]), (0.0, 10.0), escape_dims=1)
+    res = integrate_one(lambda t, x: x, [1.0], (0.0, 10.0), escape_dims=1)
     assert res.times[-1] < 10.0
     np.testing.assert_allclose(res.states[-1, 0], 20.0, rtol=1e-6)
 
@@ -140,17 +148,17 @@ STIFF_PAIR = np.array([[-1000.0, 0.0], [1.0, -1.0]])
 
 def test_integrate_lsoda_handles_a_stiff_pair():
     # two-rate linear system; the stiff path should not need thousands of steps
-    res = integrate_ivp(lambda t, x: x @ STIFF_PAIR.T, np.array([1.0, 1.0]), (0.0, 10.0))
+    res = integrate_one(lambda t, x: x @ STIFF_PAIR.T, [1.0, 1.0], (0.0, 10.0))
     assert res.times.size < 500
     assert np.all(np.isfinite(res.states))
 
 
 def test_integrate_counts_the_stiff_pair_jacobians():
-    res = integrate_ivp(lambda t, x: x @ STIFF_PAIR.T, np.array([1.0, 1.0]), (0.0, 10.0))
+    res = integrate_one(lambda t, x: x @ STIFF_PAIR.T, [1.0, 1.0], (0.0, 10.0))
     assert res.jacobian_evaluations > 0
     assert res.rhs_evaluations > res.jacobian_evaluations
     # a non-stiff decay never needs a Jacobian
-    assert integrate_ivp(lambda t, x: -x, np.array([1.0]), (0.0, 1.0)).jacobian_evaluations == 0
+    assert integrate_one(lambda t, x: -x, [1.0], (0.0, 1.0)).jacobian_evaluations == 0
 
 
 SPIRAL_OUT = np.array([[0.3, -2.0], [2.0, 0.3]])
@@ -176,12 +184,10 @@ IVP_CASES = {
 def test_integrate_ivp_steps_as_solve_ivp_does(name):
     """integrate_ivp accepts the steps of solve_ivp's LSODA, with the escape
     radius as a terminal event, bit for bit: the same times, states, counts
-    and dense output.  A start of shape (n,) and a batch of one, shape
-    (1, n), both do."""
+    and dense output, on the stack of one."""
     rhs, x0, t_span, rel_tol, abs_tol, k = IVP_CASES[name]
     x0 = np.array(x0)
-    ours = integrate_ivp(rhs, x0, t_span, rel_tol=rel_tol, abs_tol=abs_tol, escape_dims=k)
-    (batch,) = integrate_ivp(rhs, x0[None], t_span, rel_tol=rel_tol, abs_tol=abs_tol, escape_dims=k)
+    (run,) = integrate_ivp(rhs, x0[None], t_span, rel_tol=rel_tol, abs_tol=abs_tol, escape_dims=k)
     event = None
     if k:
         def event(t, y):
@@ -194,12 +200,11 @@ def test_integrate_ivp_steps_as_solve_ivp_does(name):
 
     ref = solve_ivp(rhs, t_span, x0, method="LSODA", rtol=rel_tol, atol=abs_tol, dense_output=True, events=event, jac=jac)
     inside = np.linspace(ref.t[0], ref.t[-1], 97)
-    for run in (ours, batch):
-        np.testing.assert_array_equal(run.times, ref.t)
-        np.testing.assert_array_equal(run.states, ref.y.T)
-        assert (run.rhs_evaluations, run.jacobian_evaluations) == (ref.nfev, ref.njev)
-        np.testing.assert_array_equal(run.at(inside), ref.sol(inside).T)
-        assert run.failure is None
+    np.testing.assert_array_equal(run.times, ref.t)
+    np.testing.assert_array_equal(run.states, ref.y.T)
+    assert (run.rhs_evaluations, run.jacobian_evaluations) == (ref.nfev, ref.njev)
+    np.testing.assert_array_equal(run.at(inside), ref.sol(inside).T)
+    assert run.failure is None
     assert ref.status == (1 if name.endswith("stopped") else 0)
 
 
@@ -258,6 +263,72 @@ def test_a_row_that_turns_non_finite_keeps_its_finite_prefix_and_the_others_go_o
     assert any(rates.size == 2 for rates, _ in seen)
 
 
+MIXED_END = 4.0
+
+
+def rate_or_nan(t, y):
+    """x' = a x per row, with a and a threshold carried as the last two
+    components; the right-hand side turns NaN once x falls below the threshold."""
+    x, rate, threshold = y[:, :1], y[:, 1:2], y[:, 2:]
+    return np.concatenate([np.where(x < threshold, np.nan, rate * x), np.zeros_like(y[:, 1:])], axis=1)
+
+
+def mixed_row(kind, x0, u, v):
+    """A start of ``rate_or_nan`` that reaches MIXED_END, escapes or turns non-finite before it."""
+    if kind == "finish":  # |x| stays below 3.3 |x0|, well inside the radius
+        return [x0, -0.5 + 0.8 * u, -1e300]
+    if kind == "escape":  # grows by e^4 or more by MIXED_END, past any radius 10 (1 + 1 / x0)
+        return [x0, 1.0 + 2.0 * u, -1e300]
+    return [x0, -1.0 - 2.0 * u, x0 * (0.1 + 0.7 * v)]  # crosses the threshold before t = 2.5
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["finish", "escape", "non-finite"]), st.floats(0.5, 2.0), st.floats(0, 1), st.floats(0, 1)),
+        min_size=2,
+        max_size=5,
+    )
+)
+def test_a_mixed_stack_ends_each_row_as_it_ends_alone(specs):
+    """Rows that finish, escape and turn non-finite in one stack end as each
+    row does integrated alone, and the dense output of every row follows its
+    exact path, continuous across the restarts where other rows ended."""
+    starts = np.array([mixed_row(*spec) for spec in specs])
+    runs = integrate_ivp(rate_or_nan, starts, (0.0, MIXED_END), escape_dims=1)
+    assert len(runs) == len(specs)
+    ends = [run.times[-1] for run in runs]
+    for (kind, *_), start, run in zip(specs, starts, runs):
+        (alone,) = integrate_ivp(rate_or_nan, start[None], (0.0, MIXED_END), escape_dims=1)
+        x0, rate, threshold = start
+        if kind == "finish":
+            assert run.failure is alone.failure is None
+            assert run.times[-1] == alone.times[-1] == MIXED_END
+        elif kind == "escape":
+            assert run.failure is alone.failure is None
+            exact = np.log(10.0 * (1.0 + x0) / x0) / rate
+            np.testing.assert_allclose([run.times[-1], alone.times[-1]], exact, rtol=1e-6)
+        else:
+            # both end on their last step before the crossing; LSODA grows a
+            # step by at most a factor 10, so the crossing step is at most 10
+            # times the last one
+            crossing = np.log(x0 / threshold) / -rate
+            for r in (run, alone):
+                assert "non-finite" in r.failure
+                last_step = r.times[-1] - r.times[-2]
+                assert crossing - 10.0 * last_step <= r.times[-1] <= crossing
+                assert r.states[-1, 0] >= threshold
+        grid = np.linspace(0.0, run.times[-1], 53)
+        np.testing.assert_allclose(run.at(grid)[:, 0], x0 * np.exp(rate * grid), rtol=1e-6)
+        for end in ends:
+            if end < run.times[-1]:
+                # the step where the other row ended, and this row's restart
+                restart = run.times[run.times >= end][0]
+                before = run.at(np.nextafter(restart, -np.inf))[0]
+                at = run.at(restart)[0]
+                np.testing.assert_allclose([before, at], run.states[run.times == restart, 0][0], rtol=1e-12)
+
+
 def test_an_integrator_failure_is_pinned_on_the_row_that_causes_it():
     """x' = x^2 blows up at t = 1 / x0.  LSODA stalls there; in a batch the
     rows still running go on alone, and only the blowing-up row fails."""
@@ -266,9 +337,9 @@ def test_an_integrator_failure_is_pinned_on_the_row_that_causes_it():
         with np.errstate(over="ignore", invalid="ignore"):
             return x * x
 
-    with pytest.raises(IvpFailure, match="stalled") as err:
-        integrate_ivp(square, np.array([1.0]), (0.0, 2.0))
-    assert 0.99 < err.value.partial.times[-1] < 1.0
+    alone = integrate_one(square, [1.0], (0.0, 2.0))
+    assert "stalled" in alone.failure
+    assert 0.99 < alone.times[-1] < 1.0
     starts = np.array([[0.2], [1.0], [-1.0]])
     runs = integrate_ivp(square, starts, (0.0, 2.0))
     assert "stalled" in runs[1].failure
@@ -282,9 +353,8 @@ def test_integrate_reports_a_state_that_turns_non_finite():
     def rhs(t, x):
         return np.where(x < 0.5, np.nan, -x)
 
-    with pytest.raises(IvpFailure, match="non-finite") as err:
-        integrate_ivp(rhs, np.array([1.0]), (0.0, 5.0))
-    partial = err.value.partial
+    partial = integrate_one(rhs, [1.0], (0.0, 5.0))
+    assert "non-finite" in partial.failure
     # the valid path is x = exp(-t) up to its last step before it crossed 0.5
     assert partial.times.size > 2
     assert 0.0 < partial.times[-1] <= np.log(2.0) + 1e-6
@@ -307,10 +377,10 @@ def test_a_failed_run_keeps_the_steps_of_the_run_without_the_nan(rate, threshold
         return np.where(x < threshold, np.nan, -rate * x)
 
     t_span = (0.0, 20.0 / rate)
-    with pytest.raises(IvpFailure, match="non-finite") as err:
-        integrate_ivp(rhs, np.array([1.0]), t_span)
-    partial = err.value.partial
-    clean = integrate_ivp(lambda t, x: -rate * x, np.array([1.0]), t_span)
+    partial = integrate_one(rhs, [1.0], t_span)
+    assert "non-finite" in partial.failure
+    clean = integrate_one(lambda t, x: -rate * x, [1.0], t_span)
+    assert clean.failure is None
     k = partial.times.size
     np.testing.assert_array_equal(partial.times, clean.times[:k])
     np.testing.assert_array_equal(partial.states, clean.states[:k])
@@ -323,15 +393,14 @@ def test_a_failed_run_keeps_the_steps_of_the_run_without_the_nan(rate, threshold
 
 def test_a_state_whose_square_overflows_is_still_finite():
     """Past 1e154 the squared norm overflows, yet the state is finite and the run goes on."""
-    res = integrate_ivp(lambda t, x: x, np.array([1e150]), (0.0, 20.0))
+    res = integrate_one(lambda t, x: x, [1e150], (0.0, 20.0))
     assert res.times[-1] == 20.0
     np.testing.assert_allclose(res.states[-1, 0], 1e150 * np.exp(20.0), rtol=1e-6)
 
 
 def test_a_run_whose_first_step_fails_holds_its_start():
-    with pytest.raises(IvpFailure, match="non-finite after t = 0") as err:
-        integrate_ivp(lambda t, x: np.full_like(x, np.nan), np.array([1.0, -2.0]), (0.0, 5.0))
-    partial = err.value.partial
+    partial = integrate_one(lambda t, x: np.full_like(x, np.nan), [1.0, -2.0], (0.0, 5.0))
+    assert "non-finite after t = 0" in partial.failure
     np.testing.assert_array_equal(partial.times, [0.0])
     np.testing.assert_array_equal(partial.states, [[1.0, -2.0]])
     np.testing.assert_array_equal(partial.at([0.0, 1.0, 5.0]), [[1.0, -2.0]] * 3)
@@ -346,10 +415,25 @@ def test_integrate_rejects_a_non_broadcasting_rhs_at_once():
         return STIFF_PAIR @ x
 
     with pytest.raises(ValueError, match="broadcast over a leading batch axis"):
-        integrate_ivp(matvec, np.array([1.0, 1.0]), (0.0, 10.0))
+        integrate_ivp(matvec, np.array([[1.0, 1.0]]), (0.0, 10.0))
     assert calls == [(1, 2)]
     with pytest.raises(ValueError, match=r"shape \(2,\)"):
-        integrate_ivp(lambda t, x: -x.ravel(), np.array([1.0, 1.0]), (0.0, 1.0))
+        integrate_ivp(lambda t, x: -x.ravel(), np.array([[1.0, 1.0]]), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("starts", [np.array([1.0, 1.0]), np.ones((1, 2, 1)), np.array(1.0), np.zeros((0, 2))])
+def test_integrate_takes_only_a_stack_of_starts(starts):
+    """Starts other than a (k, n) stack are a ValueError that names their
+    shape, before ``rhs`` is called."""
+    calls = []
+
+    def rhs(t, x):
+        calls.append(np.shape(x))
+        return -x
+
+    with pytest.raises(ValueError, match=f"got shape {re.escape(str(starts.shape))}"):
+        integrate_ivp(rhs, starts, (0.0, 1.0))
+    assert calls == []
 
 
 JACOBIAN_MODELS = {

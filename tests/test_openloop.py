@@ -199,8 +199,8 @@ def tight_rollout(model, x0, taus, q_matrix):
     def rhs(_t, x):
         return model.f(x) + model.g_apply(x, optimal_control(model, x, 2.0 * x @ q_matrix))
 
-    sol = integrate_ivp(rhs, x0, (0.0, float(time_stretch(taus[-1]))), rel_tol=1e-10, abs_tol=1e-12)
-    assert sol.times[-1] == time_stretch(taus[-1])  # no escape from these starts
+    (sol,) = integrate_ivp(rhs, x0[None], (0.0, float(time_stretch(taus[-1]))), rel_tol=1e-10, abs_tol=1e-12)
+    assert sol.failure is None and sol.times[-1] == time_stretch(taus[-1])  # no escape from these starts
     xs = sol.at(time_stretch(taus))
     z = np.column_stack([xs, 2.0 * xs @ q_matrix, np.einsum("ij,jk,ik->i", xs, q_matrix, xs)])
     z[0, :n] = x0
