@@ -33,6 +33,7 @@ from .vkoga import VkogaConfig, run_vkoga
 __all__ = [
     "ClosedLoopRun",
     "ROLLOUT_TOL",
+    "SIMULATE_TOL",
     "simulate_feedback",
     "simulate_feedback_batch",
     "mrl2_error",
@@ -87,24 +88,19 @@ class ClosedLoopRun:
 # rollouts' right-hand-side calls off rel 1e-8 on amp2d and 7-38% on nhe36,
 # and moved the digits by at most 2.6e-5.  Rel 1e-6 took 39-53% off but
 # moved nhe36's structured digits by 2.3-3.6e-4 on three of its four draws.
-# simulate_feedback keeps rel 1e-8 by default: it reports one rollout's cost
-# to eight digits.
 ROLLOUT_TOL = (1e-7, 1e-9)
+# Relative and absolute LSODA tolerances of a single simulate_feedback
+# rollout, tighter than ROLLOUT_TOL: it reports that run's cost to eight digits
+SIMULATE_TOL = (1e-8, 1e-10)
 
 
-def simulate_feedback(
-    model: ControlAffineModel,
-    surrogate: Surrogate,
-    x0: np.ndarray,
-    horizon: float,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-10,
-) -> ClosedLoopRun:
+def simulate_feedback(model: ControlAffineModel, surrogate: Surrogate, x0: np.ndarray, horizon: float) -> ClosedLoopRun:
     """Integrate the closed loop under the surrogate feedback, accumulating cost.
 
-    The rollout of one start: :func:`simulate_feedback_batch` of one row.
+    The rollout of one start: :func:`simulate_feedback_batch` of one row, at
+    :data:`SIMULATE_TOL`.
     """
-    return simulate_feedback_batch(model, surrogate, np.asarray(x0, dtype=float)[None], horizon, rel_tol, abs_tol)[0]
+    return simulate_feedback_batch(model, surrogate, np.asarray(x0, dtype=float)[None], horizon, *SIMULATE_TOL)[0]
 
 
 def simulate_feedback_batch(
@@ -112,19 +108,20 @@ def simulate_feedback_batch(
     surrogate: Surrogate,
     starts: np.ndarray,
     horizon: float,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-10,
+    rel_tol: float,
+    abs_tol: float,
 ) -> list[ClosedLoopRun]:
     """Closed-loop rollouts from the rows of ``starts``, integrated together.
 
     The (k, N) starts, each with its cost as one more component, are one
-    stacked LSODA system of :func:`~vfcontrol.numerics.integrate_ivp`, which
-    switches to BDF when the loop is stiff.  A run stops once its state
-    leaves the escape radius, or where its state turns non-finite or the
-    integrator fails on it; either way it is ``escaped``, and
-    ``integrator_failed`` marks the second case, whose run holds the path up
-    to the last finite step.  The right-hand side evaluates every row in one
-    surrogate call, and each stiff-mode Jacobian is one more batched call.
+    stacked LSODA system of :func:`~vfcontrol.numerics.integrate_ivp` at the
+    tolerances ``rel_tol`` and ``abs_tol``, which switches to BDF when the
+    loop is stiff.  A run stops once its state leaves the escape radius, or
+    where its state turns non-finite or the integrator fails on it; either
+    way it is ``escaped``, and ``integrator_failed`` marks the second case,
+    whose run holds the path up to the last finite step.  The right-hand
+    side evaluates every row in one surrogate call, and each stiff-mode
+    Jacobian is one more batched call.
     A surrogate whose kernel does not have the model's state dimension is a
     ValueError.
     """

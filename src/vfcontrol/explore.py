@@ -48,6 +48,9 @@ DATASET_SCHEMA = "vfcontrol-dataset-v1"
 MONOTONE_TOL = 1e-9
 # integer frequencies b, c, e, f of every candidate_modes field
 MODE_FREQUENCIES = (1, 2)
+# a sample's HJB residual may reach this much, times 1 + r(x), before its
+# trajectory is quarantined
+HJB_TOL = 1e-6
 
 
 def candidate_grid(bounds: Sequence[tuple[float, float]], n_per_axis: int) -> np.ndarray:
@@ -159,8 +162,6 @@ def farthest_point_order(candidates: np.ndarray, n_select: int):
     dists: list[float] = []
     for _ in range(min(n_select, m)):
         best = int(np.argmax(dmin))
-        if dmin[best] == -np.inf:
-            break
         picked.append(best)
         dists.append(float(dmin[best]))
         gap = np.linalg.norm(candidates - candidates[best], axis=1)
@@ -174,7 +175,6 @@ class ExploreConfig:
     n_trajectories: int = 40
     eps_tol_d: float = 0.0
     horizon: Optional[float] = None
-    hjb_tol: float = 1e-6
     solver: OpenLoopConfig = field(default_factory=OpenLoopConfig)
 
 
@@ -211,13 +211,11 @@ class Dataset:
         return np.concatenate(points), np.concatenate(values), np.concatenate(grads)
 
 
-def _trajectory_checks(
-    model: ControlAffineModel, traj: Trajectory, config: ExploreConfig
-) -> tuple[Optional[str], float]:
+def _trajectory_checks(model: ControlAffineModel, traj: Trajectory) -> tuple[Optional[str], float]:
     """Why the trajectory is quarantined (None if it is not), and its HJB
     margin: the worst ratio of a sample's HJB residual to its bound."""
     resid = np.abs(hjb_residual(model, traj.states, traj.grads))
-    bound = config.hjb_tol * (1.0 + model.r(traj.states))
+    bound = HJB_TOL * (1.0 + model.r(traj.states))
     margin = float(np.max(resid / bound))
     scale = 1.0 + float(np.max(np.abs(traj.values)))
     if np.any(traj.values < -MONOTONE_TOL * scale):
@@ -253,7 +251,7 @@ def run_exploration(
     while dataset.n_trajectories < config.n_trajectories and np.any(dmin > -np.inf):
         best = int(np.argmax(dmin))
         gap = float(dmin[best])
-        if gap == -np.inf or gap <= config.eps_tol_d:
+        if gap <= config.eps_tol_d:
             break
         x0 = candidates[best]
         dmin[best] = -np.inf
@@ -264,7 +262,7 @@ def run_exploration(
             dataset.meta["quarantined"].append({"index": best, "reason": str(err)})
             continue
         traj = to_trajectory(sol, samples=config.solver.samples, horizon=config.horizon)
-        reason, margin = _trajectory_checks(model, traj, config)
+        reason, margin = _trajectory_checks(model, traj)
         if reason is not None:
             dataset.meta["quarantined"].append({"index": best, "reason": reason})
             continue

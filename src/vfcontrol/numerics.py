@@ -226,17 +226,18 @@ def integrate_ivp(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     x0: np.ndarray,
     t_span,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-10,
+    rel_tol: float,
+    abs_tol: float,
     escape_dims: int = 0,
 ) -> list[IvpResult]:
     """Integrate x' = rhs(t, x) from a stack of starts with scipy's LSODA.
 
     ``x0`` of shape (k, n) holds k independent starts, integrated as one
-    LSODA system of size k n; any other shape is a ValueError.  ``rhs`` must
-    broadcast over a leading batch axis: given states of shape (k, n) it
-    returns the k right-hand sides, shape (k, n), and it gets every
-    evaluation as such rows.  This is checked once on the starts at entry,
+    LSODA system of size k n; any other shape is a ValueError.  ``rel_tol``
+    and ``abs_tol`` are LSODA's tolerances; each caller names its own.
+    ``rhs`` must broadcast over a leading batch axis: given states of shape
+    (k, n) it returns the k right-hand sides, shape (k, n), and it gets
+    every evaluation as such rows.  This is checked once on the starts at entry,
     and a ValueError is raised otherwise.  LSODA drops into BDF mode when
     the loop turns stiff, as semidiscretized PDE states do once the
     diffusion stiffness bites; its block-diagonal Jacobian then comes from

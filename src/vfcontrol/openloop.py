@@ -62,10 +62,12 @@ __all__ = [
 
 # Newton stops once the max-norm residual is below NEWTON_TOL * (1 + max|z|)
 NEWTON_TOL = 1e-11
+# and gives up with a BvpFailure after this many factorizations
+NEWTON_MAX_ITER = 40
 # A chord step on the kept factor is accepted only if it cuts the max-norm
 # residual to at most this fraction of the current one; each accepted chord
 # step shrinks the residual 4x, and each rejected one forces a factorization,
-# so newton_max_iter still bounds the loop
+# so NEWTON_MAX_ITER still bounds the loop
 CHORD_CONTRACTION = 0.25
 # Relative and absolute LSODA tolerances of the initial_guess rollout.  The
 # guess only has to land in Newton's convergence region: on 34 starts of
@@ -209,7 +211,6 @@ def splu(ab: np.ndarray, kl: int, ku: int) -> tuple[np.ndarray, np.ndarray]:
 class OpenLoopConfig:
     n_nodes: int = 240
     delta_tau: float = 1e-3
-    newton_max_iter: int = 40
     refine_rounds: int = 2
     refine_tol: float = 1e-8
     samples: int = 40
@@ -310,7 +311,7 @@ def solve_pmp(
     down, the Jacobian is assembled and factored at the current iterate, and
     the Newton step is damped by halving until the residual decreases.  The
     factor is kept only after a full step.  ``newton_iterations`` counts the
-    factorizations and ``config.newton_max_iter`` bounds them.
+    factorizations and :data:`NEWTON_MAX_ITER` bounds them.
     """
     x0 = np.asarray(x0, dtype=float)
     z = np.array(guess, dtype=float)
@@ -338,7 +339,7 @@ def solve_pmp(
                 z, res, norm = z_new, res_new, norm_new
                 continue
 
-        if iteration == config.newton_max_iter:
+        if iteration == NEWTON_MAX_ITER:
             raise BvpFailure(
                 f"no convergence in {iteration} Newton iterations (residual {norm:.3e})",
                 residual=norm,

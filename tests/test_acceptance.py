@@ -28,7 +28,7 @@ from helpers import (
     relative_l2,
     selected_indices,
 )
-from vfcontrol.evaluate import cross_validate, evaluate_surrogate, mrl2_error, simulate_feedback
+from vfcontrol.evaluate import cross_validate, evaluate_surrogate, mrl2_error, simulate_feedback, simulate_feedback_batch
 from vfcontrol.explore import (
     ExploreConfig,
     candidate_grid,
@@ -80,7 +80,7 @@ def amp():
 def amp_data80(amp):
     model, qm = amp
     candidates = candidate_sobol(AMP_BOX, 512, seed=11)
-    config = ExploreConfig(n_trajectories=80, horizon=99.0, hjb_tol=1e-6, solver=AMP_SOLVER)
+    config = ExploreConfig(n_trajectories=80, horizon=99.0, solver=AMP_SOLVER)
     return run_exploration(model, candidates, qm, config)
 
 
@@ -134,7 +134,7 @@ def test_criterion_02_hjb_residual_bound_holds(amp, amp_data40):
         lqr,
         np.linspace(-1.0, 1.0, 9)[:, None],
         lqr_qm,
-        ExploreConfig(n_trajectories=6, hjb_tol=1e-6, solver=OpenLoopConfig(n_nodes=120, refine_rounds=1)),
+        ExploreConfig(n_trajectories=6, solver=OpenLoopConfig(n_nodes=120, refine_rounds=1)),
     )
     pts, _, grads = lqr_data.flattened()
     ratio = np.abs(hjb_residual(lqr, pts, grads)) / (1e-6 * (1.0 + lqr.r(pts)))
@@ -231,9 +231,7 @@ def test_criterion_05_interpolation_conditions_after_greedy_fit(amp, amp_data40)
     origin_exact = sv0[0] == 0.0 and np.all(sg0[0] == 0.0)
     probes = np.random.default_rng(5).uniform(-1.5, 1.5, size=(1000, 2))
     min_value = float(np.min(structured.surrogate.value(probes)))
-    run = simulate_feedback(
-        model, structured.surrogate, np.array([1.0, 0.0]), horizon=2000.0, rel_tol=1e-8, abs_tol=1e-10
-    )
+    run = simulate_feedback(model, structured.surrogate, np.array([1.0, 0.0]), horizon=2000.0)
     shrink = float(np.linalg.norm(final_state(run)))
     ok = worst <= bound and origin_exact and min_value >= 0.0 and not run.escaped and shrink <= 1e-3
     record_acceptance(
@@ -269,7 +267,7 @@ def test_criterion_07_full_scale_error_targets(amp, amp_data80, amp_test_states,
         pytest.skip("full-scale run not requested")
     model, qm = amp
     candidates = candidate_sobol(AMP_BOX, 512, seed=11)
-    config = ExploreConfig(n_trajectories=100, horizon=99.0, hjb_tol=1e-6, solver=AMP_SOLVER)
+    config = ExploreConfig(n_trajectories=100, horizon=99.0, solver=AMP_SOLVER)
     data = run_exploration(model, candidates, qm, config)
 
     # pick gamma by trajectory-held-out cross-validation, then fit 200 centers.
@@ -332,9 +330,7 @@ def test_criterion_08_linear_models_match_the_riccati_closed_form():
             float(np.max(np.abs(sol.values - v_ref))),
         )
         worst_bvp = max(worst_bvp, err)
-        run = simulate_feedback(
-            model, quadratic_surrogate(qm), x0, horizon=25.0, rel_tol=1e-10, abs_tol=1e-12
-        )
+        (run,) = simulate_feedback_batch(model, quadratic_surrogate(qm), x0[None], 25.0, 1e-10, 1e-12)
         v0 = float(x0 @ qm @ x0)
         worst_cost = max(worst_cost, abs(run.cost - v0) / v0)
     ok = worst_bvp <= 1e-6 and worst_cost <= 1e-4

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vfcontrol.cli import main
+from vfcontrol.cli import explore_from_config, load_config, main, model_from_config, vkoga_from_config
 from vfcontrol.explore import load_dataset
 from vfcontrol.hermite import load_surrogate, quadratic_surrogate, save_surrogate
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, **overrides):
@@ -155,6 +157,24 @@ def test_missing_config_file_fails_cleanly(tmp_path, capsys):
     assert "nope.json" in err["error"]
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_bundled_config_loads(name):
+    """Each bundled config passes validation, and its explore, solver and
+    fit sections carry over field by field."""
+    cfg = load_config(CONFIGS / f"{name}.json")
+    explore = explore_from_config(cfg)
+    fit = vkoga_from_config(cfg)
+    section = cfg["explore"]
+    for key, value in section["solver"].items():
+        assert getattr(explore.solver, key) == value
+    for key, value in section.items():
+        if key not in ("candidates", "solver"):
+            assert getattr(explore, key) == value
+    for key, value in cfg["fit"].items():
+        assert getattr(fit, key) == value
+    assert model_from_config(cfg).name == cfg["model"]["name"]
+
+
 def test_missing_kernel_gamma_is_reported(tmp_path, capsys):
     config = write_config(tmp_path, kernel={})
     data = str(tmp_path / "data.json")
@@ -170,6 +190,9 @@ def test_missing_kernel_gamma_is_reported(tmp_path, capsys):
     [
         ("explore.solver", "n_steps"),
         ("explore", "n_trajectory"),
+        # module constants (explore.HJB_TOL, openloop.NEWTON_MAX_ITER), not config keys
+        ("explore", "hjb_tol"),
+        ("explore.solver", "newton_max_iter"),
         ("fit", "max_centre"),
         ("kernel", "gama"),
         ("evaluate", "count"),

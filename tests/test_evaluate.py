@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import AnalyticRun, amp_closed_loop, final_state, prefix, run_from_arrays
 from vfcontrol.evaluate import (
     ROLLOUT_TOL,
+    SIMULATE_TOL,
     center_curve,
     cross_validate,
     evaluate_surrogate,
@@ -108,9 +109,7 @@ def test_mrl2_horizon_truncates_the_comparison():
 def test_feedback_simulation_matches_the_lqr_cost(lqr):
     model, qm = lqr
     q = qm[0, 0]
-    run = simulate_feedback(
-        model, quadratic_surrogate(qm), np.array([0.8]), horizon=25.0, rel_tol=1e-10, abs_tol=1e-12
-    )
+    (run,) = simulate_feedback_batch(model, quadratic_surrogate(qm), np.array([[0.8]]), 25.0, 1e-10, 1e-12)
     assert not run.escaped
     # total cost of the optimal feedback is the value at the start state
     assert run.cost == pytest.approx(q * 0.64, rel=1e-6)
@@ -134,9 +133,30 @@ def test_stiff_feedback_simulation_counts_its_batched_jacobians():
     assert not run.escaped
     assert run.jacobian_evaluations > 0
     assert run.rhs_evaluations > run.jacobian_evaluations
-    tight = simulate_feedback(model, surrogate, x0, horizon=5.0, rel_tol=1e-11, abs_tol=1e-13)
+    (tight,) = simulate_feedback_batch(model, surrogate, x0[None], 5.0, 1e-11, 1e-13)
     assert run.cost == pytest.approx(tight.cost, rel=1e-6)
     np.testing.assert_allclose(final_state(run), final_state(tight), atol=1e-8)
+
+
+@pytest.mark.parametrize("case", ["lqr", "amp", "nhe"])
+def test_a_single_rollout_is_the_batch_of_one_at_simulate_tol(request, case):
+    """simulate_feedback is simulate_feedback_batch of one row at
+    SIMULATE_TOL, bit for bit: the same times, states, cost and counts.
+    The heat model's loop turns stiff, so its counts include Jacobians."""
+    if case == "nhe":
+        model = build_nhe(NheParameters(grid_side=3))
+        qm = quadratic_matrix(model)
+    else:
+        model, qm = request.getfixturevalue(case)
+    surrogate = quadratic_surrogate(0.9 * qm)
+    x0 = np.full(model.dim_state, 0.6)
+    run = simulate_feedback(model, surrogate, x0, 8.0)
+    (batch,) = simulate_feedback_batch(model, surrogate, x0[None], 8.0, *SIMULATE_TOL)
+    np.testing.assert_array_equal(run.times, batch.times)
+    np.testing.assert_array_equal(run.states, batch.states)
+    assert run.cost == batch.cost
+    assert (run.rhs_evaluations, run.jacobian_evaluations) == (batch.rhs_evaluations, batch.jacobian_evaluations)
+    assert (run.escaped, run.integrator_failed) == (batch.escaped, batch.integrator_failed) == (False, False)
 
 
 def test_feedback_simulation_flags_escapes():
@@ -232,9 +252,7 @@ def test_rollout_tolerance_keeps_the_mrl2_of_tight_rollouts(request, case, scale
         refs = [amp_closed_loop(np.array(x0), horizon) for x0 in ([0.9, -0.4], [-0.3, 0.7], [0.6, 0.6])]
     surrogate = quadratic_surrogate(scale * qm)
     mrl2, runs = evaluate_surrogate(model, surrogate, refs, horizon=horizon)
-    tight = [
-        simulate_feedback(model, surrogate, ref.states[0], horizon, rel_tol=1e-11, abs_tol=1e-13) for ref in refs
-    ]
+    tight = [simulate_feedback_batch(model, surrogate, ref.states[0][None], horizon, 1e-11, 1e-13)[0] for ref in refs]
     mrl2_tight = mrl2_error(refs, tight, horizon=horizon)
     assert not any(run.escaped for run in runs + tight)
     assert mrl2_tight > 1e-3
@@ -254,7 +272,7 @@ def test_evaluate_surrogate_stacks_the_references_that_end_together(lqr):
     assert [run.times[-1] for run in runs] == [4.0, 6.0, 4.0]
     # the two runs that end at 4 shared one integration, the other ran alone
     assert runs[0].rhs_evaluations == runs[2].rhs_evaluations != runs[1].rhs_evaluations
-    alone = simulate_feedback(model, quadratic_surrogate(qm), np.array([-0.5]), 6.0, *ROLLOUT_TOL)
+    (alone,) = simulate_feedback_batch(model, quadratic_surrogate(qm), np.array([[-0.5]]), 6.0, *ROLLOUT_TOL)
     np.testing.assert_array_equal(runs[1].states, alone.states)
 
 
@@ -282,7 +300,7 @@ def test_a_batched_rollout_follows_its_solo_rollout(batch_cases, case, data):
     runs = simulate_feedback_batch(model, surrogate, starts, horizon, *ROLLOUT_TOL)
     grid = np.linspace(0.0, horizon, 101)
     for x0, run in zip(starts, runs):
-        solo = simulate_feedback(model, surrogate, x0, horizon, *ROLLOUT_TOL)
+        (solo,) = simulate_feedback_batch(model, surrogate, x0[None], horizon, *ROLLOUT_TOL)
         assert not run.escaped and not solo.escaped
         np.testing.assert_array_equal(run.x0, x0)
         bound = BATCH_SPREAD * (ROLLOUT_TOL[0] * np.max(np.abs(x0)) + ROLLOUT_TOL[1])
@@ -290,12 +308,12 @@ def test_a_batched_rollout_follows_its_solo_rollout(batch_cases, case, data):
         assert run.cost == pytest.approx(solo.cost, rel=BATCH_SPREAD * ROLLOUT_TOL[0], abs=bound)
 
 
-@pytest.mark.parametrize("tol", [(1e-8, 1e-10), ROLLOUT_TOL], ids=["default", "rollout_tol"])
+@pytest.mark.parametrize("tol", [SIMULATE_TOL, ROLLOUT_TOL], ids=["default", "rollout_tol"])
 def test_an_escaped_run_ends_on_the_escape_radius(tol):
     model = build_linear([[1.0]], [[1.0]])
     qm = quadratic_matrix(model)
     x0 = np.array([0.8])
-    run = simulate_feedback(model, quadratic_surrogate(-qm), x0, horizon=50.0, rel_tol=tol[0], abs_tol=tol[1])
+    (run,) = simulate_feedback_batch(model, quadratic_surrogate(-qm), x0[None], 50.0, *tol)
     assert run.escaped and not run.integrator_failed
     radius = 10.0 * (1.0 + np.linalg.norm(x0))
     assert abs(np.linalg.norm(final_state(run)) - radius) <= 1e-8

@@ -1,6 +1,5 @@
 import re
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import vfcontrol.explore as explore
+import vfcontrol.openloop as openloop
 from helpers import c_max_state, c_max_value, prefix, start_states
 from vfcontrol.cli import ConfigError, candidates_from_config, explore_from_config, load_config, model_from_config
 from vfcontrol.explore import (
@@ -173,13 +174,11 @@ def test_exploration_stops_at_the_coverage_tolerance(lqr_setup):
     assert pts.shape == (0, 1) and vals.shape == (0,) and gds.shape == (0, 1)
 
 
-def test_exploration_quarantines_failed_solves(lqr_setup):
+def test_exploration_quarantines_failed_solves(lqr_setup, monkeypatch):
     model, qm, _ = lqr_setup
     candidates = np.array([[1.0], [-1.0]])
-    config = ExploreConfig(
-        n_trajectories=2,
-        solver=OpenLoopConfig(n_nodes=60, newton_max_iter=0, refine_rounds=0),
-    )
+    monkeypatch.setattr(openloop, "NEWTON_MAX_ITER", 0)
+    config = ExploreConfig(n_trajectories=2, solver=OpenLoopConfig(n_nodes=60, refine_rounds=0))
     with pytest.warns(UserWarning, match="exploration produced"):
         data = run_exploration(model, candidates, qm, config)
     assert data.n_trajectories == 0
@@ -188,10 +187,11 @@ def test_exploration_quarantines_failed_solves(lqr_setup):
         assert "Newton" in entry["reason"] or "residual" in entry["reason"]
 
 
-def test_exploration_quarantines_residual_violations(lqr_setup):
+def test_exploration_quarantines_residual_violations(lqr_setup, monkeypatch):
     model, qm, solver = lqr_setup
     candidates = np.array([[1.0]])
-    config = ExploreConfig(n_trajectories=1, hjb_tol=1e-18, solver=solver)
+    monkeypatch.setattr(explore, "HJB_TOL", 1e-18)
+    config = ExploreConfig(n_trajectories=1, solver=solver)
     with pytest.warns(UserWarning):
         data = run_exploration(model, candidates, qm, config)
     assert data.n_trajectories == 0
@@ -199,21 +199,21 @@ def test_exploration_quarantines_residual_violations(lqr_setup):
     assert "residual" in data.meta["quarantined"][0]["reason"]
 
 
-def test_hjb_margin_is_the_worst_residual_over_its_bound(lqr_setup):
+def test_hjb_margin_is_the_worst_residual_over_its_bound(lqr_setup, monkeypatch):
     """Each stored solve records the largest ratio of a sample's HJB residual
     to its bound; a tolerance that ratio exceeds fourfold quarantines the
     trajectory with a reason that says so."""
     model, qm, solver = lqr_setup
-    config = ExploreConfig(n_trajectories=1, hjb_tol=1e-6, solver=solver)
+    config = ExploreConfig(n_trajectories=1, solver=solver)
     data = run_exploration(model, np.array([[1.0]]), qm, config)
     (traj,), (solve,) = data.trajectories, data.meta["solves"]
     resid = np.abs(hjb_residual(model, traj.states, traj.grads))
-    margin = float(np.max(resid / (config.hjb_tol * (1.0 + model.r(traj.states)))))
+    margin = float(np.max(resid / (explore.HJB_TOL * (1.0 + model.r(traj.states)))))
     assert solve["hjb_margin"] == margin
     assert 0.0 < margin <= 1.0
-    tight = replace(config, hjb_tol=config.hjb_tol * margin / 4.0)
+    monkeypatch.setattr(explore, "HJB_TOL", explore.HJB_TOL * margin / 4.0)
     with pytest.warns(UserWarning, match="exploration produced"):
-        quarantined = run_exploration(model, np.array([[1.0]]), qm, tight)
+        quarantined = run_exploration(model, np.array([[1.0]]), qm, config)
     assert quarantined.meta["quarantined"] == [{"index": 0, "reason": "residual check failed (4.00x over the bound)"}]
 
 

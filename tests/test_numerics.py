@@ -114,9 +114,14 @@ def test_cg_below_its_attainable_floor_stalls_there():
     assert np.all(np.isfinite(err.value.x))
 
 
+# LSODA tolerances of the runs that do not test a tolerance of their own
+TOL = {"rel_tol": 1e-8, "abs_tol": 1e-10}
+
+
 def integrate_one(rhs, x0, t_span, **options):
-    """The run of one start: integrate_ivp on the stack of one."""
-    (run,) = integrate_ivp(rhs, np.array(x0, dtype=float)[None], t_span, **options)
+    """The run of one start: integrate_ivp on the stack of one, at TOL unless
+    ``options`` name other tolerances."""
+    (run,) = integrate_ivp(rhs, np.array(x0, dtype=float)[None], t_span, **{**TOL, **options})
     return run
 
 
@@ -246,7 +251,7 @@ def test_a_row_that_turns_non_finite_keeps_its_finite_prefix_and_the_others_go_o
 
     starts = np.array([[1.0, -0.1], [1.0, -1.0], [2.0, 0.05]])
     t_end = 5.0
-    runs = integrate_ivp(rhs, starts, (0.0, t_end))
+    runs = integrate_ivp(rhs, starts, (0.0, t_end), **TOL)
     failed = runs[1]
     assert "non-finite" in failed.failure
     assert 0.0 < failed.times[-1] <= np.log(2.0) + 1e-6
@@ -295,11 +300,11 @@ def test_a_mixed_stack_ends_each_row_as_it_ends_alone(specs):
     row does integrated alone, and the dense output of every row follows its
     exact path, continuous across the restarts where other rows ended."""
     starts = np.array([mixed_row(*spec) for spec in specs])
-    runs = integrate_ivp(rate_or_nan, starts, (0.0, MIXED_END), escape_dims=1)
+    runs = integrate_ivp(rate_or_nan, starts, (0.0, MIXED_END), **TOL, escape_dims=1)
     assert len(runs) == len(specs)
     ends = [run.times[-1] for run in runs]
     for (kind, *_), start, run in zip(specs, starts, runs):
-        (alone,) = integrate_ivp(rate_or_nan, start[None], (0.0, MIXED_END), escape_dims=1)
+        (alone,) = integrate_ivp(rate_or_nan, start[None], (0.0, MIXED_END), **TOL, escape_dims=1)
         x0, rate, threshold = start
         if kind == "finish":
             assert run.failure is alone.failure is None
@@ -341,7 +346,7 @@ def test_an_integrator_failure_is_pinned_on_the_row_that_causes_it():
     assert "stalled" in alone.failure
     assert 0.99 < alone.times[-1] < 1.0
     starts = np.array([[0.2], [1.0], [-1.0]])
-    runs = integrate_ivp(square, starts, (0.0, 2.0))
+    runs = integrate_ivp(square, starts, (0.0, 2.0), **TOL)
     assert "stalled" in runs[1].failure
     assert 0.99 < runs[1].times[-1] < 1.0 and np.all(np.isfinite(runs[1].states))
     for i in (0, 2):
@@ -415,10 +420,10 @@ def test_integrate_rejects_a_non_broadcasting_rhs_at_once():
         return STIFF_PAIR @ x
 
     with pytest.raises(ValueError, match="broadcast over a leading batch axis"):
-        integrate_ivp(matvec, np.array([[1.0, 1.0]]), (0.0, 10.0))
+        integrate_ivp(matvec, np.array([[1.0, 1.0]]), (0.0, 10.0), **TOL)
     assert calls == [(1, 2)]
     with pytest.raises(ValueError, match=r"shape \(2,\)"):
-        integrate_ivp(lambda t, x: -x.ravel(), np.array([[1.0, 1.0]]), (0.0, 1.0))
+        integrate_ivp(lambda t, x: -x.ravel(), np.array([[1.0, 1.0]]), (0.0, 1.0), **TOL)
 
 
 @pytest.mark.parametrize("starts", [np.array([1.0, 1.0]), np.ones((1, 2, 1)), np.array(1.0), np.zeros((0, 2))])
@@ -432,7 +437,7 @@ def test_integrate_takes_only_a_stack_of_starts(starts):
         return -x
 
     with pytest.raises(ValueError, match=f"got shape {re.escape(str(starts.shape))}"):
-        integrate_ivp(rhs, starts, (0.0, 1.0))
+        integrate_ivp(rhs, starts, (0.0, 1.0), **TOL)
     assert calls == []
 
 

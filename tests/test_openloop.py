@@ -135,10 +135,11 @@ def test_trajectory_thinning_handles_a_stationary_solution():
     assert traj.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_newton_budget_failure_names_the_residual():
+def test_newton_budget_failure_names_the_residual(monkeypatch):
     model = build_amp()
     qm = quadratic_matrix(model)
-    config = OpenLoopConfig(n_nodes=60, newton_max_iter=1, refine_rounds=0)
+    monkeypatch.setattr(openloop, "NEWTON_MAX_ITER", 1)
+    config = OpenLoopConfig(n_nodes=60, refine_rounds=0)
     with pytest.raises(BvpFailure) as err:
         solve_open_loop(model, np.array([0.9, 0.3]), qm, config)
     assert np.isfinite(err.value.residual)
