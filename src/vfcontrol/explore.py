@@ -5,11 +5,15 @@ Sobol points for low dimension, a parametric family of smooth fields sampled
 on the reaction-diffusion grid for the high-dimensional model).  Exploration
 repeatedly promotes the candidate farthest from everything already covered,
 with the equilibrium at the origin counting as covered from the start, solves
-the open-loop problem there from scratch, and keeps the thinned trajectory.
-Each solve is independent of the others, so a stored trajectory depends only
-on its start state, not on which states were explored before it.  Solutions
-that fail their sanity checks are quarantined: the candidate is dropped and
-exploration moves on.  Every sample of a kept trajectory stays in the
+the open-loop problem there, and keeps the thinned trajectory.  The first
+iterates of the solves are rolled out in batches: the rest of the
+farthest-first order, planned as if every pick were kept, is one stacked
+:func:`~vfcontrol.openloop.initial_guess` call.  A stored trajectory depends
+on its start state and, through its guess only, on the starts guessed with
+it; no solve starts from another's solution.  Solutions that fail their
+sanity checks are quarantined: the candidate is dropped, exploration moves
+on, and the order is replanned from what is covered, keeping the guesses
+already made.  Every sample of a kept trajectory stays in the
 dataset, near-duplicates included; the greedy fit decides which samples
 become centers.
 
@@ -26,6 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import openloop
 from .models import ControlAffineModel, hjb_residual, nhe_node_coords
 from .openloop import BvpFailure, BvpSolution, OpenLoopConfig, Trajectory, solve_open_loop, to_trajectory
 
@@ -148,16 +153,19 @@ def candidate_modes(
     return np.asarray(fields)
 
 
-def farthest_point_order(candidates: np.ndarray, n_select: int):
+def farthest_point_order(candidates: np.ndarray, n_select: int, dmin: Optional[np.ndarray] = None):
     """Greedy farthest-point ordering of candidates, seeded at the origin.
 
     Returns (indices, distances): at each step the candidate with the largest
     distance to the origin and all previous picks wins, ties resolving to the
     lowest index.  The distances are the selection-time separations.
+    ``dmin``, if given, replaces the distances to the origin as each
+    candidate's distance to what is already covered, -inf for a candidate
+    already taken; once every candidate is taken, the distances read -inf.
     """
     candidates = np.asarray(candidates, dtype=float)
     m = candidates.shape[0]
-    dmin = np.linalg.norm(candidates, axis=1)
+    dmin = np.linalg.norm(candidates, axis=1) if dmin is None else np.array(dmin, dtype=float)
     picked: list[int] = []
     dists: list[float] = []
     for _ in range(min(n_select, m)):
@@ -233,7 +241,7 @@ def run_exploration(
     q_matrix: np.ndarray,
     config: ExploreConfig = ExploreConfig(),
 ) -> Dataset:
-    """Algorithmic core: farthest-first start states, independent solves, checks."""
+    """Algorithmic core: farthest-first start states, solves from batch guesses, checks."""
     candidates = np.asarray(candidates, dtype=float)
     m = candidates.shape[0]
     dataset = Dataset(
@@ -247,17 +255,26 @@ def run_exploration(
         },
     )
     dmin = np.linalg.norm(candidates, axis=1)
+    taus = openloop.initial_mesh(config.solver)
+    # guesses rolled out but not yet solved from, by candidate index
+    guesses: dict[int, np.ndarray] = {}
 
     while dataset.n_trajectories < config.n_trajectories and np.any(dmin > -np.inf):
         best = int(np.argmax(dmin))
         gap = float(dmin[best])
         if gap <= config.eps_tol_d:
             break
+        if best not in guesses:
+            # the rest of the farthest-first order if every pick is kept; a
+            # quarantine changes the order, and its replan reuses the guesses
+            planned, dists = farthest_point_order(candidates, config.n_trajectories - dataset.n_trajectories, dmin)
+            batch = [int(i) for i in planned[dists > config.eps_tol_d] if i not in guesses]
+            guesses.update(zip(batch, openloop.initial_guess(model, candidates[batch], taus, q_matrix)))
         x0 = candidates[best]
         dmin[best] = -np.inf
 
         try:
-            sol = solve_open_loop(model, x0, q_matrix, config.solver)
+            sol = solve_open_loop(model, x0, q_matrix, config.solver, guess=guesses.pop(best))
         except BvpFailure as err:
             dataset.meta["quarantined"].append({"index": best, "reason": str(err)})
             continue
@@ -299,9 +316,17 @@ def solve_testset(
     q_matrix: np.ndarray,
     config: OpenLoopConfig = OpenLoopConfig(),
 ) -> list[BvpSolution]:
-    """Reference open-loop solutions for a batch of start states, solved as in exploration."""
+    """Reference open-loop solutions for a batch of start states, solved as in exploration.
+
+    The guesses of all the states are one :func:`~vfcontrol.openloop.initial_guess`
+    call, so a reference depends on its start and, through its guess only,
+    on the other states.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    return [solve_open_loop(model, x0, q_matrix, config) for x0 in states]
+    if not len(states):
+        return []
+    guesses = openloop.initial_guess(model, states, openloop.initial_mesh(config), q_matrix)
+    return [solve_open_loop(model, x0, q_matrix, config, guess=guess) for x0, guess in zip(states, guesses)]
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -243,8 +243,10 @@ def integrate_ivp(
     diffusion stiffness bites; its block-diagonal Jacobian then comes from
     one :func:`fd_jacobian` call of ``rhs(t, .)`` on the k rows, one batched
     call of 2 n k rows, rather than from n k single-point calls with LSODA's
-    own increments.  LSODA bounds the local error in a weighted max-norm, so
-    stacking the rows loosens no row's error control.
+    own increments.  LSODA gets it in band storage, n - 1 diagonals either
+    side, so the cost of its LU grows as k, not k^3.  LSODA bounds the
+    local error in a weighted max-norm, so stacking the rows loosens no
+    row's error control.
 
     A positive ``escape_dims`` m bounds the first m components of each row
     by its escape radius 10 (1 + ||x0[:m]||): a row ends on the first
@@ -287,6 +289,22 @@ def integrate_ivp(
     return [row.result() for row in rows]
 
 
+def _band_storage(blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of the (k, n, n) ``blocks`` in LAPACK band storage.
+
+    With n - 1 sub- and superdiagonals, entry (i, j) of the (k n)^2 matrix
+    sits at ``packed[n - 1 + i - j, j]``, the layout LSODA takes with
+    ``lband = uband = n - 1``; band entries between two blocks are zero.
+    LSODA then factors k n columns of width 2 n - 1 rather than the dense
+    (k n)^2 matrix.
+    """
+    k, n, _ = blocks.shape
+    i, j = np.indices((n, n))
+    packed = np.zeros((2 * n - 1, k * n))
+    packed[n - 1 + i - j, np.arange(0, k * n, n)[:, None, None] + j] = blocks
+    return packed
+
+
 def _segment(rhs, rows: list, t_end: float, rel_tol: float, abs_tol: float) -> list:
     """Integrate ``rows`` together from their common last time until one of
     them ends early, or all reach ``t_end``; returns the groups of rows that
@@ -299,15 +317,11 @@ def _segment(rhs, rows: list, t_end: float, rel_tol: float, abs_tol: float) -> l
         return rhs(t, y.reshape(shape)).ravel()
 
     def jac(t, y):
-        blocks = fd_jacobian(lambda batch: rhs(t, batch), y.reshape(shape))
-        full = np.zeros((k * n, k * n))
-        for block, cols in zip(blocks, every):
-            full[cols, cols] = block
-        return full
+        return _band_storage(fd_jacobian(lambda batch: rhs(t, batch), y.reshape(shape)))
 
     t0 = rows[0].times[-1]
     y0 = np.concatenate([row.states[-1] for row in rows])
-    solver = LSODA(fun, t0, y0, t_end, rtol=rel_tol, atol=abs_tol, jac=jac)
+    solver = LSODA(fun, t0, y0, t_end, rtol=rel_tol, atol=abs_tol, jac=jac, lband=n - 1, uband=n - 1)
     ended, message = [], None
     while solver.status == "running":
         message = solver.step()

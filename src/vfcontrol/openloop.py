@@ -53,6 +53,7 @@ __all__ = [
     "OpenLoopConfig",
     "BvpSolution",
     "BvpFailure",
+    "initial_mesh",
     "initial_guess",
     "solve_pmp",
     "solve_open_loop",
@@ -74,10 +75,12 @@ CHORD_CONTRACTION = 0.25
 # amp (dimension 2), 34 of nhe (grid side 6) and 12 of amp (dimension 4),
 # rollouts at rel 1e-8, 1e-6 and 1e-4 gave every solve_open_loop the same
 # Newton iterations, line-search halvings and refinement rounds as rel
-# 1e-10, and final iterates agreeing to 2.2e-16 relative.  At rel 1e-6 the
-# median rollout takes 291 steps instead of 615 on amp and 370 instead of
-# 1,065 on nhe.
-GUESS_TOL = (1e-6, 1e-8)
+# 1e-10, and final iterates agreeing to 2.2e-16 relative.  Rolled out as
+# stacks, the guesses of the benchmark's 40 solves (6 explored and 4
+# references per workload and data draw) at rel 1e-4 give the Newton, chord,
+# halving and refinement counts of rel 1e-6, and a stack of the 6 explored
+# starts takes 16 ms instead of 24 on amp and 17 ms instead of 39 on nhe.
+GUESS_TOL = (1e-4, 1e-6)
 
 
 def time_stretch(tau):
@@ -257,21 +260,31 @@ class BvpSolution:
         return self.z[:, 2 * self.dim_state]
 
 
-def initial_guess(model: ControlAffineModel, x0: np.ndarray, taus: np.ndarray, q_matrix: np.ndarray) -> np.ndarray:
-    """Closed-loop rollout under the quadratic-value feedback as a first iterate.
+def initial_mesh(config: OpenLoopConfig) -> np.ndarray:
+    """The graded mesh that :func:`solve_open_loop` starts on, and its guess lives on."""
+    return graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
 
-    States come from integrating x' = f + g u with u fed back from the value
-    model x^T Q x; costates and values are that model's gradient and value.
-    If the rollout escapes the radius of
-    :func:`~vfcontrol.numerics.integrate_ivp` (the quadratic feedback need not
-    stabilize far out), or its integrator fails, everything past the last
-    valid time is padded with zeros, which is the correct asymptote anyway.
 
-    The rollout is integrated loosely, to :data:`GUESS_TOL`: Newton sets the
-    accuracy of the solution, and the gap between the quadratic-feedback
+def initial_guess(model: ControlAffineModel, starts: np.ndarray, taus: np.ndarray, q_matrix: np.ndarray) -> np.ndarray:
+    """Closed-loop rollouts under the quadratic-value feedback as first iterates.
+
+    ``starts`` is a (k, n) stack, as :func:`~vfcontrol.numerics.integrate_ivp`
+    takes it, and the k rollouts are one stacked LSODA system; the result
+    has shape (k, nodes, 2 n + 1), one iterate per start.  States come from
+    integrating x' = f + g u with u fed back from the value model x^T Q x;
+    costates and values are that model's gradient and value.  If a rollout
+    escapes the radius of :func:`~vfcontrol.numerics.integrate_ivp` (the
+    quadratic feedback need not stabilize far out), or its integrator fails,
+    everything past its last valid time is padded with zeros, which is the
+    correct asymptote anyway.
+
+    The rollouts are integrated loosely, to :data:`GUESS_TOL`: Newton sets
+    the accuracy of the solution, and the gap between the quadratic-feedback
     path and the optimal one dwarfs any integration error at that tolerance.
+    So a guess depends on the starts rolled out with it only below that
+    tolerance, through the steps they share.
     """
-    x0 = np.asarray(x0, dtype=float)
+    starts = np.asarray(starts, dtype=float)
     n = model.dim_state
     qm = np.asarray(q_matrix, dtype=float)
     # the value model's gradient is x @ (2 Q); doubling is exact, so it has
@@ -283,15 +296,16 @@ def initial_guess(model: ControlAffineModel, x0: np.ndarray, taus: np.ndarray, q
         return model.f(x) + model.g_apply(x, u)
 
     times = time_stretch(taus)
-    (sol,) = integrate_ivp(rhs, x0[None], (0.0, float(times[-1])), rel_tol=GUESS_TOL[0], abs_tol=GUESS_TOL[1], escape_dims=n)
+    sols = integrate_ivp(rhs, starts, (0.0, float(times[-1])), rel_tol=GUESS_TOL[0], abs_tol=GUESS_TOL[1], escape_dims=n)
 
-    z = np.zeros((taus.size, 2 * n + 1))
-    inside = times <= sol.times[-1]
-    xs = sol.at(times[inside])
-    z[inside, :n] = xs
-    z[inside, n : 2 * n] = xs @ grad_matrix
-    z[inside, 2 * n] = np.einsum("ij,jk,ik->i", xs, qm, xs)
-    z[0, :n] = x0
+    z = np.zeros((len(sols), taus.size, 2 * n + 1))
+    for guess, x0, sol in zip(z, starts, sols):
+        inside = times <= sol.times[-1]
+        xs = sol.at(times[inside])
+        guess[inside, :n] = xs
+        guess[inside, n : 2 * n] = xs @ grad_matrix
+        guess[inside, 2 * n] = np.einsum("ij,jk,ik->i", xs, qm, xs)
+        guess[0, :n] = x0
     return z
 
 
@@ -403,14 +417,19 @@ def solve_open_loop(
     x0: np.ndarray,
     q_matrix: np.ndarray,
     config: OpenLoopConfig = OpenLoopConfig(),
+    *,
+    guess: Optional[np.ndarray] = None,
 ) -> BvpSolution:
     """Full pipeline for one start state: guess, solve, refine until the defect is small.
 
-    The first iterate is always the quadratic-value rollout of
-    :func:`initial_guess`, so the answer does not depend on any other solve.
+    The first iterate is the quadratic-value rollout of :func:`initial_guess`
+    on :func:`initial_mesh`: ``guess`` when the caller rolled it out with
+    other starts, else the rollout of ``x0`` as a stack of one.  No other
+    solve enters the answer.
     """
-    taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
-    guess = initial_guess(model, x0, taus, q_matrix)
+    taus = initial_mesh(config)
+    if guess is None:
+        (guess,) = initial_guess(model, np.asarray(x0, dtype=float)[None], taus, q_matrix)
     sol = solve_pmp(model, x0, taus, guess, config)
     newton_iterations = sol.newton_iterations
     halvings = sol.line_search_halvings

@@ -157,6 +157,32 @@ def start_states(data):
     return np.stack([t.x0 for t in data.trajectories])
 
 
+def farthest_first_visits(candidates, n_trajectories, eps_tol_d, quarantined):
+    """(visits, eps_history) of exploration's one-at-a-time loop when the
+    candidates of index in ``quarantined`` fail and every other one is kept.
+
+    Each step picks the candidate farthest from the origin and the kept
+    starts, ties to the lowest index, until ``n_trajectories`` are kept, the
+    farthest is within ``eps_tol_d`` or none is left; a quarantined pick is
+    dropped and covers nothing.
+    """
+    candidates = np.asarray(candidates, dtype=float)
+    dmin = np.linalg.norm(candidates, axis=1)
+    visits, eps_history = [], []
+    while len(eps_history) < n_trajectories and np.any(dmin > -np.inf):
+        best = int(np.argmax(dmin))
+        if dmin[best] <= eps_tol_d:
+            break
+        visits.append(best)
+        gap = float(dmin[best])
+        dmin[best] = -np.inf
+        if best in quarantined:
+            continue
+        eps_history.append(gap)
+        dmin = np.minimum(dmin, np.linalg.norm(candidates - candidates[best], axis=1))
+    return visits, eps_history
+
+
 def prefix(data, n):
     """The dataset of the first n trajectories, with their solve records."""
     meta = dict(data.meta)

@@ -104,3 +104,34 @@ def test_traced_open_loop_solve_factors_once_per_newton_step():
     residuals = spans["openloop.bvp_residual"]["calls"]
     rows = residuals * (2 * k + 1) + iterations * (k + 1) + k
     assert tracer.counters["models.pmp_rhs.rows"] == rows
+
+
+def test_traced_exploration_rolls_out_one_guess_batch_and_counts_no_warm_start():
+    """``explore`` reaches ``openloop.initial_guess`` through the module
+    attribute the tracer rebinds, so its span counts one call per batch: one
+    for an exploration without quarantines, one for a test set.  The guesses
+    go to ``solve_open_loop`` by keyword, which the tracer's warm-start
+    counter, reading a fifth positional argument, does not mistake for one."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer("test")
+    model = build_linear([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]])
+    qm = quadratic_matrix(model)
+    solver = OpenLoopConfig(n_nodes=40, refine_rounds=0, samples=6)
+    candidates = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [0.5, -0.5], [-0.2, 0.6]])
+    tracing.instrument(tracer)
+    try:
+        data = vfcontrol.explore.run_exploration(
+            model, candidates, qm, vfcontrol.explore.ExploreConfig(n_trajectories=4, solver=solver)
+        )
+        explored = tracer.aggregate()
+        refs = vfcontrol.explore.solve_testset(model, candidates[:2], qm, solver)
+        spans = tracer.aggregate()
+    finally:
+        tracer.restore()
+    assert data.n_trajectories == 4 and len(refs) == 2
+    assert explored["openloop.initial_guess"]["calls"] == 1
+    assert explored["openloop.solve_open_loop"]["calls"] == 4
+    assert spans["openloop.initial_guess"]["calls"] == 2
+    assert tracer.counters["explore.trajectories"] == 4
+    assert tracer.counters["explore.warm_attempts"] == 0
+    assert tracer.counters["explore.warm_hits"] == 0

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import vfcontrol.explore as explore
 import vfcontrol.openloop as openloop
-from helpers import c_max_state, c_max_value, prefix, start_states
+from helpers import c_max_state, c_max_value, farthest_first_visits, prefix, start_states
 from vfcontrol.cli import ConfigError, candidates_from_config, explore_from_config, load_config, model_from_config
 from vfcontrol.explore import (
     Dataset,
@@ -346,21 +346,112 @@ def test_testset_solves_match_exploration_quality(lqr_setup):
     assert refs[1].values[0] == pytest.approx(q * 0.0625, abs=1e-7)
 
 
-def test_each_stored_trajectory_is_its_own_solve():
-    """Exploration adds nothing to a solve: every stored trajectory is bit for
-    bit the one a lone solve from its start state gives."""
+def spy_on_guesses(monkeypatch):
+    """Record every ``openloop.initial_guess`` call as (starts, guesses)."""
+    calls = []
+    real = openloop.initial_guess
+
+    def recorded(model, starts, taus, q_matrix):
+        guesses = real(model, starts, taus, q_matrix)
+        calls.append((np.array(starts), guesses))
+        return guesses
+
+    monkeypatch.setattr(openloop, "initial_guess", recorded)
+    return calls
+
+
+SOLVER_COUNTS = ("newton_iterations", "line_search_halvings", "chord_steps", "refine_rounds")
+
+
+def test_each_stored_trajectory_is_its_own_solve(monkeypatch):
+    """Exploration adds nothing to a solve but the batch its guess was rolled
+    out in: every stored trajectory is bit for bit the solve from its start
+    and its row of the batch guess.  A lone solve, whose guess is rolled out
+    alone, takes the same Newton, chord, halving and refinement counts and
+    agrees to 1e-12 relative."""
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "lqr.json")
     model = model_from_config(cfg)
     qm = quadratic_matrix(model)
     config = explore_from_config(cfg)
     candidates = candidates_from_config(cfg["explore"]["candidates"], model)
+    calls = spy_on_guesses(monkeypatch)
     data = run_exploration(model, candidates, qm, config)
     assert data.n_trajectories == config.n_trajectories
-    for traj in data.trajectories:
-        alone = to_trajectory(
-            solve_open_loop(model, traj.x0, qm, config.solver),
+    # no quarantine: one batch, the farthest-first order of the whole budget
+    ((starts, guesses),) = calls
+    order, _ = farthest_point_order(candidates, config.n_trajectories)
+    np.testing.assert_array_equal(starts, candidates[order])
+    np.testing.assert_array_equal(start_states(data), starts)
+    for traj, solve, guess in zip(data.trajectories, data.meta["solves"], guesses):
+        batched = to_trajectory(
+            solve_open_loop(model, traj.x0, qm, config.solver, guess=guess),
             samples=config.solver.samples,
             horizon=config.horizon,
         )
+        lone_sol = solve_open_loop(model, traj.x0, qm, config.solver)
+        lone = to_trajectory(lone_sol, samples=config.solver.samples, horizon=config.horizon)
+        assert {name: getattr(lone_sol, name) for name in SOLVER_COUNTS} == {name: solve[name] for name in SOLVER_COUNTS}
         for name in ("x0", "times", "states", "grads", "values"):
-            np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name), err_msg=name)
+            np.testing.assert_array_equal(getattr(traj, name), getattr(batched, name), err_msg=name)
+            stored, alone = getattr(traj, name), getattr(lone, name)
+            assert stored.shape == alone.shape, name
+            assert np.max(np.abs(stored - alone), initial=0.0) <= 1e-12 * np.max(np.abs(alone), initial=0.0), name
+
+
+# lqr on a 5 x 5 grid: which farthest-first picks fail, by their place in the
+# order of a run without failures (0 the first pick); the first batch holds
+# picks 0 to 5
+QUARANTINE_CASES = {
+    "second pick": [1],
+    "second and fourth picks": [1, 3],
+    "a run of three": [2, 3, 4],
+    "the last planned pick": [5],
+    "every other pick": [0, 2, 4, 6, 8],
+}
+
+
+@pytest.mark.parametrize("case", QUARANTINE_CASES)
+def test_quarantines_keep_the_one_at_a_time_order(case, monkeypatch):
+    """Solves forced to fail mid-batch leave the visit order, eps_history and
+    quarantine list of the one-at-a-time loop; the replanned batches reuse
+    the guesses already made, so no start is guessed twice and the guessed
+    rows are at most the distinct starts of every plan the run could make."""
+    model = build_linear([[0.0, 1.0], [-1.0, -0.5]], [[0.0], [1.0]])
+    qm = quadratic_matrix(model)
+    config = ExploreConfig(n_trajectories=6, solver=OpenLoopConfig(n_nodes=40, refine_rounds=0, samples=6))
+    candidates = candidate_grid([(-1.0, 1.0)] * 2, 5)
+    unperturbed, _ = farthest_first_visits(candidates, config.n_trajectories + 4, config.eps_tol_d, set())
+    doomed = {unperturbed[k] for k in QUARANTINE_CASES[case]}
+
+    visits = []
+    real_solve = explore.solve_open_loop
+
+    def solve(model, x0, q_matrix, solver, *, guess):
+        (index,) = np.flatnonzero(np.all(candidates == x0, axis=1))
+        visits.append(int(index))
+        if index in doomed:
+            raise openloop.BvpFailure("forced failure")
+        return real_solve(model, x0, q_matrix, solver, guess=guess)
+
+    monkeypatch.setattr(explore, "solve_open_loop", solve)
+    calls = spy_on_guesses(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        data = run_exploration(model, candidates, qm, config)
+
+    expected_visits, expected_eps = farthest_first_visits(candidates, config.n_trajectories, config.eps_tol_d, doomed)
+    assert visits == expected_visits
+    assert data.eps_history == expected_eps
+    assert [entry["index"] for entry in data.meta["quarantined"]] == [i for i in visits if i in doomed]
+    np.testing.assert_array_equal(start_states(data), candidates[[i for i in visits if i not in doomed]])
+
+    guessed = [int(np.flatnonzero(np.all(candidates == row, axis=1))[0]) for starts, _ in calls for row in starts]
+    assert len(guessed) == len(set(guessed)) and set(visits) <= set(guessed)
+    # the plan after each quarantine is the one-at-a-time order with the
+    # failures so far, so every plan lies in the union of those orders
+    failed = [i for i in visits if i in doomed]
+    planned = set()
+    for j in range(len(failed) + 1):
+        planned.update(farthest_first_visits(candidates, config.n_trajectories, config.eps_tol_d, set(failed[:j]))[0])
+    assert len(guessed) <= len(planned)
+    assert len(calls) <= 1 + len(failed)

@@ -9,7 +9,9 @@ from scipy.integrate import solve_ivp
 
 from helpers import fd_gradient, fd_gradient_check, fd_jacobian_columns
 from vfcontrol.models import NheParameters, build_amp, build_linear, build_nhe, optimal_control, pmp_rhs
-from vfcontrol.numerics import FD_STEP, CgError, cg_solve, fd_jacobian, integrate_ivp
+from vfcontrol.explore import candidate_modes
+from vfcontrol.numerics import FD_STEP, CgError, _band_storage, cg_solve, fd_jacobian, integrate_ivp
+from vfcontrol.riccati import quadratic_matrix
 
 
 def as_op(a):
@@ -200,10 +202,21 @@ def test_integrate_ivp_steps_as_solve_ivp_does(name):
 
         event.terminal = True
 
-    def jac(t, y):
-        return fd_jacobian(lambda batch: rhs(t, batch), y)
+    n = x0.size
 
-    ref = solve_ivp(rhs, t_span, x0, method="LSODA", rtol=rel_tol, atol=abs_tol, dense_output=True, events=event, jac=jac)
+    def jac(t, y):
+        # in LSODA's band storage, n - 1 diagonals either side, as integrate_ivp hands it over
+        full = fd_jacobian(lambda batch: rhs(t, batch), y)
+        band = np.zeros((2 * n - 1, n))
+        for i in range(n):
+            for j in range(n):
+                band[n - 1 + i - j, j] = full[i, j]
+        return band
+
+    ref = solve_ivp(
+        rhs, t_span, x0, method="LSODA", rtol=rel_tol, atol=abs_tol, dense_output=True, events=event, jac=jac,
+        lband=n - 1, uband=n - 1,
+    )
     inside = np.linspace(ref.t[0], ref.t[-1], 97)
     np.testing.assert_array_equal(run.times, ref.t)
     np.testing.assert_array_equal(run.states, ref.y.T)
@@ -211,6 +224,46 @@ def test_integrate_ivp_steps_as_solve_ivp_does(name):
     np.testing.assert_array_equal(run.at(inside), ref.sol(inside).T)
     assert run.failure is None
     assert ref.status == (1 if name.endswith("stopped") else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_band_storage_holds_exactly_the_block_diagonal_matrix(k, n, seed):
+    """Every entry (i, j) of the (k n)^2 block-diagonal matrix sits at
+    packed[n - 1 + i - j, j], and nothing else is in the band."""
+    blocks = np.random.default_rng(seed).normal(size=(k, n, n))
+    packed = _band_storage(blocks)
+    assert packed.shape == (2 * n - 1, k * n)
+    dense = scipy.linalg.block_diag(*blocks)
+    i, j = np.indices(dense.shape)
+    inside = np.abs(i - j) <= n - 1
+    expanded = np.zeros_like(dense)
+    expanded[inside] = packed[n - 1 + i[inside] - j[inside], j[inside]]
+    assert np.array_equal(expanded, dense)
+    # the slots between blocks and past the matrix edges stay zero
+    assert np.count_nonzero(packed) == np.count_nonzero(dense)
+
+
+def test_a_stacked_stiff_nhe_rollout_agrees_with_its_solo_runs():
+    """Quadratic-feedback rollouts of the 36-state heat model turn stiff; the
+    stack of four, on its banded Jacobians, follows each start's solo run to
+    well within the tolerance of the guess rollouts."""
+    model = build_nhe(NheParameters(grid_side=6))
+    qm = quadratic_matrix(model)
+
+    def rhs(t, x):
+        return model.f(x) + model.g_apply(x, optimal_control(model, x, 2.0 * x @ qm))
+
+    rel_tol, abs_tol = 1e-6, 1e-8
+    starts = candidate_modes(6)[[0, 100, 400, 700]]
+    runs = integrate_ivp(rhs, starts, (0.0, 50.0), rel_tol=rel_tol, abs_tol=abs_tol)
+    assert runs[0].jacobian_evaluations > 0
+    grid = np.linspace(0.0, 50.0, 201)
+    for start, run in zip(starts, runs):
+        (alone,) = integrate_ivp(rhs, start[None], (0.0, 50.0), rel_tol=rel_tol, abs_tol=abs_tol)
+        assert run.failure is alone.failure is None
+        scale = 1.0 + np.max(np.abs(alone.states))
+        assert np.max(np.abs(run.at(grid) - alone.at(grid))) <= 10.0 * rel_tol * scale
 
 
 def own_rate(t, y):

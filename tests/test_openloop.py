@@ -150,7 +150,7 @@ def test_initial_guess_shape_and_anchoring():
     model = build_amp()
     qm = quadratic_matrix(model)
     taus = graded_mesh(50)
-    z = initial_guess(model, np.array([1.0, 0.0]), taus, qm)
+    z = initial_guess(model, np.array([[1.0, 0.0]]), taus, qm)[0]
     assert z.shape == (51, 5)
     assert np.all(np.isfinite(z))
     np.testing.assert_array_equal(z[0, :2], [1.0, 0.0])
@@ -165,7 +165,7 @@ def test_initial_guess_pads_with_zeros_after_an_escape():
     model = build_linear([[0.5]], [[1.0]])
     qm = -quadratic_matrix(model)
     x0 = np.array([1.0])
-    z = initial_guess(model, x0, graded_mesh(40), qm)
+    z = initial_guess(model, x0[None], graded_mesh(40), qm)[0]
     assert z.shape == (41, 3)
     np.testing.assert_array_equal(z[0, :1], x0)
     before, after = z[:23], z[23:]
@@ -183,8 +183,8 @@ def test_initial_guess_keeps_the_valid_path_of_a_failed_rollout():
     qm = quadratic_matrix(model)
     failing = replace(model, f=lambda x: np.where(np.abs(x) < 0.4, np.nan, model.f(x)))
     taus = graded_mesh(40)
-    z = initial_guess(failing, np.array([1.0]), taus, qm)
-    clean = initial_guess(model, np.array([1.0]), taus, qm)
+    z = initial_guess(failing, np.array([[1.0]]), taus, qm)[0]
+    clean = initial_guess(model, np.array([[1.0]]), taus, qm)[0]
     kept = np.flatnonzero(z[:, 0] != 0.0)
     assert 2 < kept.size < taus.size
     np.testing.assert_array_equal(kept, np.arange(kept.size))
@@ -223,7 +223,7 @@ def test_newton_does_not_depend_on_the_guess_tolerance(name):
     qm = quadratic_matrix(model)
     config = OpenLoopConfig()
     taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
-    loose = initial_guess(model, x0, taus, qm)
+    loose = initial_guess(model, x0[None], taus, qm)[0]
     tight = tight_rollout(model, x0, taus, qm)
     assert np.max(np.abs(loose - tight)) > 1e-9 * np.max(np.abs(tight))
     a = solve_pmp(model, x0, taus, loose, config)
@@ -283,7 +283,7 @@ def test_band_jacobian_equals_finite_differences_of_the_residual(name):
     x0 = np.array([0.5, -0.3])
     # a perturbed quadratic-feedback rollout: an iterate Newton would meet
     rng = np.random.default_rng(31)
-    z = initial_guess(model, x0, taus, quadratic_matrix(model))
+    z = initial_guess(model, x0[None], taus, quadratic_matrix(model))[0]
     z += rng.uniform(-0.05, 0.05, size=z.shape)
     kl, ku = _band_widths(model.dim_state)
     dense = band_to_dense(_assemble_jacobian(model, taus, z, delta_tau), kl, ku)
@@ -321,7 +321,7 @@ def test_band_jacobian_is_bitwise_the_block_expression(name, refined):
     if refined:
         taus = np.sort(np.concatenate([taus, 0.5 * (taus[:-1] + taus[1:])[::3]]))
     rng = np.random.default_rng(7)
-    z = initial_guess(model, x0, taus, quadratic_matrix(model))
+    z = initial_guess(model, x0[None], taus, quadratic_matrix(model))[0]
     z += rng.uniform(-0.05, 0.05, size=z.shape)
     ab = _assemble_jacobian(model, taus, z, delta_tau)
     reference = band_jacobian_reference(model, taus, z, delta_tau)
@@ -370,7 +370,7 @@ def nhe_from_rollout():
     model, x0 = build_nhe(NheParameters(grid_side=3)), nhe_start(3)
     config = OpenLoopConfig(n_nodes=40)
     taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
-    return model, x0, taus, initial_guess(model, x0, taus, quadratic_matrix(model)), config
+    return model, x0, taus, initial_guess(model, x0[None], taus, quadratic_matrix(model))[0], config
 
 
 def test_a_chord_step_that_does_not_contract_forces_a_factorization_at_the_same_iterate(monkeypatch):
