@@ -5,14 +5,14 @@ A model describes
     x' = f(x) + g(x) u,    cost integrand r(x) + u^T R u,
 
 with f(0) = 0 and r >= 0, r(0) = 0, so the origin is the target equilibrium.
-Derivative information enters the costate equation as transpose-Jacobian
-actions, which keeps costate evaluations O(dim) for the grid-based problems.
-The one assembled Jacobian is ``pmp_jacobian``, the derivative of the whole
-optimality system that Newton collocation needs, which ``build_amp``,
-``build_nhe`` and ``build_linear`` write in closed form.  Every map
-broadcasts over leading batch axes with the state on the last axis.  A model
-declares its maps, R and the cost matrix; R^{-1}, the linearization
-A = J_f(0), B = g(0) and the control dimension are computed from them.
+A model writes its Pontryagin optimality system in closed form: the
+right-hand side ``optimality_rhs`` (see :func:`pmp_rhs`) and its Jacobian
+``pmp_jacobian``, which Newton collocation needs, so terms the rows share are
+computed once.  ``f``, ``g_apply``, ``gT_apply`` and ``r`` serve the closed
+loop and the HJB residual.  Every map broadcasts over leading batch axes with
+the state on the last axis.  A model declares its maps, R and the cost
+matrix; R^{-1}, A = J_f(0) (read off ``pmp_jacobian``), B = g(0) and the
+control dimension are computed from them.
 
 Bundled models:
 
@@ -28,7 +28,7 @@ Bundled models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -61,9 +61,7 @@ class ControlAffineModel:
     g_apply: Callable          # (x, u) -> g(x) u
     gT_apply: Callable         # (x, p) -> g(x)^T p
     r: Callable
-    grad_r: Callable
-    jac_f_T_apply: Callable    # (x, p) -> J_f(x)^T p
-    dgu_dx_T_apply: Callable   # (x, u, p) -> [d/dx (g(x) u)]^T p
+    optimality_rhs: Callable   # z = [x; p; v] -> [x'; p'; v'], see pmp_rhs
     # z -> d pmp_rhs / dz, shape (..., 2n+1, 2n+1); the control weight R is
     # taken to be symmetric, as every cost weight is
     pmp_jacobian: Callable
@@ -86,9 +84,9 @@ class ControlAffineModel:
 
     @cached_property
     def lin_A(self) -> np.ndarray:
-        """J_f(0): row i is J_f(0)^T e_i."""
+        """J_f(0), the state block of ``pmp_jacobian`` at the origin."""
         n = self.dim_state
-        return self.jac_f_T_apply(np.zeros((n, n)), np.eye(n))
+        return self.pmp_jacobian(np.zeros(2 * n + 1))[:n, :n]
 
     @cached_property
     def lin_B(self) -> np.ndarray:
@@ -110,17 +108,11 @@ def pmp_rhs(model: ControlAffineModel, z: np.ndarray) -> np.ndarray:
 
         x' = f(x) + g(x) u,
         p' = -(J_f(x)^T p + [d/dx g(x)u]^T p + grad r(x)),
-        v' = -(r(x) + u^T R u).
+        v' = -(r(x) + u^T R u),
+
+    which the model writes in closed form as ``model.optimality_rhs``.
     """
-    z = np.asarray(z, dtype=float)
-    n = model.dim_state
-    x = z[..., :n]
-    p = z[..., n : 2 * n]
-    u = optimal_control(model, x, p)
-    dx = model.f(x) + model.g_apply(x, u)
-    dp = -(model.jac_f_T_apply(x, p) + model.dgu_dx_T_apply(x, u, p) + model.grad_r(x))
-    dv = -(model.r(x) + np.add.reduce((u @ model.R) * u, axis=-1))
-    return np.concatenate([dx, dp, dv[..., None]], axis=-1)
+    return model.optimality_rhs(np.asarray(z, dtype=float))
 
 
 def hjb_residual(model: ControlAffineModel, x: np.ndarray, grad_v: np.ndarray) -> np.ndarray:
@@ -143,6 +135,16 @@ class AmpParameters:
     dim: int = 2
     alpha: float = 1.0e5
     beta: float = 1.0
+
+    def __post_init__(self):
+        _require(self.dim >= 1, "dim", self.dim, "at least 1")
+        _require(self.alpha >= 0.0, "alpha", self.alpha, ">= 0")
+        _require(self.beta > 0.0, "beta", self.beta, "> 0")
+
+
+def _require(holds: bool, name: str, value, needs: str) -> None:
+    if not holds:
+        raise ValueError(f"model parameter {name} must be {needs}, got {value!r}")
 
 
 def amp_value_factor(params: AmpParameters) -> float:
@@ -183,23 +185,22 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
         qq = np.add.reduce(x * x, axis=-1)
         return alpha * np.exp(qq) * qq * qq
 
-    def grad_r(x):
+    def optimality_rhs(z):
+        # With s = x.p, c = s / (2 beta e^q) = -g u / x and
+        # rho = 2 alpha e^q q (q + 2) = grad r / x, the system reads
+        #   x' = (q - c) x,  p' = -((q - c) p + ((2 + c) s + rho) x),
+        #   v' = -(alpha e^q q^2 + c s / 2).
+        x, p = z[..., :n], z[..., n : 2 * n]
         qq = q(x)
-        return 2.0 * alpha * np.exp(qq) * qq * (qq + 2.0) * x
-
-    def jac_f_T_apply(x, p):
-        return q(x) * p + 2.0 * x * np.add.reduce(x * p, axis=-1, keepdims=True)
-
-    def dgu_dx_T_apply(x, u, p):
-        # d/dx (e^{-q/2} x u) = u e^{-q/2} (I - x x^T); symmetric, so the
-        # transpose action coincides.
-        return u * np.exp(-0.5 * q(x)) * (p - x * np.add.reduce(x * p, axis=-1, keepdims=True))
+        s = np.add.reduce(x * p, axis=-1, keepdims=True)
+        e_q = np.exp(qq)
+        c = s / (2.0 * beta * e_q)
+        rate = qq - c
+        dp = -(rate * p + ((2.0 + c) * s + 2.0 * alpha * e_q * qq * (qq + 2.0)) * x)
+        return np.concatenate([rate * x, dp, -(alpha * e_q * qq * qq + 0.5 * c * s)], axis=-1)
 
     def pmp_jacobian(z):
-        # With s = x.p, kappa = e^{-q} / (2 beta), c = kappa s and
-        # rho = 2 alpha e^q q (q + 2) = grad r / x, the system reads
-        #   x' = (q - c) x,  p' = -((q - c) p + (2 + c) s x + rho x),
-        #   v' = -(alpha e^q q^2 + c s / 2).
+        # the derivative of optimality_rhs, with kappa = e^{-q} / (2 beta)
         x, p = z[..., :n], z[..., n : 2 * n]
         qq = q(x)[..., None]
         s = np.add.reduce(x * p, axis=-1)[..., None, None]
@@ -231,9 +232,7 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
         g_apply=g_apply,
         gT_apply=gT_apply,
         r=r,
-        grad_r=grad_r,
-        jac_f_T_apply=jac_f_T_apply,
-        dgu_dx_T_apply=dgu_dx_T_apply,
+        optimality_rhs=optimality_rhs,
         pmp_jacobian=pmp_jacobian,
         R=np.array([[beta]]),
         cost_matrix=np.zeros((n, n)),
@@ -253,6 +252,13 @@ class NheParameters:
     control_low: tuple = (0.25, 0.25)
     control_high: tuple = (0.75, 0.75)
     control_penalty: float = 1.0e-3
+
+    def __post_init__(self):
+        _require(self.grid_side >= 1, "grid_side", self.grid_side, "at least 1")
+        _require(self.diffusivity > 0.0, "diffusivity", self.diffusivity, "> 0")
+        _require(self.control_penalty > 0.0, "control_penalty", self.control_penalty, "> 0")
+        box = (self.control_low, self.control_high)
+        _require(_control_nodes(self).size > 0, "control_low, control_high", box, "a box holding a grid node")
 
 
 def nhe_node_coords(grid_side: int) -> np.ndarray:
@@ -285,14 +291,17 @@ def nhe_assemble(params: NheParameters):
                     a[k, ii * n_g + jj] += scale
                     a[k, k] -= scale
                 # mirrored ghost nodes contribute x_k - x_k = 0
-    coords = nhe_node_coords(n_g)
-    lo = np.asarray(params.control_low)
-    hi = np.asarray(params.control_high)
-    inside = np.all((coords >= lo - 1e-12) & (coords <= hi + 1e-12), axis=1)
-    idx = np.flatnonzero(inside)
+    idx = _control_nodes(params)
     b = np.zeros((n, idx.size))
     b[idx, np.arange(idx.size)] = 1.0
     return a, b
+
+
+def _control_nodes(params: NheParameters) -> np.ndarray:
+    """Indices of the grid nodes inside the closed control box."""
+    coords = nhe_node_coords(params.grid_side)
+    lo, hi = np.asarray(params.control_low), np.asarray(params.control_high)
+    return np.flatnonzero(np.all((coords >= lo - 1e-12) & (coords <= hi + 1e-12), axis=1))
 
 
 def build_nhe(params: NheParameters = NheParameters()) -> ControlAffineModel:
@@ -313,11 +322,8 @@ def build_nhe(params: NheParameters = NheParameters()) -> ControlAffineModel:
     def r(x):
         return np.add.reduce(x * x, axis=-1)
 
-    def grad_r(x):
-        return 2.0 * x
-
-    def jac_f_T_apply(x, p):
-        return p @ a + beta * (2.0 * x - 3.0 * x * x) * p
+    def costate_rate(x, p):
+        return p @ a + beta * (2.0 * x - 3.0 * x * x) * p + 2.0 * x
 
     def pmp_jacobian(z):
         x, p = z[..., :n], z[..., n : 2 * n]
@@ -333,21 +339,28 @@ def build_nhe(params: NheParameters = NheParameters()) -> ControlAffineModel:
         name="nhe",
         f=f,
         r=r,
-        grad_r=grad_r,
-        jac_f_T_apply=jac_f_T_apply,
+        optimality_rhs=_fixed_input_rhs(b, linear.R, f, r, costate_rate),
         pmp_jacobian=pmp_jacobian,
-        params={
-            "grid_side": params.grid_side,
-            "diffusivity": params.diffusivity,
-            "reaction": params.reaction,
-            "control_low": list(params.control_low),
-            "control_high": list(params.control_high),
-            "control_penalty": params.control_penalty,
-        },
+        params={**asdict(params), "control_low": list(params.control_low), "control_high": list(params.control_high)},
     )
 
 
 # -- lqr: linear-quadratic sanity models -------------------------------------
+
+
+def _fixed_input_rhs(b, rw, f, r, costate_rate):
+    """The optimality system of a model with g(x) = B, whose costate equation
+    reads p' = -costate_rate(x, p) = -(J_f(x)^T p + grad r(x))."""
+    n = b.shape[0]
+    r_inv = np.linalg.inv(rw)
+
+    def optimality_rhs(z):
+        x, p = z[..., :n], z[..., n : 2 * n]
+        u = -0.5 * (p @ b) @ r_inv
+        dv = -(r(x) + np.add.reduce((u @ rw) * u, axis=-1))
+        return np.concatenate([f(x) + u @ b.T, -costate_rate(x, p), dv[..., None]], axis=-1)
+
+    return optimality_rhs
 
 
 def build_linear(
@@ -376,14 +389,8 @@ def build_linear(
     def r(x):
         return np.einsum("...i,ij,...j->...", x, c, x)
 
-    def grad_r(x):
-        return 2.0 * x @ c
-
-    def jac_f_T_apply(x, p):
-        return p @ a
-
-    def dgu_dx_T_apply(x, u, p):
-        return np.zeros_like(x)
+    def costate_rate(x, p):
+        return p @ a + 2.0 * x @ c
 
     gain = -0.5 * b @ np.linalg.inv(rw) @ b.T
     c_sym = c + c.T
@@ -409,9 +416,7 @@ def build_linear(
         g_apply=g_apply,
         gT_apply=gT_apply,
         r=r,
-        grad_r=grad_r,
-        jac_f_T_apply=jac_f_T_apply,
-        dgu_dx_T_apply=dgu_dx_T_apply,
+        optimality_rhs=_fixed_input_rhs(b, rw, f, r, costate_rate),
         pmp_jacobian=pmp_jacobian,
         R=rw,
         cost_matrix=c,
@@ -428,10 +433,9 @@ def build_model(name: str, params: Optional[dict] = None) -> ControlAffineModel:
     ValueError naming it.
     """
     params = dict(params or {})
-    if name == "amp":
-        known = {f.name for f in fields(AmpParameters)}
-    elif name == "nhe":
-        known = {f.name for f in fields(NheParameters)}
+    kinds = {"amp": (AmpParameters, build_amp), "nhe": (NheParameters, build_nhe)}
+    if name in kinds:
+        known = {f.name for f in fields(kinds[name][0])}
     elif name == "lqr":
         known = {"A", "B", "cost", "R"}
         missing = {"A", "B"} - set(params)
@@ -442,13 +446,7 @@ def build_model(name: str, params: Optional[dict] = None) -> ControlAffineModel:
     unknown = set(params) - known
     if unknown:
         raise ValueError(f"unknown model.params {sorted(unknown)} for model {name!r}")
-    if name == "amp":
-        return build_amp(AmpParameters(**params))
-    if name == "nhe":
-        return build_nhe(NheParameters(**params))
-    return build_linear(
-        params["A"],
-        params["B"],
-        cost_matrix=params.get("cost"),
-        control_weight=params.get("R"),
-    )
+    if name in kinds:
+        kind, build = kinds[name]
+        return build(kind(**params))
+    return build_linear(params["A"], params["B"], cost_matrix=params.get("cost"), control_weight=params.get("R"))

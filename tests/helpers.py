@@ -3,7 +3,8 @@
 Everything here recomputes quantities along an independent route from the
 library code under test: the interpolation matrix is assembled densely from
 single-pair kernel calls, reference trajectories come from closed-form
-solutions, and derivative checks go through finite differences.
+solutions, the optimality system is composed from a model's maps, and
+derivative checks go through finite differences.
 """
 
 import numpy as np
@@ -12,8 +13,8 @@ from vfcontrol.evaluate import ClosedLoopRun
 from vfcontrol.explore import Dataset
 from vfcontrol.hermite import MIN_SPACING
 from vfcontrol.kernels import StructuredKernel
-from vfcontrol.models import AmpParameters
-from vfcontrol.numerics import FD_STEP
+from vfcontrol.models import AmpParameters, optimal_control
+from vfcontrol.numerics import FD_STEP, fd_jacobian
 from vfcontrol.openloop import _band_widths, _midpoints
 
 
@@ -308,6 +309,43 @@ def fd_gradient_check(f, grad, x, h=1e-6):
     """Max absolute deviation between ``grad(x)`` and a central difference of ``f``."""
     g = np.asarray(grad(np.asarray(x, dtype=float)), dtype=float)
     return float(np.max(np.abs(g - fd_gradient(f, x, h))))
+
+
+# -- the optimality system, composed from a model's maps
+
+
+def composed_pmp_rhs(model, z):
+    """Pontryagin's optimality system at every row of z = [x; p; v], and the
+    size of the terms each entry sums, both of shape (..., 2n+1).
+
+    The route the models' closed forms replace: with u = -1/2 R^{-1} g(x)^T p,
+
+        x' = f(x) + g(x) u,
+        p' = -(J_f(x)^T p + [d/dx g(x)u]^T p + grad r(x)),
+        v' = -(r(x) + u^T R u),
+
+    where J_f, d(g u)/dx at fixed u and grad r are ``fd_jacobian`` of ``f``,
+    ``g_apply`` and ``r``.  The x' and v' rows hold no finite difference.
+    The size is the same sum over the terms' absolute values, so an entry that
+    cancels is checked against the rounding of its terms.
+    """
+    z = np.asarray(z, dtype=float)
+    n = model.dim_state
+    rows = z.reshape(-1, z.shape[-1])
+    x, p = rows[:, :n], rows[:, n : 2 * n]
+    u = optimal_control(model, x, p)
+    jac_f = fd_jacobian(model.f, x)
+    # fd_jacobian stacks 2n perturbed copies of the rows, so u is tiled to match
+    jac_gu = fd_jacobian(lambda y: model.g_apply(y, np.tile(u, (2 * n, 1))), x)
+    grad_r = fd_jacobian(lambda y: model.r(y)[:, None], x)[:, 0]
+    terms = [
+        (model.f(x), model.g_apply(x, u)),
+        (-np.einsum("kij,ki->kj", jac_f, p), -np.einsum("kij,ki->kj", jac_gu, p), -grad_r),
+        (-model.r(x)[:, None], -np.einsum("ki,ij,kj->k", u, model.R, u)[:, None]),
+    ]
+    rhs = np.concatenate([sum(row) for row in terms], axis=1).reshape(z.shape)
+    size = np.concatenate([sum(np.abs(t) for t in row) for row in terms], axis=1).reshape(z.shape)
+    return rhs, size
 
 
 # -- the collocation Jacobian, block by block

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import fd_gradient_check
+from helpers import composed_pmp_rhs, fd_gradient_check
 from vfcontrol.models import (
     AmpParameters,
     ControlAffineModel,
@@ -96,48 +96,6 @@ def test_pmp_rhs_scalar_linear_by_hand():
     np.testing.assert_allclose(dz, [-2.25, -3.5, -4.0625], atol=1e-14)
 
 
-def test_grad_r_matches_finite_differences_for_all_models():
-    rng = np.random.default_rng(14)
-    models = (build_amp(), build_nhe(NheParameters(grid_side=3)), build_linear([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0]))
-    for model in models:
-        scale = 1.0
-        for _ in range(50):
-            x = rng.uniform(-0.8, 0.8, size=model.dim_state)
-            dev = fd_gradient_check(
-                lambda z: float(model.r(z)), lambda z: model.grad_r(z), x, h=1e-5 * scale
-            )
-            assert dev <= 1e-5 * (1.0 + abs(float(model.r(x))))
-
-
-def test_jacobian_transpose_action_consistency():
-    """<J_f(x)^T p, d> must equal <p, directional derivative of f along d>."""
-    rng = np.random.default_rng(15)
-    h = 1e-6
-    for model in (build_amp(), build_nhe(NheParameters(grid_side=3))):
-        n = model.dim_state
-        for _ in range(10):
-            x = rng.uniform(-0.7, 0.7, size=n)
-            p = rng.normal(size=n)
-            d = rng.normal(size=n)
-            lhs = float(model.jac_f_T_apply(x, p) @ d)
-            rhs = float(p @ (model.f(x + h * d) - model.f(x - h * d))) / (2 * h)
-            assert abs(lhs - rhs) <= 1e-4 * (1.0 + abs(lhs))
-
-
-def test_control_coupling_transpose_action_consistency():
-    model = build_amp()
-    rng = np.random.default_rng(16)
-    h = 1e-6
-    for _ in range(10):
-        x = rng.uniform(-0.7, 0.7, size=2)
-        p = rng.normal(size=2)
-        d = rng.normal(size=2)
-        u = rng.normal(size=1)
-        lhs = float(model.dgu_dx_T_apply(x, u, p) @ d)
-        rhs = float(p @ (model.g_apply(x + h * d, u) - model.g_apply(x - h * d, u))) / (2 * h)
-        assert abs(lhs - rhs) <= 1e-6 * (1.0 + abs(lhs))
-
-
 def test_nhe_grid_and_control_region_sizes():
     a10, b10 = nhe_assemble(NheParameters(grid_side=10))
     assert a10.shape == (100, 100)
@@ -199,6 +157,27 @@ def test_build_model_rejects_unknown_and_missing_params():
         build_model("nhe", {"grid_sid": 6})
     with pytest.raises(ValueError, match="'A'"):
         build_model("lqr", {"B": [[1.0]]})
+
+
+BAD_PARAMETERS = {
+    "dim": ("amp", {"dim": 0}),
+    "beta": ("amp", {"beta": 0.0}),
+    "alpha": ("amp", {"alpha": -5.0}),
+    "grid_side": ("nhe", {"grid_side": 0}),
+    "diffusivity": ("nhe", {"diffusivity": 0.0}),
+    "control_penalty": ("nhe", {"control_penalty": 0.0}),
+    # grid side 4 puts its nodes at 0.125, 0.375, 0.625 and 0.875
+    "control_low, control_high": ("nhe", {"grid_side": 4, "control_low": [0.4, 0.4], "control_high": [0.6, 0.6]}),
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(BAD_PARAMETERS))
+def test_out_of_range_model_parameters_are_named(parameter):
+    """A parameter that makes no model (0 states, a division by 0, a negative
+    cost, a control box between the grid nodes) is a ValueError naming it."""
+    name, params = BAD_PARAMETERS[parameter]
+    with pytest.raises(ValueError, match=f"model parameter {parameter} must be"):
+        build_model(name, params)
 
 
 def test_linear_model_pieces():
@@ -265,9 +244,6 @@ def test_model_maps_broadcast_over_leading_batch_axes(name, k, m, data):
         "g_apply": lambda i: model.g_apply(x[i], u[i]),
         "gT_apply": lambda i: model.gT_apply(x[i], p[i]),
         "r": lambda i: model.r(x[i]),
-        "grad_r": lambda i: model.grad_r(x[i]),
-        "jac_f_T_apply": lambda i: model.jac_f_T_apply(x[i], p[i]),
-        "dgu_dx_T_apply": lambda i: model.dgu_dx_T_apply(x[i], u[i], p[i]),
         "pmp_rhs": lambda i: pmp_rhs(model, z[i]),
     }
     for label, apply in maps.items():
@@ -275,6 +251,34 @@ def test_model_maps_broadcast_over_leading_batch_axes(name, k, m, data):
         rows = np.array([[apply((a, b)) for b in range(m)] for a in range(k)])
         assert stacked.shape == rows.shape, label
         np.testing.assert_allclose(stacked, rows, rtol=1e-13, atol=1e-12, err_msg=label)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(BUNDLED)), st.integers(1, 4), st.data())
+def test_closed_form_optimality_system_matches_the_composition(name, k, data):
+    """``pmp_rhs``, which each bundled model writes in closed form, against the
+    Pontryagin composition of its maps (``helpers.composed_pmp_rhs``).
+
+    The x' and v' rows take no derivative, so they agree to rounding: 1e-13
+    of the size of the terms they sum, or below the normal range.  The p' rows take J_f^T p,
+    [d(g u)/dx]^T p and grad r by central differences of F = f, g u and r
+    with the step h = FD_STEP (1 + |x|).  These lose eps |F| / h to rounding,
+    taken 16 times here, and h^2 |D^3 F| / 6 to truncation, taken as 1e-6 of
+    the terms' size plus 1e-9 where the state is about as small as h.
+    """
+    model = BUNDLED[name]
+    n = model.dim_state
+    z = data.draw(arrays(float, (k, 2 * n + 1), elements=st.floats(-1.0, 1.0)))
+    closed = pmp_rhs(model, z)
+    composed, size = composed_pmp_rhs(model, z)
+    gap = np.abs(closed - composed)
+    exact = np.r_[0:n, 2 * n]
+    assert np.all(gap[:, exact] <= 1e-13 * size[:, exact] + np.finfo(float).tiny)
+    x, p = z[:, :n], z[:, n : 2 * n]
+    gu = model.g_apply(x, optimal_control(model, x, p))
+    values = np.sum(np.abs(p) * (np.abs(model.f(x)) + np.abs(gu)), axis=1) + np.abs(model.r(x))
+    rounding = 16.0 * np.finfo(float).eps * values[:, None] / (FD_STEP * (1.0 + np.abs(x)))
+    assert np.all(gap[:, n : 2 * n] <= rounding + 1e-6 * size[:, n : 2 * n] + 1e-9)
 
 
 @settings(max_examples=60, deadline=None)
