@@ -96,6 +96,62 @@ def test_pmp_rhs_scalar_linear_by_hand():
     np.testing.assert_allclose(dz, [-2.25, -3.5, -4.0625], atol=1e-14)
 
 
+def _costate_terms(model, x, p):
+    """The three terms of p' = -(J_f^T p + [d(g u)/dx]^T p + grad r), read off
+    ``pmp_rhs``: with u linear in p, the first is odd in p, the second even
+    and the third free of p."""
+    n = model.dim_state
+
+    def dp(costate):
+        return pmp_rhs(model, np.concatenate([x, costate, [0.0]]))[n : 2 * n]
+
+    plus, minus, zero = dp(p), dp(-p), dp(np.zeros(n))
+    return -0.5 * (plus - minus), zero - 0.5 * (plus + minus), -zero
+
+
+def test_grad_r_matches_finite_differences_for_all_models():
+    rng = np.random.default_rng(14)
+    models = (build_amp(), build_nhe(NheParameters(grid_side=3)), build_linear([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0]))
+    for model in models:
+        zero = np.zeros(model.dim_state)
+        for _ in range(50):
+            x = rng.uniform(-0.8, 0.8, size=model.dim_state)
+            dev = fd_gradient_check(
+                lambda z: float(model.r(z)), lambda z: _costate_terms(model, z, zero)[2], x, h=1e-5
+            )
+            assert dev <= 1e-5 * (1.0 + abs(float(model.r(x))))
+
+
+def test_jacobian_transpose_action_consistency():
+    """<J_f(x)^T p, d> must equal <p, directional derivative of f along d>."""
+    rng = np.random.default_rng(15)
+    h = 1e-6
+    for model in (build_amp(), build_nhe(NheParameters(grid_side=3))):
+        n = model.dim_state
+        for _ in range(10):
+            x = rng.uniform(-0.7, 0.7, size=n)
+            p = rng.normal(size=n)
+            d = rng.normal(size=n)
+            lhs = float(_costate_terms(model, x, p)[0] @ d)
+            rhs = float(p @ (model.f(x + h * d) - model.f(x - h * d))) / (2 * h)
+            assert abs(lhs - rhs) <= 1e-4 * (1.0 + abs(lhs))
+
+
+def test_control_coupling_transpose_action_consistency():
+    """<[d(g u)/dx]^T p, d> at u = u*(x, p) must equal <p, directional derivative of g u along d>."""
+    model = build_amp()
+    rng = np.random.default_rng(16)
+    h = 1e-6
+    for _ in range(10):
+        x = rng.uniform(-0.7, 0.7, size=2)
+        p = rng.normal(size=2)
+        d = rng.normal(size=2)
+        u = optimal_control(model, x, p)
+        lhs = float(_costate_terms(model, x, p)[1] @ d)
+        rhs = float(p @ (model.g_apply(x + h * d, u) - model.g_apply(x - h * d, u))) / (2 * h)
+        assert abs(lhs - rhs) <= 1e-6 * (1.0 + abs(lhs))
+
+
 def test_nhe_grid_and_control_region_sizes():
     a10, b10 = nhe_assemble(NheParameters(grid_side=10))
     assert a10.shape == (100, 100)
