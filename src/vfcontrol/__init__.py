@@ -9,7 +9,7 @@ loop with the surrogate gradient.
 from .models import ControlAffineModel, build_model, optimal_control, pmp_rhs, hjb_residual
 from .kernels import WendlandC4, StructuredKernel
 from .riccati import solve_are, quadratic_matrix
-from .hermite import Surrogate, fit, hermite_apply, load_surrogate, save_surrogate
+from .hermite import Surrogate, fit, load_surrogate, save_surrogate
 from .vkoga import run_vkoga
 from .openloop import OpenLoopConfig, solve_open_loop, to_trajectory
 from .explore import Dataset, farthest_point_order, run_exploration, load_dataset, save_dataset

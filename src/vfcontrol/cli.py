@@ -1,7 +1,10 @@
 """Command-line front end: explore, fit, cross-validate, evaluate, simulate.
 
-Every run is driven by one JSON config describing the model, the kernel, and
-the stage parameters, so results are reproducible from the config alone.
+One JSON config drives every run, so results are reproducible from it alone.
+``load_config`` builds it once into the :class:`Config` every command reads,
+each section through the constructor it feeds: its signature gives the keys,
+the required ones and their types.  So every command checks the whole config
+before it starts, and any fault is a :class:`ConfigError` naming its key.
 Artifacts (datasets, surrogates, reports, curves) are plain JSON or CSV with
 no timestamps; running the same command twice writes identical bytes.
 Failures print a one-line JSON object to stderr and exit nonzero.
@@ -10,9 +13,11 @@ Failures print a one-line JSON object to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, field, replace
+from typing import Optional, Union, get_args, get_origin
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .explore import (
 )
 from .hermite import load_surrogate, save_surrogate, takes_origin_sample
 from .kernels import StructuredKernel, WendlandC4
-from .models import build_model
+from .models import ControlAffineModel, build_model
 from .openloop import OpenLoopConfig
 from .riccati import quadratic_matrix
 from .vkoga import VkogaConfig, run_vkoga, write_trace
@@ -38,86 +43,123 @@ from .vkoga import VkogaConfig, run_vkoga, write_trace
 CONFIG_SCHEMA = "vfcontrol-config-v1"
 RUN_SCHEMA = "vfcontrol-run-v1"
 
-TOP_LEVEL_KEYS = {"schema", "model", "kernel", "explore", "fit", "evaluate"}
-
-# sections that do not map onto a config dataclass, with their fixed keys
-SECTION_KEYS = {
-    "model": {"name", "params"},
-    "kernel": {"gamma", "gamma_structured"},
-    "evaluate": {"testset", "counts", "horizon"},
-}
-# keys of a candidate-pool spec besides "kind", per kind
-CANDIDATE_KEYS = {
-    "grid": {"bounds", "n_per_axis"},
-    "sobol": {"bounds", "n", "seed"},
-    "modes": {"grid_side", "amplitude_range", "n_amplitude"},
-}
+TOP_LEVEL_KEYS = ("schema", "model", "kernel", "explore", "fit", "evaluate")
+# the generator of each kind of candidate pool
+POOLS = {"grid": candidate_grid, "sobol": candidate_sobol, "modes": candidate_modes}
+# the JSON values each checked annotation takes; others are left to the constructor
+JSON_TYPES = {int: (int,), float: (int, float), str: (str,), list: (list,), dict: (dict,), type(None): (type(None),)}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(spec: dict, known, section: str) -> None:
-    unknown = set(spec) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {section} options {sorted(unknown)}")
+@dataclass(frozen=True)
+class Config:
+    """Everything the commands use; ``counts`` and ``horizon`` are keys of the ``evaluate`` section."""
+
+    model: ControlAffineModel
+    kernels: dict  # "plain" and "structured", of the config's two widths
+    candidates: np.ndarray
+    explore: ExploreConfig
+    fit: VkogaConfig
+    test_states: np.ndarray
+    counts: list = field(default_factory=lambda: [10, 20, 40, 80])
+    horizon: Optional[float] = None
+
+    def __post_init__(self):
+        if not (self.counts and all(type(c) is int and c >= 1 for c in self.counts)):
+            raise ValueError(f"counts must be a nonempty list of positive integers, got {self.counts!r}")
 
 
-def _from_section(cls, spec: dict, section: str, **given):
-    """A config dataclass from one JSON section plus the fields the caller gives.
+def _fits(value, kind) -> bool:
+    if get_origin(kind) is Union:
+        return any(_fits(value, k) for k in get_args(kind))
+    return type(value) in JSON_TYPES.get(kind, (type(value),))
 
-    A key that names no other field of ``cls`` is an error.
+
+def _object(section: str, spec) -> dict:
+    if type(spec) is not dict:
+        raise ConfigError(f"{section} must be a JSON object, got {spec!r}")
+    return spec
+
+
+def _build(section: str, build, spec, extra=(), **given):
+    """``build`` called on ``given`` and on the keys of the ``spec`` section.
+
+    The parameters of ``build`` that ``given`` leaves open are the keys the
+    section may hold, besides the ``extra`` ones its caller reads; those
+    without a default are required, and an annotation in ``JSON_TYPES``
+    fixes the value's type.
     """
-    _check_keys(spec, {f.name for f in fields(cls)} - set(given), section)
-    return cls(**spec, **given)
+    params = {k: p for k, p in inspect.signature(build, eval_str=True).parameters.items() if k not in given}
+    unknown = _object(section, spec).keys() - params.keys() - set(extra)
+    if unknown:
+        raise ConfigError(f"unknown keys {[f'{section}.{key}' for key in sorted(unknown)]}")
+    args = {key: value for key, value in spec.items() if key in params}
+    for key, param in params.items():
+        if key not in args and param.default is param.empty:
+            raise ConfigError(f"{section}.{key} is missing")
+        if key in args and not _fits(args[key], param.annotation):
+            needs = inspect.formatannotation(param.annotation)
+            raise ConfigError(f"{section}.{key} must be {needs}, got {args[key]!r}")
+    try:
+        return build(**args, **given)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{section} {json.dumps(spec)}: {err}") from None
 
 
-def explore_from_config(cfg: dict) -> ExploreConfig:
-    section = {k: v for k, v in cfg.get("explore", {}).items() if k != "candidates"}
-    solver = _from_section(OpenLoopConfig, section.pop("solver", {}), "explore.solver")
-    return _from_section(ExploreConfig, section, "explore", solver=solver)
+def _kernels(dim: int, gamma: float, gamma_structured: Optional[float] = None) -> dict:
+    """The plain kernel of width ``gamma`` and the structured one, whose width falls back to it."""
+    wide = gamma if gamma_structured is None else gamma_structured
+    return {"plain": WendlandC4(dim, float(gamma)), "structured": StructuredKernel(WendlandC4(dim, float(wide)))}
 
 
-def vkoga_from_config(cfg: dict) -> VkogaConfig:
-    return _from_section(VkogaConfig, cfg.get("fit", {}), "fit")
+def _pool(section: str, spec, model, extra=()) -> np.ndarray:
+    """The states a spec ``{"kind": ..., **arguments of that kind's generator}`` draws."""
+    if spec is None:
+        raise ConfigError(f"{section} is missing")
+    kind = _object(section, spec).get("kind")
+    if kind not in POOLS:
+        raise ConfigError(f"{section}.kind: unknown candidate kind {kind!r}, expected one of {sorted(POOLS)}")
+    # a Sobol pool's seed defaults to 0, a mode pool's grid side to the model's
+    defaults = {"sobol": {"seed": 0}, "modes": {k: v for k, v in model.params.items() if k == "grid_side"}}
+    pool = _build(section, POOLS[kind], {**defaults.get(kind, {}), **spec}, extra=("kind", *extra))
+    if pool.shape[0] == 0 or pool.shape[1] != model.dim_state:
+        found = f"{pool.shape[0]} states of dim {pool.shape[1]}"
+        raise ConfigError(f"{section} {json.dumps(spec)} draws {found}; the model needs one or more of dim {model.dim_state}")
+    return pool
 
 
-def load_config(path) -> dict:
-    """Read and validate a config: every command rejects a typo in any section."""
+def load_config(path) -> Config:
+    """The config at ``path``, built and checked section by section."""
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = _object("config", json.load(fh))
     if cfg.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}, expected {CONFIG_SCHEMA!r}")
-    _check_keys(cfg, TOP_LEVEL_KEYS, "top-level")
-    if "model" not in cfg or "name" not in cfg["model"]:
-        raise ConfigError("config needs a model section with a name")
-    for section, known in SECTION_KEYS.items():
-        _check_keys(cfg.get(section, {}), known, section)
-    if "candidates" in cfg.get("explore", {}):
-        _candidate_kind(cfg["explore"]["candidates"], "explore.candidates")
-    if "testset" in cfg.get("evaluate", {}):
-        _candidate_kind(cfg["evaluate"]["testset"], "evaluate.testset", extra=("size",))
-    explore_from_config(cfg)
-    vkoga_from_config(cfg)
-    return cfg
-
-
-def model_from_config(cfg: dict):
-    section = cfg["model"]
-    return build_model(section["name"], section.get("params", {}))
-
-
-def kernel_from_config(cfg: dict, model, variant: str):
-    """The kernel of ``variant`` and the quadratic matrix it needs, None for plain."""
-    section = cfg.get("kernel", {})
-    if "gamma" not in section:
-        raise ConfigError("config needs kernel.gamma")
-    gamma = float(section["gamma"])
-    if variant == "structured":
-        gamma = float(section.get("gamma_structured", gamma))
-        return StructuredKernel(WendlandC4(dim=model.dim_state, gamma=gamma)), quadratic_matrix(model)
-    return WendlandC4(dim=model.dim_state, gamma=gamma), None
+    unknown = cfg.keys() - TOP_LEVEL_KEYS
+    if unknown:
+        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
+    sections = {name: _object(name, cfg.get(name, {})) for name in TOP_LEVEL_KEYS[1:]}
+    explore, evaluate = sections["explore"], sections["evaluate"]
+    model = _build("model", build_model, sections["model"])
+    testset = _pool("evaluate.testset", evaluate.get("testset"), model, extra=("size",))
+    size = evaluate["testset"].get("size", min(8, testset.shape[0]))
+    if type(size) is not int or size < 1:
+        raise ConfigError(f"evaluate.testset.size must be a positive integer, got {size!r}")
+    solver = _build("explore.solver", OpenLoopConfig, explore.get("solver", {}))
+    return _build(
+        "evaluate",
+        Config,
+        evaluate,
+        extra=("testset",),
+        model=model,
+        kernels=_build("kernel", _kernels, sections["kernel"], dim=model.dim_state),
+        candidates=_pool("explore.candidates", explore.get("candidates"), model),
+        explore=_build("explore", ExploreConfig, explore, extra=("candidates", "solver"), solver=solver),
+        fit=_build("fit", VkogaConfig, sections["fit"]),
+        test_states=testset[farthest_point_order(testset, size)[0]],
+    )
 
 
 def _dataset_for(model, path):
@@ -128,62 +170,26 @@ def _dataset_for(model, path):
     return dataset
 
 
-def _candidate_kind(spec: dict, section: str, extra=()) -> str:
-    """The kind of a candidate-pool spec, after checking its keys against that kind's."""
-    kind = spec.get("kind")
-    if kind not in CANDIDATE_KEYS:
-        raise ConfigError(f"unknown candidate kind {kind!r}")
-    _check_keys(spec, CANDIDATE_KEYS[kind] | {"kind", *extra}, section)
-    return kind
-
-
-def candidates_from_config(spec: dict, model) -> np.ndarray:
-    kind = _candidate_kind(spec, "candidate")
-    if kind == "grid":
-        return candidate_grid(spec["bounds"], int(spec["n_per_axis"]))
-    if kind == "sobol":
-        try:
-            return candidate_sobol(spec["bounds"], int(spec["n"]), int(spec.get("seed", 0)))
-        except ValueError as err:
-            raise ConfigError(f"sobol candidates {json.dumps(spec)}: {err}") from None
-    options = {k: v for k, v in spec.items() if k not in ("kind", "grid_side")}
-    grid_side = int(spec.get("grid_side", model.params.get("grid_side", 0)))
-    if grid_side <= 0:
-        raise ConfigError("mode candidates need a grid side")
-    return candidate_modes(grid_side, **options)
-
-
-def _testset_states(cfg: dict, model) -> np.ndarray:
-    spec = cfg.get("evaluate", {}).get("testset")
-    if spec is None:
-        raise ConfigError("config needs evaluate.testset")
-    pool = candidates_from_config({k: v for k, v in spec.items() if k != "size"}, model)
-    size = int(spec.get("size", min(8, pool.shape[0])))
-    idx, _ = farthest_point_order(pool, size)
-    return pool[idx]
+def _kernel(config: Config, variant: str):
+    """The kernel of ``variant`` and the quadratic matrix it needs, None for plain."""
+    return config.kernels[variant], quadratic_matrix(config.model) if variant == "structured" else None
 
 
 def cmd_explore(args) -> int:
-    cfg = load_config(args.config)
-    model = model_from_config(cfg)
-    qm = quadratic_matrix(model)
-    candidates = candidates_from_config(cfg.get("explore", {}).get("candidates", {}), model)
-    dataset = run_exploration(model, candidates, qm, explore_from_config(cfg))
+    config = load_config(args.config)
+    dataset = run_exploration(config.model, config.candidates, quadratic_matrix(config.model), config.explore)
     save_dataset(dataset, args.out)
     print(json.dumps({"trajectories": dataset.n_trajectories, "samples": dataset.n_samples, "out": args.out}))
     return 0
 
 
 def cmd_fit(args) -> int:
-    cfg = load_config(args.config)
-    model = model_from_config(cfg)
-    dataset = _dataset_for(model, getattr(args, "in"))
-    kernel, qm = kernel_from_config(cfg, model, args.variant)
+    config = load_config(args.config)
+    dataset = _dataset_for(config.model, getattr(args, "in"))
+    kernel, qm = _kernel(config, args.variant)
     pts, vals, gds = dataset.flattened(include_origin=takes_origin_sample(kernel))
-    config = vkoga_from_config(cfg)
-    if args.centers is not None:
-        config = replace(config, max_centers=args.centers)
-    result = run_vkoga(kernel, pts, vals, gds, config=config, q_matrix=qm)
+    fit = config.fit if args.centers is None else replace(config.fit, max_centers=args.centers)
+    result = run_vkoga(kernel, pts, vals, gds, config=fit, q_matrix=qm)
     save_surrogate(result.surrogate, args.out)
     if args.trace:
         write_trace(result, args.trace)
@@ -194,46 +200,30 @@ def cmd_fit(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = load_config(args.config)
-    model = model_from_config(cfg)
-    dataset = _dataset_for(model, getattr(args, "in"))
-    kernel, qm = kernel_from_config(cfg, model, args.variant)
-    report = cross_validate(kernel, dataset, config=vkoga_from_config(cfg), n_folds=args.folds, q_matrix=qm)
+    config = load_config(args.config)
+    dataset = _dataset_for(config.model, getattr(args, "in"))
+    kernel, qm = _kernel(config, args.variant)
+    report = cross_validate(kernel, dataset, config=config.fit, n_folds=args.folds, q_matrix=qm)
     save_cv_report(report, args.out)
     print(json.dumps({"max_residual": report.max_residual, "mean_residual": report.mean_residual, "out": args.out}))
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
-    model = model_from_config(cfg)
-    kernel_plain, _ = kernel_from_config(cfg, model, "plain")
-    kernel_structured, qm = kernel_from_config(cfg, model, "structured")
+    config = load_config(args.config)
+    model = config.model
     dataset = _dataset_for(model, getattr(args, "in"))
-    section = cfg.get("evaluate", {})
-    states = _testset_states(cfg, model)
-    references = solve_testset(model, states, qm, explore_from_config(cfg).solver)
-    counts = section.get("counts", [10, 20, 40, 80])
-    horizon = section.get("horizon")
-    rows = center_curve(
-        model,
-        dataset,
-        kernel_plain,
-        kernel_structured,
-        qm,
-        counts,
-        references,
-        config=vkoga_from_config(cfg),
-        horizon=None if horizon is None else float(horizon),
-    )
+    kernel, qm = _kernel(config, "structured")
+    references = solve_testset(model, config.test_states, qm, config.explore.solver)
+    plain = config.kernels["plain"]
+    rows = center_curve(model, dataset, plain, kernel, qm, config.counts, references, config.fit, config.horizon)
     write_curves(rows, args.out)
     print(json.dumps(rows[-1]))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    model = model_from_config(cfg)
+    model = load_config(args.config).model
     surrogate = load_surrogate(args.surrogate)
     x0 = np.asarray(json.loads(args.x0), dtype=float)
     if x0.shape != (model.dim_state,):
@@ -259,43 +249,29 @@ def cmd_simulate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vfcontrol", description="Value-function surrogates for feedback control.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("explore", help="generate value data along optimal trajectories")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_explore)
-
-    p = sub.add_parser("fit", help="greedy surrogate fit from a dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--in", dest="in", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=["plain", "structured"], default="plain")
-    p.add_argument("--centers", type=int, default=None)
-    p.add_argument("--trace", default=None)
-    p.set_defaults(fn=cmd_fit)
-
-    p = sub.add_parser("cv", help="trajectory-level cross-validation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--in", dest="in", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=["plain", "structured"], default="plain")
-    p.add_argument("--folds", type=int, default=5)
-    p.set_defaults(fn=cmd_cv)
-
-    p = sub.add_parser("evaluate", help="closed-loop error versus center count")
-    p.add_argument("--config", required=True)
-    p.add_argument("--in", dest="in", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("simulate", help="closed-loop rollout under a fitted surrogate")
-    p.add_argument("--config", required=True)
-    p.add_argument("--surrogate", required=True)
-    p.add_argument("--x0", required=True, help="start state as a JSON list")
-    p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_simulate)
-
+    commands = {
+        "explore": (cmd_explore, "generate value data along optimal trajectories"),
+        "fit": (cmd_fit, "greedy surrogate fit from a dataset"),
+        "cv": (cmd_cv, "trajectory-level cross-validation"),
+        "evaluate": (cmd_evaluate, "closed-loop error versus center count"),
+        "simulate": (cmd_simulate, "closed-loop rollout under a fitted surrogate"),
+    }
+    p = {}
+    for name, (fn, text) in commands.items():
+        p[name] = sub.add_parser(name, help=text)
+        p[name].set_defaults(fn=fn)
+        p[name].add_argument("--config", required=True)
+        if name in ("fit", "cv", "evaluate"):
+            p[name].add_argument("--in", dest="in", required=True)
+        p[name].add_argument("--out", required=True)
+    for name in ("fit", "cv"):
+        p[name].add_argument("--variant", choices=["plain", "structured"], default="plain")
+    p["fit"].add_argument("--centers", type=int, default=None)
+    p["fit"].add_argument("--trace", default=None)
+    p["cv"].add_argument("--folds", type=int, default=5)
+    p["simulate"].add_argument("--surrogate", required=True)
+    p["simulate"].add_argument("--x0", required=True, help="start state as a JSON list")
+    p["simulate"].add_argument("--horizon", type=float, default=20.0)
     return parser
 
 

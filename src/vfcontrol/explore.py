@@ -32,6 +32,7 @@ import numpy as np
 
 from . import openloop
 from .models import ControlAffineModel, hjb_residual, nhe_node_coords
+from .numerics import require
 from .openloop import BvpFailure, BvpSolution, OpenLoopConfig, Trajectory, solve_open_loop, to_trajectory
 
 __all__ = [
@@ -184,6 +185,11 @@ class ExploreConfig:
     eps_tol_d: float = 0.0
     horizon: Optional[float] = None
     solver: OpenLoopConfig = field(default_factory=OpenLoopConfig)
+
+    def __post_init__(self):
+        require(self.n_trajectories >= 1, "n_trajectories", self.n_trajectories, "at least 1")
+        require(self.eps_tol_d >= 0.0, "eps_tol_d", self.eps_tol_d, ">= 0")
+        require(self.horizon is None or self.horizon > 0.0, "horizon", self.horizon, "None or > 0")
 
 
 @dataclass
@@ -352,23 +358,27 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """The dataset saved at ``path``; a key it lacks is a ValueError naming the file and the key."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema") != DATASET_SCHEMA:
         raise ValueError(f"unsupported dataset schema {doc.get('schema')!r}")
-    trajectories = [
-        Trajectory(
-            x0=np.asarray(t["x0"], dtype=float),
-            times=np.asarray(t["times"], dtype=float),
-            states=np.asarray(t["states"], dtype=float),
-            grads=np.asarray(t["grads"], dtype=float),
-            values=np.asarray(t["values"], dtype=float),
+    try:
+        trajectories = [
+            Trajectory(
+                x0=np.asarray(t["x0"], dtype=float),
+                times=np.asarray(t["times"], dtype=float),
+                states=np.asarray(t["states"], dtype=float),
+                grads=np.asarray(t["grads"], dtype=float),
+                values=np.asarray(t["values"], dtype=float),
+            )
+            for t in doc["trajectories"]
+        ]
+        return Dataset(
+            dim=int(doc["dim"]),
+            trajectories=trajectories,
+            eps_history=[float(e) for e in doc["eps_history"]],
+            meta=doc.get("meta", {}),
         )
-        for t in doc["trajectories"]
-    ]
-    return Dataset(
-        dim=int(doc["dim"]),
-        trajectories=trajectories,
-        eps_history=[float(e) for e in doc["eps_history"]],
-        meta=doc.get("meta", {}),
-    )
+    except KeyError as err:
+        raise ValueError(f"dataset {path} has no key {err.args[0]!r}") from None

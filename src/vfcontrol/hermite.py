@@ -26,9 +26,9 @@ diagonal.  So the factor is always exact, never floored.
 
 One function, ``_expand``, evaluates the expansion, for both kernels and
 for every caller: the feedback state, the batches of the greedy scan, LSODA's
-Jacobians and cross-validation (``Surrogate.value_and_gradient``,
-``hermite_apply``), and the Gram matvec, which is the expansion at the
-centers themselves (``HermiteOperator``).  Its tables come from
+Jacobians and cross-validation (``Surrogate.value_and_gradient``), and the
+Gram matvec, which is the expansion at the centers themselves
+(``HermiteOperator``).  Its tables come from
 ``_geometry``, which puts the centers on the last axis, so one state (N,) and
 a batch (m, N) run the same code: <x_i, y> and <beta_i, y> from one product
 y @ [x; beta]^T, one profile call on ||x_i||^2 - 2 <x_i, y> + ||y||^2, and
@@ -72,7 +72,6 @@ from .kernels import StructuredKernel, WendlandC4, kernel_from_spec, kernel_to_s
 from .numerics import CgError, cg_solve
 
 __all__ = [
-    "hermite_apply",
     "HermiteOperator",
     "stack_coeffs",
     "unstack_coeffs",
@@ -172,19 +171,6 @@ def _expand(structured, alphas, offsets, stacked, y, ip, bg, profile):
     grad += t.sum(axis=-1, keepdims=True) * y
     grad *= 2.0
     return value, grad
-
-
-def hermite_apply(kernel, centers, alphas, betas, points):
-    """Values and gradients at ``points`` of the Hermite expansion.
-
-    Returns ``(values (m,), grads (m, N))``.  ``kernel`` may be a plain
-    radial kernel or a :class:`StructuredKernel`.
-    """
-    sqnorms, offsets, stacked = _center_terms(centers, betas)
-    y = np.atleast_2d(np.asarray(points, dtype=float))
-    tables = _geometry(_base_kernel(kernel), sqnorms, stacked, y)
-    structured = isinstance(kernel, StructuredKernel)
-    return _expand(structured, np.asarray(alphas, dtype=float), offsets, stacked, y, *tables)
 
 
 class HermiteOperator:
@@ -560,20 +546,24 @@ def save_surrogate(surrogate: Surrogate, path) -> None:
 
 
 def load_surrogate(path) -> Surrogate:
+    """The surrogate saved at ``path``; a key it lacks is a ValueError naming the file and the key."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema") != SURROGATE_SCHEMA:
         raise ValueError(f"unsupported surrogate schema {doc.get('schema')!r}")
-    dim = int(doc["kernel"]["dim"])
-    centers = np.asarray(doc["centers"], dtype=float).reshape(-1, dim)
-    surrogate = Surrogate(
-        kernel=kernel_from_spec(doc["kernel"]),
-        centers=centers,
-        alphas=np.asarray(doc["alphas"], dtype=float),
-        betas=np.asarray(doc["betas"], dtype=float).reshape(-1, dim),
-        q_matrix=None if doc["q_matrix"] is None else np.asarray(doc["q_matrix"], dtype=float),
-        meta=doc.get("meta", {}),
-    )
+    try:
+        dim = int(doc["kernel"]["dim"])
+        centers = np.asarray(doc["centers"], dtype=float).reshape(-1, dim)
+        surrogate = Surrogate(
+            kernel=kernel_from_spec(doc["kernel"]),
+            centers=centers,
+            alphas=np.asarray(doc["alphas"], dtype=float),
+            betas=np.asarray(doc["betas"], dtype=float).reshape(-1, dim),
+            q_matrix=None if doc["q_matrix"] is None else np.asarray(doc["q_matrix"], dtype=float),
+            meta=doc.get("meta", {}),
+        )
+    except KeyError as err:
+        raise ValueError(f"surrogate {path} has no key {err.args[0]!r}") from None
     if doc.get("variant") != surrogate.variant:
         flag = doc["kernel"].get("structured")
         raise ValueError(f"surrogate variant {doc.get('variant')!r} disagrees with kernel structured = {flag!r}")

@@ -30,9 +30,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
+
+from .numerics import require
 
 __all__ = [
     "ControlAffineModel",
@@ -137,14 +140,13 @@ class AmpParameters:
     beta: float = 1.0
 
     def __post_init__(self):
-        _require(self.dim >= 1, "dim", self.dim, "at least 1")
+        _require(isinstance(self.dim, Integral) and self.dim >= 1, "dim", self.dim, "an integer at least 1")
         _require(self.alpha >= 0.0, "alpha", self.alpha, ">= 0")
         _require(self.beta > 0.0, "beta", self.beta, "> 0")
 
 
 def _require(holds: bool, name: str, value, needs: str) -> None:
-    if not holds:
-        raise ValueError(f"model parameter {name} must be {needs}, got {value!r}")
+    require(holds, f"model parameter {name}", value, needs)
 
 
 def amp_value_factor(params: AmpParameters) -> float:
@@ -254,7 +256,8 @@ class NheParameters:
     control_penalty: float = 1.0e-3
 
     def __post_init__(self):
-        _require(self.grid_side >= 1, "grid_side", self.grid_side, "at least 1")
+        side = self.grid_side
+        _require(isinstance(side, Integral) and side >= 1, "grid_side", side, "an integer at least 1")
         _require(self.diffusivity > 0.0, "diffusivity", self.diffusivity, "> 0")
         _require(self.control_penalty > 0.0, "control_penalty", self.control_penalty, "> 0")
         box = (self.control_low, self.control_high)

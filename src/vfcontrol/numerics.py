@@ -158,6 +158,12 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.nd
     return np.moveaxis(cols, 0, -1).reshape(*y.shape[:-1], out.shape[-1], d)
 
 
+def require(holds: bool, name: str, value, needs: str) -> None:
+    """The input check of every parameter dataclass: a ValueError naming ``name`` unless ``holds``."""
+    if not holds:
+        raise ValueError(f"{name} must be {needs}, got {value!r}")
+
+
 @dataclass
 class IvpResult:
     """Solution samples on the accepted steps plus a dense interpolant and the solver's counts."""

@@ -43,7 +43,7 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .models import ControlAffineModel, optimal_control, pmp_rhs
-from .numerics import integrate_ivp
+from .numerics import integrate_ivp, require
 
 __all__ = [
     "time_stretch",
@@ -217,6 +217,13 @@ class OpenLoopConfig:
     refine_rounds: int = 2
     refine_tol: float = 1e-8
     samples: int = 40
+
+    def __post_init__(self):
+        require(self.n_nodes >= 2, "n_nodes", self.n_nodes, "at least 2")
+        require(0.0 < self.delta_tau < 1.0, "delta_tau", self.delta_tau, "in (0, 1)")
+        require(self.refine_rounds >= 0, "refine_rounds", self.refine_rounds, ">= 0")
+        require(self.refine_tol > 0.0, "refine_tol", self.refine_tol, "> 0")
+        require(self.samples >= 2, "samples", self.samples, "at least 2")
 
 
 class BvpFailure(RuntimeError):

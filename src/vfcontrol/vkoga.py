@@ -47,6 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .hermite import FitError, HermiteFactor, Surrogate, assemble_rhs, fit, square_root_domain
+from .numerics import require
 
 __all__ = [
     "VkogaConfig",
@@ -64,6 +65,13 @@ class VkogaConfig:
     cg_tol: float = 1e-10
     cg_max_iter: Optional[int] = None
     nugget: float = 0.0
+
+    def __post_init__(self):
+        require(self.max_centers >= 1, "max_centers", self.max_centers, "at least 1")
+        require(self.eps_tol_f >= 0.0, "eps_tol_f", self.eps_tol_f, ">= 0")
+        require(self.cg_tol > 0.0, "cg_tol", self.cg_tol, "> 0")
+        require(self.cg_max_iter is None or self.cg_max_iter >= 1, "cg_max_iter", self.cg_max_iter, "None or at least 1")
+        require(self.nugget >= 0.0, "nugget", self.nugget, ">= 0")
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,34 @@ Everything here recomputes quantities along an independent route from the
 library code under test: the interpolation matrix is assembled densely from
 single-pair kernel calls, reference trajectories come from closed-form
 solutions, the optimality system is composed from a model's maps, and
-derivative checks go through finite differences.
+derivative checks go through finite differences.  ``hermite_apply`` is the
+one exception: the library's own expansion on bare coefficient arrays, which
+only the tests call.
 """
 
 import numpy as np
 
 from vfcontrol.evaluate import ClosedLoopRun
 from vfcontrol.explore import Dataset
+from vfcontrol import hermite
 from vfcontrol.hermite import MIN_SPACING
 from vfcontrol.kernels import StructuredKernel
 from vfcontrol.models import AmpParameters, optimal_control
 from vfcontrol.numerics import FD_STEP, fd_jacobian
 from vfcontrol.openloop import _band_widths, _midpoints
+
+
+def hermite_apply(kernel, centers, alphas, betas, points):
+    """Values and gradients at ``points`` of the Hermite expansion.
+
+    Returns ``(values (m,), grads (m, N))``.  ``kernel`` may be a plain
+    radial kernel or a :class:`StructuredKernel`.
+    """
+    sqnorms, offsets, stacked = hermite._center_terms(centers, betas)
+    y = np.atleast_2d(np.asarray(points, dtype=float))
+    tables = hermite._geometry(hermite._base_kernel(kernel), sqnorms, stacked, y)
+    structured = isinstance(kernel, StructuredKernel)
+    return hermite._expand(structured, np.asarray(alphas, dtype=float), offsets, stacked, y, *tables)
 
 
 # -- pointwise kernel oracles: the dense reference for the matrix-free algebra

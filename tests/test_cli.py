@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vfcontrol.cli import explore_from_config, load_config, main, model_from_config, vkoga_from_config
+from vfcontrol.cli import load_config, main
 from vfcontrol.explore import load_dataset
 from vfcontrol.hermite import load_surrogate, quadratic_surrogate, save_surrogate
 
@@ -161,25 +161,30 @@ def test_missing_config_file_fails_cleanly(tmp_path, capsys):
 def test_bundled_config_loads(name):
     """Each bundled config passes validation, and its explore, solver and
     fit sections carry over field by field."""
-    cfg = load_config(CONFIGS / f"{name}.json")
-    explore = explore_from_config(cfg)
-    fit = vkoga_from_config(cfg)
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    config = load_config(CONFIGS / f"{name}.json")
     section = cfg["explore"]
     for key, value in section["solver"].items():
-        assert getattr(explore.solver, key) == value
+        assert getattr(config.explore.solver, key) == value
     for key, value in section.items():
         if key not in ("candidates", "solver"):
-            assert getattr(explore, key) == value
+            assert getattr(config.explore, key) == value
     for key, value in cfg["fit"].items():
-        assert getattr(fit, key) == value
-    assert model_from_config(cfg).name == cfg["model"]["name"]
+        assert getattr(config.fit, key) == value
+    assert config.model.name == cfg["model"]["name"]
+    for key in ("counts", "horizon"):
+        assert getattr(config, key) == cfg["evaluate"][key]
+    assert config.test_states.shape == (cfg["evaluate"]["testset"]["size"], config.model.dim_state)
 
 
 def test_missing_kernel_gamma_is_reported(tmp_path, capsys):
+    """Every command checks the whole config first, so explore, which uses
+    no kernel, fails on a missing width as fit does."""
     config = write_config(tmp_path, kernel={})
     data = str(tmp_path / "data.json")
-    assert main(["explore", "--config", config, "--out", data]) == 0
-    capsys.readouterr()
+    assert main(["explore", "--config", config, "--out", data]) == 1
+    assert "kernel.gamma" in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "data.json").exists()
     assert main(["fit", "--config", config, "--in", data, "--out", str(tmp_path / "s.json")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "kernel.gamma" in err["error"]
@@ -259,7 +264,13 @@ def test_a_dataset_of_another_dimension_is_rejected(tmp_path, capsys, command):
     names both dimensions; fit used to write a kernel of dim 2 over 1-D centers."""
     data = str(tmp_path / "data.json")
     assert main(["explore", "--config", write_config(tmp_path), "--out", data]) == 0
-    config = write_config(tmp_path, model={"name": "amp", "params": {"dim": 2}})
+    square = [[-1.0, 1.0]] * 2
+    config = write_config(
+        tmp_path,
+        model={"name": "amp", "params": {"dim": 2}},
+        explore={"candidates": {"kind": "grid", "bounds": square, "n_per_axis": 3}},
+        evaluate={"testset": {"kind": "grid", "bounds": square, "n_per_axis": 3}, "counts": [3]},
+    )
     capsys.readouterr()
     out = tmp_path / "out"
     assert main([command[0], "--config", config, "--in", data, "--out", str(out), *command[1:]]) == 1
@@ -280,3 +291,109 @@ def test_simulate_rejects_a_surrogate_of_another_dimension(tmp_path, capsys):
     assert "surrogate's kernel has dim 2" in err["error"] and "dim 1" in err["error"]
     assert "broadcast" not in err["error"]
     assert not run.exists()
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """(config, dataset, plain surrogate) of one small valid run."""
+    out = tmp_path_factory.mktemp("artifacts")
+    config, data, plain = write_config(out), str(out / "data.json"), str(out / "plain.json")
+    assert main(["explore", "--config", config, "--out", data]) == 0
+    assert main(["fit", "--config", config, "--in", data, "--out", plain]) == 0
+    return config, data, plain
+
+
+def command_line(command, config, artifacts, out):
+    """The argv of ``command`` on ``config``, reading the valid run's artifacts."""
+    _, data, plain = artifacts
+    inputs = {"explore": [], "simulate": ["--surrogate", plain, "--x0", "[0.5]"]}
+    return [command, "--config", config, *inputs.get(command, ["--in", data]), "--out", str(out)]
+
+
+def fails_with_one_json_line(capsys, argv, out) -> str:
+    """The error ``main(argv)`` reports on its one stderr line, after checking it wrote nothing."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert not out.exists()
+    return json.loads(err)["error"]
+
+
+def edit(doc, path: str, *value):
+    """Set the key at the dotted ``path`` of ``doc`` (an index where the node
+    is a list) to the one ``value``, or remove it when none is given."""
+    *parents, last = path.split(".")
+    for part in parents:
+        doc = doc[int(part)] if isinstance(doc, list) else doc[part]
+    if value:
+        doc[last] = value[0]
+    else:
+        del doc[last]
+
+
+def edited(path, tmp_path, key: str, *value) -> str:
+    """A copy in ``tmp_path`` of the JSON file at ``path``, with ``edit`` applied."""
+    doc = json.loads(Path(path).read_text())
+    edit(doc, key, *value)
+    copy = tmp_path / f"edited_{Path(path).name}"
+    copy.write_text(json.dumps(doc))
+    return str(copy)
+
+
+# (edit, what the error must name): every config fault is found when the config is read
+MALFORMED = {
+    "no candidate pool": (("explore.candidates",), ["explore.candidates is missing"]),
+    "grid without bounds": (("explore.candidates.bounds",), ["explore.candidates.bounds is missing"]),
+    "fractional trajectory budget": (("explore.n_trajectories", 2.5), ["explore.n_trajectories", "2.5"]),
+    "fractional amp dimension": (
+        ("model", {"name": "amp", "params": {"dim": 2.0}}),
+        ["model ", "model parameter dim must be an integer"],
+    ),
+    "fractional nhe grid side": (
+        ("model", {"name": "nhe", "params": {"grid_side": 3.0}}),
+        ["model ", "model parameter grid_side must be an integer"],
+    ),
+    "center budget as a string": (("fit.max_centers", "20"), ["fit.max_centers", "'20'"]),
+    "kernel width as a word": (("kernel.gamma", "wide"), ["kernel.gamma", "'wide'"]),
+    "no center counts": (("evaluate.counts", []), ["evaluate ", "counts must be"]),
+    "empty grid": (("explore.candidates.n_per_axis", 0), ["explore.candidates ", '"n_per_axis": 0', "draws 0 states"]),
+    "no kernel width": (("kernel.gamma",), ["kernel.gamma is missing"]),
+    "no test set": (("evaluate.testset",), ["evaluate.testset is missing"]),
+}
+
+
+@pytest.mark.parametrize("command", ["explore", "fit", "cv", "evaluate", "simulate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_every_command_rejects_a_malformed_config_before_it_starts(tmp_path, capsys, artifacts, case, command):
+    """Each fault is one JSON line naming the section and key, from every
+    command, with no traceback and no output file; before the config was
+    read in one pass, each of these failed late, with a traceback or an
+    unnamed error, or not at all."""
+    change, needles = MALFORMED[case]
+    config = edited(write_config(tmp_path), tmp_path, *change)
+    out = tmp_path / "out"
+    error = fails_with_one_json_line(capsys, command_line(command, config, artifacts, out), out)
+    assert all(needle in error for needle in needles), error
+
+
+DATASET_KEYS = ["dim", "eps_history", "trajectories", *(f"trajectories.0.{k}" for k in ("x0", "times", "states", "grads", "values"))]
+SURROGATE_KEYS = ["kernel", "kernel.dim", "kernel.gamma", "centers", "alphas", "betas", "q_matrix"]
+
+
+@pytest.mark.parametrize("key", DATASET_KEYS)
+def test_a_dataset_without_a_required_key_is_named(tmp_path, capsys, artifacts, key):
+    config, data, _ = artifacts
+    broken = edited(data, tmp_path, key)
+    out = tmp_path / "out.json"
+    error = fails_with_one_json_line(capsys, ["fit", "--config", config, "--in", broken, "--out", str(out)], out)
+    assert broken in error and repr(key.split(".")[-1]) in error
+
+
+@pytest.mark.parametrize("key", SURROGATE_KEYS)
+def test_a_surrogate_without_a_required_key_is_named(tmp_path, capsys, artifacts, key):
+    config, _, plain = artifacts
+    broken = edited(plain, tmp_path, key)
+    out = tmp_path / "run.json"
+    argv = ["simulate", "--config", config, "--surrogate", broken, "--x0", "[0.5]", "--out", str(out)]
+    error = fails_with_one_json_line(capsys, argv, out)
+    assert broken in error and repr(key.split(".")[-1]) in error

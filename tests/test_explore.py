@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 import vfcontrol.explore as explore
 import vfcontrol.openloop as openloop
 from helpers import c_max_state, c_max_value, farthest_first_visits, prefix, start_states
-from vfcontrol.cli import ConfigError, candidates_from_config, explore_from_config, load_config, model_from_config
+from vfcontrol.cli import ConfigError, load_config
 from vfcontrol.explore import (
     Dataset,
     ExploreConfig,
@@ -28,6 +29,7 @@ from vfcontrol.models import build_linear, hjb_residual
 from vfcontrol.openloop import OpenLoopConfig, Trajectory, solve_open_loop, to_trajectory
 from vfcontrol.riccati import quadratic_matrix
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 @pytest.fixture(scope="module")
 def lqr_setup():
@@ -98,10 +100,12 @@ def test_candidate_sobol_rejects_what_its_table_and_bits_cannot_draw(dim, n, rea
 
 
 @pytest.mark.parametrize("dim, n, reason", SOBOL_LIMITS)
-def test_sobol_limits_are_config_errors_naming_the_spec(dim, n, reason):
-    spec = {"kind": "sobol", "bounds": [[-1.0, 1.0]] * dim, "n": n, "seed": 5}
+def test_sobol_limits_are_config_errors_naming_the_spec(tmp_path, dim, n, reason):
+    cfg = json.loads((CONFIGS / "amp.json").read_text())
+    cfg["explore"]["candidates"] = {"kind": "sobol", "bounds": [[-1.0, 1.0]] * dim, "n": n, "seed": 5}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
     with pytest.raises(ConfigError) as err:
-        candidates_from_config(spec, model=None)
+        load_config(tmp_path / "config.json")
     assert "sobol" in str(err.value) and reason in str(err.value)
     assert f'"n": {n}' in str(err.value)
 
@@ -369,11 +373,9 @@ def test_each_stored_trajectory_is_its_own_solve(monkeypatch):
     and its row of the batch guess.  A lone solve, whose guess is rolled out
     alone, takes the same Newton, chord, halving and refinement counts and
     agrees to 1e-12 relative."""
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "lqr.json")
-    model = model_from_config(cfg)
+    cfg = load_config(CONFIGS / "lqr.json")
+    model, config, candidates = cfg.model, cfg.explore, cfg.candidates
     qm = quadratic_matrix(model)
-    config = explore_from_config(cfg)
-    candidates = candidates_from_config(cfg["explore"]["candidates"], model)
     calls = spy_on_guesses(monkeypatch)
     data = run_exploration(model, candidates, qm, config)
     assert data.n_trajectories == config.n_trajectories

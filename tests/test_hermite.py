@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, lattice_centers
+from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, hermite_apply, lattice_centers
 from vfcontrol import hermite
 from vfcontrol.hermite import (
     MIN_SPACING,
@@ -20,7 +20,6 @@ from vfcontrol.hermite import (
     Surrogate,
     assemble_rhs,
     fit,
-    hermite_apply,
     load_surrogate,
     quadratic_surrogate,
     save_surrogate,

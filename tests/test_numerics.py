@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -340,6 +340,23 @@ def mixed_row(kind, x0, u, v):
     return [x0, -1.0 - 2.0 * u, x0 * (0.1 + 0.7 * v)]  # crosses the threshold before t = 2.5
 
 
+def restart_of(run, ends) -> float:
+    """When ``run`` last started on a fresh LSODA: at t = 0, or at the first
+    of its steps past an ``end`` of another row before its own end."""
+    return max([0.0] + [run.times[run.times > end][0] for end in ends if end < run.times[-1]])
+
+
+def growth_bound(run, ends) -> float:
+    """How much LSODA may lengthen the step after ``run``'s last one.
+
+    ODEPACK grows a step by at most RMAX = 10, but after a start RMAX is
+    1e4 until the first step change, so while every step since the row's
+    last restart is of one length the next may be 1e4 times as long.
+    """
+    steps = np.diff(run.times[run.times >= restart_of(run, ends)])
+    return 1e4 if steps.size == 0 or np.ptp(steps) <= 1e-9 * steps.max() else 10.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(
@@ -348,6 +365,12 @@ def mixed_row(kind, x0, u, v):
         max_size=5,
     )
 )
+# the third row goes on from the escape's restart, takes two steps of one
+# length and ends 13 of them short of its crossing: LSODA's first step change
+# after a start may reach 1e4 times the last step
+@example(specs=[("escape", 0.5, 0.9609375, 0.0), ("non-finite", 1.0, 0.65625, 0.0), ("non-finite", 1.0, 0.48046875, 0.0)])
+# a row that ended two steps before its last finite one would fail the bound here
+@example(specs=[("finish", 1.0, 0.0, 0.0), ("non-finite", 1.0, 0.0, 0.8671875)])
 def test_a_mixed_stack_ends_each_row_as_it_ends_alone(specs):
     """Rows that finish, escape and turn non-finite in one stack end as each
     row does integrated alone, and the dense output of every row follows its
@@ -367,14 +390,13 @@ def test_a_mixed_stack_ends_each_row_as_it_ends_alone(specs):
             exact = np.log(10.0 * (1.0 + x0) / x0) / rate
             np.testing.assert_allclose([run.times[-1], alone.times[-1]], exact, rtol=1e-6)
         else:
-            # both end on their last step before the crossing; LSODA grows a
-            # step by at most a factor 10, so the crossing step is at most 10
-            # times the last one
+            # both end on their last step before the crossing, so the crossing
+            # step is at most the growth bound times the last one
             crossing = np.log(x0 / threshold) / -rate
-            for r in (run, alone):
+            for r, others in ((run, ends), (alone, [])):
                 assert "non-finite" in r.failure
                 last_step = r.times[-1] - r.times[-2]
-                assert crossing - 10.0 * last_step <= r.times[-1] <= crossing
+                assert crossing - growth_bound(r, others) * last_step <= r.times[-1] <= crossing
                 assert r.states[-1, 0] >= threshold
         grid = np.linspace(0.0, run.times[-1], 53)
         np.testing.assert_allclose(run.at(grid)[:, 0], x0 * np.exp(rate * grid), rtol=1e-6)

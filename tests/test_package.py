@@ -53,17 +53,14 @@ def test_the_command_line_does_not_import_scipy_stats():
     probe = "\n".join(
         [
             "import sys",
-            "from vfcontrol.cli import candidates_from_config, load_config, model_from_config",
-            f"cfg = load_config({str(config)!r})",
-            "model = model_from_config(cfg)",
-            "pool = candidates_from_config(cfg['explore']['candidates'], model)",
-            "spec = {k: v for k, v in cfg['evaluate']['testset'].items() if k != 'size'}",
-            "tests = candidates_from_config(spec, model)",
-            "print(pool.shape, tests.shape, 'scipy.stats' in sys.modules)",
+            "from vfcontrol.cli import load_config",
+            f"config = load_config({str(config)!r})",
+            "print(config.candidates.shape, config.test_states.shape, 'scipy.stats' in sys.modules)",
         ]
     )
     env = {**os.environ, "PYTHONPATH": str(Path(vfcontrol.__path__[0]).parent)}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "(512, 2) (256, 2) False"
+    # the 5 test states are thinned from a pool of 256 Sobol points
+    assert out.stdout.strip() == "(512, 2) (5, 2) False"
     naming = [p.name for p in Path(vfcontrol.__path__[0]).rglob("*.py") if "scipy.stats" in p.read_text()]
     assert naming == []
