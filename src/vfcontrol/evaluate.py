@@ -122,13 +122,15 @@ def simulate_feedback_batch(
     whose run holds the path up to the last finite step.  The right-hand
     side evaluates every row in one surrogate call, and each stiff-mode
     Jacobian is one more batched call.
-    A surrogate whose kernel does not have the model's state dimension is a
-    ValueError.
+    A surrogate whose kernel does not have the model's state dimension, or a
+    horizon that is not finite and positive, is a ValueError.
     """
     starts = np.asarray(starts, dtype=float)
     n = model.dim_state
     if surrogate.kernel.dim != n:
         raise ValueError(f"the surrogate's kernel has dim {surrogate.kernel.dim}, but the model's state has dim {n}")
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
 
     def rhs(_t, y):
         x = y[..., :n]
@@ -243,9 +245,11 @@ def cross_validate(
     """Hold out whole trajectories round-robin, refit, score held-out samples.
     Training folds get the origin sample if the kernel takes one."""
     n_traj = dataset.n_trajectories
-    n_folds = min(n_folds, n_traj)
     if n_folds < 2:
+        raise ValueError(f"n_folds must be at least 2, got {n_folds}")
+    if n_traj < 2:
         raise ValueError("cross-validation needs at least two trajectories")
+    n_folds = min(n_folds, n_traj)
     report = CvReport()
     for fold in range(n_folds):
         train = Dataset(

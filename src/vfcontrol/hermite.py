@@ -24,15 +24,18 @@ leaving the factor as it was, a center within ``MIN_SPACING`` of one it holds
 whose Schur block has an eigenvalue below ``SCHUR_FLOOR`` times its own Gram
 diagonal.  So the factor is always exact, never floored.
 
-One function, ``_expand``, evaluates the expansion, for both kernels and
-for every caller: the feedback state, the batches of the greedy scan, LSODA's
-Jacobians and cross-validation (``Surrogate.value_and_gradient``), and the
-Gram matvec, which is the expansion at the centers themselves
-(``HermiteOperator``).  Its tables come from
-``_geometry``, which puts the centers on the last axis, so one state (N,) and
-a batch (m, N) run the same code: <x_i, y> and <beta_i, y> from one product
-y @ [x; beta]^T, one profile call on ||x_i||^2 - 2 <x_i, y> + ||y||^2, and
-the gradient collapsed to 2 (sum_i t_i y + h @ [x; beta]), one matrix
+One function, ``_expand``, evaluates the expansion for both kernels and
+every caller: the greedy scan, cross-validation and every structured
+evaluation (``Surrogate.value_and_gradient``), the Gram matvec, which is the
+expansion at the centers themselves (``HermiteOperator``), and a plain
+``Surrogate.gradient``, which the feedback, a rollout's right-hand sides and
+LSODA's Jacobians call.  That last one hands ``_expand`` only the profile's
+slopes (``WendlandC4.slopes``): a gradient never reads psi, so it skips psi
+and the value and keeps the bits of ``value_and_gradient``.  The tables come
+from ``_geometry``, which puts the centers on the last axis, so one state
+(N,) and a batch (m, N) run the same code: <x_i, y> and <beta_i, y> from one
+product y @ [x; beta]^T, one profile call on ||x_i||^2 - 2 <x_i, y> + ||y||^2,
+and the gradient collapsed to 2 (sum_i t_i y + h @ [x; beta]), one matrix
 product however many points there are.  A surrogate keeps its center-only
 terms (||x_i||^2, <beta_i, x_i>, [x; beta]); the operator keeps <x_i, x_j>
 and the profile tables, which CG reuses on every matvec.  A row still need
@@ -114,21 +117,21 @@ def _center_terms(centers, betas):
     return (x * x).sum(axis=1), (be * x).sum(axis=1), np.concatenate([x, be])
 
 
-def _geometry(base, sqnorms, stacked, y):
+def _geometry(profile, sqnorms, stacked, y):
     """The tables of the expansion at ``y``, (N,) or (m, N), with the n
     centers on the last axis: every table has shape (..., n).
 
     Returns <x_i, y> and <beta_i, y>, both from the one product
     y @ [x; beta]^T (``stacked`` may be x alone; the second table is then
-    empty), and the profile triple of ``base`` at
-    ||x_i - y||^2 = ||x_i||^2 - 2 <x_i, y> + ||y||^2.
+    empty), and ``profile`` (a base kernel's ``profile``, or its ``slopes``)
+    at ||x_i - y||^2 = ||x_i||^2 - 2 <x_i, y> + ||y||^2.
     """
     n = sqnorms.shape[0]
     proj = y @ stacked.T
     ip = proj[..., :n]
     sq = sqnorms - 2.0 * ip
     sq += (y * y).sum(axis=-1, keepdims=True)
-    return ip, proj[..., n:], base.profile(sq)
+    return ip, proj[..., n:], profile(sq)
 
 
 def _expand(structured, alphas, offsets, stacked, y, ip, bg, profile):
@@ -138,20 +141,22 @@ def _expand(structured, alphas, offsets, stacked, y, ip, bg, profile):
 
     The gradient is collapsed to 2 (sum_i t_i y + h @ [x; beta]): t and h
     are elementwise in the tables, so the contraction over the centers is
-    one matrix product for one state or for m of them.
+    one matrix product for one state or for m of them.  A plain expansion
+    given only the slopes (psi', psi'') skips its value, which is then None;
+    its gradient does not read psi, so it keeps its bits.
     """
-    psi, dpsi, ddpsi = profile
+    psi, dpsi, ddpsi = profile if len(profile) == 3 else (None, *profile)
     al = alphas
-    n = psi.shape[-1]
+    n = dpsi.shape[-1]
     cg = offsets - bg
     cg *= 2.0                               # 2 <x_i - y, beta_i>
     # t: per center, half its coefficient of y in the gradient
     t = ddpsi * cg
     t += dpsi * al
     # h: half the coefficients of [x; beta], written in place of a concatenate
-    h = np.empty(psi.shape[:-1] + (2 * n,))
+    h = np.empty(dpsi.shape[:-1] + (2 * n,))
     if not structured:
-        value = psi @ al + (dpsi * cg).sum(axis=-1)
+        value = None if psi is None else psi @ al + (dpsi * cg).sum(axis=-1)
         np.negative(t, out=h[..., :n])
         np.negative(dpsi, out=h[..., n:])
     else:
@@ -186,7 +191,7 @@ class HermiteOperator:
         self.n, self.dim = self.centers.shape
         self.kernel = kernel
         x = self.centers
-        self._ip, _, self._profile = _geometry(_base_kernel(kernel), (x * x).sum(axis=1), x, x)
+        self._ip, _, self._profile = _geometry(_base_kernel(kernel).profile, (x * x).sum(axis=1), x, x)
 
     @property
     def size(self) -> int:
@@ -271,7 +276,7 @@ def _gram_blocks(kernel, center, points) -> np.ndarray:
     """
     x = np.asarray(center, dtype=float)
     y = np.asarray(points, dtype=float)
-    ip, _, profile = _geometry(_base_kernel(kernel), np.array([x @ x]), x[None, :], y)
+    ip, _, profile = _geometry(_base_kernel(kernel).profile, np.array([x @ x]), x[None, :], y)
     ip = ip[:, 0]
     psi, dpsi, ddpsi = (table[:, 0] for table in profile)
     m, dim = y.shape
@@ -472,10 +477,7 @@ class Surrogate:
         docstring).
         """
         points = np.asarray(points, dtype=float)
-        y = points[0] if points.ndim == 2 and points.shape[0] == 1 else points
-        sqnorms, offsets, stacked = self._center_terms
-        tables = _geometry(self._base, sqnorms, stacked, y)
-        vals, grads = _expand(self._structured, self.alphas, offsets, stacked, y, *tables)
+        y, vals, grads = self._expansion(points, self._base.profile)
         if y.ndim == 1:
             if self._structured:
                 qy = y @ self.q_matrix
@@ -504,11 +506,27 @@ class Surrogate:
         value[origin] = 0.0
         return value, gradient
 
+    def _expansion(self, points, profile):
+        """``(y, values, gradients)`` of the expansion at ``points`` from the
+        ``profile`` tables (see ``_geometry``), on ``y``: one state runs on
+        its 1-D row."""
+        y = points[0] if points.ndim == 2 and points.shape[0] == 1 else points
+        sqnorms, offsets, stacked = self._center_terms
+        tables = _geometry(profile, sqnorms, stacked, y)
+        return y, *_expand(self._structured, self.alphas, offsets, stacked, y, *tables)
+
     def value(self, points):
         return self.value_and_gradient(points)[0]
 
     def gradient(self, points):
-        return self.value_and_gradient(points)[1]
+        """Gradients (m, N) at ``points``, bit for bit those of
+        :meth:`value_and_gradient`.  A plain surrogate reads only the
+        profile's slopes and skips the value; a structured one needs the
+        correction's value for its square."""
+        if self._structured:
+            return self.value_and_gradient(points)[1]
+        y, _, grads = self._expansion(np.asarray(points, dtype=float), self._base.slopes)
+        return grads[None, :] if y.ndim == 1 else grads
 
 
 def quadratic_surrogate(q_matrix: np.ndarray) -> Surrogate:

@@ -16,7 +16,9 @@ r = gamma * sqrt(s):
 with m = l + 2, c1 = -(m+2)(m^2-1), c0 = -(m+1)(m+2).  In particular
 psi'(0) = gamma^2 Phi''(0) / 2 and psi''(0) = gamma^4 Phi''''(0) / 12 hold
 exactly, with Phi''(0) = -(l+3)(l+4) and Phi''''(0) = 3(l+1)(l+2)(l+3)(l+4).
-All three vanish beyond ||x - y|| = 1 / gamma.  The Hermite Gram actions in
+All three vanish beyond ||x - y|| = 1 / gamma.  Neither derivative uses
+psi, so a gradient, which reads only psi' and psi'', evaluates them alone
+(``WendlandC4.slopes``).  The Hermite Gram actions in
 ``hermite`` are built from these profiles, evaluated on whole tables of
 pairwise squared distances.
 
@@ -58,33 +60,44 @@ class WendlandC4:
     def profile(self, s):
         """psi, psi', psi'' of the squared radius, evaluated elementwise.
 
-        Shares the clamped powers of (1 - r) between the three outputs; this
+        Shares r and the clamped powers of (1 - r) with :meth:`slopes`; this
         is the hot path of every Gram matrix action.
         """
-        s = np.asarray(s, dtype=float)
+        r, t, t_m1, dpsi, ddpsi = self._radial(s)
         l = self.smoothness_degree
-        m = l + 2
+        a2 = (l + 1) * (l + 3)
+        psi = a2 * r
+        psi += 3.0 * (l + 2)
+        psi *= r
+        psi += 3.0
+        psi *= t_m1
+        psi *= t
+        return psi, dpsi, ddpsi
+
+    def slopes(self, s):
+        """psi' and psi'' alone, the same bits as :meth:`profile`'s: all that
+        a gradient reads.  Neither uses psi (see the module docstring)."""
+        return self._radial(s)[3:]
+
+    def _radial(self, s):
+        """r = gamma ||x - y||, t = (1 - r)_+, t^(m-1), psi' and psi'' at the
+        squared radius s."""
+        s = np.asarray(s, dtype=float)
+        m = self.smoothness_degree + 2
         g = self.gamma
         r = np.sqrt(np.maximum(s, 0.0))
         r *= g
         t = np.maximum(1.0 - r, 0.0)
         t_m2 = _int_power(t, m - 2)
         t_m1 = t_m2 * t
-        a2 = (l + 1) * (l + 3)
         # psi' = (c1 r + c0) (1 - r)^(m-1), gamma^2 / 2 folded into c1 and c0
         c1 = -0.5 * g * g * (m + 2) * (m * m - 1)
         c0 = -0.5 * g * g * (m + 1) * (m + 2)
-        psi = a2 * r
-        psi += 3.0 * m
-        psi *= r
-        psi += 3.0
-        psi *= t_m1
-        psi *= t
         dpsi = c1 * r
         dpsi += c0
         dpsi *= t_m1
         ddpsi = (0.25 * g ** 4 * m * (m * m - 1) * (m + 2)) * t_m2
-        return psi, dpsi, ddpsi
+        return r, t, t_m1, dpsi, ddpsi
 
 
 @dataclass(frozen=True)
@@ -104,13 +117,14 @@ class StructuredKernel:
 
 def _int_power(base: np.ndarray, exponent: int) -> np.ndarray:
     """base ** exponent by repeated squaring; much faster than elementwise pow
-    for the large integer exponents the high-dimensional profiles need."""
+    for the large integer exponents the high-dimensional profiles need.  The
+    result may be ``base`` itself (exponent 1), so callers do not write to it."""
     result = None
     square = base
     e = exponent
     while e:
         if e & 1:
-            result = square.copy() if result is None else result * square
+            result = square if result is None else result * square
         e >>= 1
         if e:
             square = square * square

@@ -212,6 +212,7 @@ def splu(ab: np.ndarray, kl: int, ku: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class OpenLoopConfig:
+    # intervals of the initial mesh, which has n_nodes + 1 nodes
     n_nodes: int = 240
     delta_tau: float = 1e-3
     refine_rounds: int = 2

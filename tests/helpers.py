@@ -29,7 +29,7 @@ def hermite_apply(kernel, centers, alphas, betas, points):
     """
     sqnorms, offsets, stacked = hermite._center_terms(centers, betas)
     y = np.atleast_2d(np.asarray(points, dtype=float))
-    tables = hermite._geometry(hermite._base_kernel(kernel), sqnorms, stacked, y)
+    tables = hermite._geometry(hermite._base_kernel(kernel).profile, sqnorms, stacked, y)
     structured = isinstance(kernel, StructuredKernel)
     return hermite._expand(structured, np.asarray(alphas, dtype=float), offsets, stacked, y, *tables)
 

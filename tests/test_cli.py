@@ -397,3 +397,14 @@ def test_a_surrogate_without_a_required_key_is_named(tmp_path, capsys, artifacts
     argv = ["simulate", "--config", config, "--surrogate", broken, "--x0", "[0.5]", "--out", str(out)]
     error = fails_with_one_json_line(capsys, argv, out)
     assert broken in error and repr(key.split(".")[-1]) in error
+
+
+@pytest.mark.parametrize("horizon", ["-1", "0"])
+def test_simulate_rejects_a_horizon_that_is_not_positive(tmp_path, capsys, artifacts, horizon):
+    """A negative horizon used to integrate backwards in time and report a
+    negative cost; it and a zero horizon are now one JSON line naming it."""
+    config, _, plain = artifacts
+    out = tmp_path / "run.json"
+    argv = ["simulate", "--config", config, "--surrogate", plain, "--x0", "[0.5]", "--horizon", horizon, "--out", str(out)]
+    error = fails_with_one_json_line(capsys, argv, out)
+    assert "horizon must be finite and > 0" in error

@@ -344,6 +344,14 @@ def test_cross_validation_needs_at_least_two_trajectories(lqr_dataset):
         cross_validate(kern, single, VkogaConfig(max_centers=5))
 
 
+@pytest.mark.parametrize("n_folds", [1, 0])
+def test_cross_validation_names_a_fold_count_below_two(lqr_dataset, n_folds):
+    """A bad fold count is named as such, not blamed on the data."""
+    kern = WendlandC4(dim=1, gamma=1.0)
+    with pytest.raises(ValueError, match=f"^n_folds must be at least 2, got {n_folds}$"):
+        cross_validate(kern, lqr_dataset, VkogaConfig(max_centers=5), n_folds=n_folds)
+
+
 def test_cv_report_roundtrips_through_json(tmp_path, lqr_dataset):
     kern = WendlandC4(dim=1, gamma=1.0)
     report = cross_validate(kern, lqr_dataset, VkogaConfig(max_centers=10, cg_tol=1e-10), n_folds=2)

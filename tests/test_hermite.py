@@ -566,7 +566,7 @@ def expansion_at(sur, y):
     """The bare expansion at the one state y (N,), as ``value_and_gradient``
     runs it on a 1-D row."""
     sqnorms, offsets, stacked = sur._center_terms
-    ip, bg, profile = hermite._geometry(sur._base, sqnorms, stacked, y)
+    ip, bg, profile = hermite._geometry(sur._base.profile, sqnorms, stacked, y)
     return hermite._expand(sur.variant == "structured", sur.alphas, offsets, stacked, y, ip, bg, profile)
 
 
@@ -680,6 +680,25 @@ def test_one_row_evaluation_agrees_with_the_batch(case, plain):
         assert v0[0] == 0.0 and np.all(g0[0] == 0.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(structured_surrogates(), st.booleans())
+def test_gradient_is_the_gradient_of_value_and_gradient_bit_for_bit(case, plain):
+    """``gradient`` skips the value of a plain surrogate and forms the square
+    of a structured one; either way it is ``value_and_gradient(p)[1]`` bit
+    for bit, for one state as (N,) or (1, N) and for a batch, at the origin
+    and at a probe outside every center's support (centers lie in
+    [-2, 2]^N and supports have radius 1 / gamma <= 10)."""
+    sur, probes = case
+    dim = sur.centers.shape[1]
+    if plain:
+        sur = replace(sur, kernel=sur.kernel.base, q_matrix=None)
+    batch = np.vstack([probes, np.zeros((1, dim)), np.full((1, dim), 20.0)])
+    for points in (batch, *batch, *batch[:, None, :]):
+        want = sur.value_and_gradient(points)[1]
+        got = sur.gradient(points)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def small_surrogates(rng, n=4, dim=3):
     """A plain and a structured surrogate on the same n centers."""
     base, kern = both_kernels(dim, 0.6)
@@ -710,9 +729,30 @@ def test_one_state_evaluates_the_profile_once_on_n_squared_distances(monkeypatch
             assert shapes == [table]
 
 
+def test_a_plain_gradient_never_evaluates_the_profile(monkeypatch):
+    """A plain surrogate's gradient, of one state or a batch, reads only the
+    profile's slopes; a structured one needs the correction's value and
+    makes one ``profile`` call."""
+    rng = np.random.default_rng(46)
+    calls = []
+    profile = WendlandC4.profile
+
+    def counted(self, s):
+        calls.append(np.shape(s))
+        return profile(self, s)
+
+    monkeypatch.setattr(WendlandC4, "profile", counted)
+    for sur in small_surrogates(rng):
+        for points in (rng.normal(size=3), rng.normal(size=(1, 3)), rng.normal(size=(5, 3))):
+            calls.clear()
+            sur.gradient(points)
+            assert len(calls) == (sur.variant == "structured")
+
+
 def test_every_evaluation_is_one_expand_call(monkeypatch):
-    """The one-state feedback, a batch, ``hermite_apply`` and the Gram matvec
-    all evaluate the expansion through one ``_expand`` call each."""
+    """One state and a batch, by ``value_and_gradient`` or by ``gradient``,
+    ``hermite_apply`` and the Gram matvec all evaluate the expansion through
+    one ``_expand`` call each."""
     rng = np.random.default_rng(45)
     calls = []
     expand = hermite._expand
@@ -727,6 +767,8 @@ def test_every_evaluation_is_one_expand_call(monkeypatch):
         evaluations = [
             (lambda: sur.value_and_gradient(rng.normal(size=(1, dim))), (dim,)),
             (lambda: sur.value_and_gradient(rng.normal(size=(5, dim))), (5, dim)),
+            (lambda: sur.gradient(rng.normal(size=(1, dim))), (dim,)),
+            (lambda: sur.gradient(rng.normal(size=(5, dim))), (5, dim)),
             (lambda: hermite_apply(sur.kernel, sur.centers, sur.alphas, sur.betas, rng.normal(size=(3, dim))), (3, dim)),
             (lambda: HermiteOperator(sur.kernel, sur.centers).matvec(rng.normal(size=n * (1 + dim))), (n, dim)),
         ]

@@ -82,6 +82,20 @@ def test_int_power_matches_numpy():
         np.testing.assert_allclose(_int_power(base, e), base**e, rtol=1e-13)
 
 
+def test_slopes_are_the_profile_derivatives_bit_for_bit():
+    """``slopes`` skips psi; its psi' and psi'' are ``profile``'s, bit for
+    bit, on flat and two-axis tables, at 0 and beyond the support."""
+    rng = np.random.default_rng(9)
+    for dim in (1, 2, 5, 36):
+        kern = WendlandC4(dim=dim, gamma=0.7)
+        edge = (1.0 / kern.gamma) ** 2
+        for s in (rng.uniform(0.0, 3.0, size=17), rng.uniform(0.0, 3.0, size=(4, 9)), np.array([0.0, edge, 2.0 * edge])):
+            slopes = kern.slopes(s)
+            assert len(slopes) == 2
+            for got, want in zip(slopes, kern.profile(s)[1:]):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     for kern in (WendlandC4(dim=3, gamma=0.6), StructuredKernel(WendlandC4(dim=3, gamma=0.6))):

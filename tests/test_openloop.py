@@ -16,6 +16,7 @@ from vfcontrol.openloop import (
     bvp_residual,
     graded_mesh,
     initial_guess,
+    initial_mesh,
     solve_open_loop,
     solve_pmp,
     time_stretch,
@@ -58,6 +59,12 @@ def test_graded_mesh_shape_and_monotonicity():
     assert steps[0] < steps[15] and steps[-1] < steps[15]
     with pytest.raises(ValueError):
         graded_mesh(1)
+
+
+def test_n_nodes_counts_the_intervals_of_the_initial_mesh():
+    """``n_nodes`` is the number of mesh intervals, as README says: 120 gives
+    121 nodes.  Counting nodes instead would move every dataset."""
+    assert initial_mesh(OpenLoopConfig(n_nodes=120)).shape == (121,)
 
 
 def test_scalar_lqr_matches_the_closed_form(scalar_lqr):
