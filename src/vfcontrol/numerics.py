@@ -48,8 +48,8 @@ class IvpFailure(RuntimeError):
 
     No code in this package raises it: :func:`integrate_ivp` reports a failed
     run in :attr:`IvpResult.failure`.  It stays only for the benchmark
-    tracer's ``ivp_failed`` hook, and goes together with that hook (ROADMAP
-    item 3).
+    tracer's ``ivp_failed`` hook, and goes together with that hook when the
+    benchmark reads its counts from the results instead of from the tracer.
     """
 
     def __init__(self, message: str, partial: IvpResult):

@@ -1,24 +1,37 @@
 """Open-loop optimal trajectories via the first-order necessary conditions.
 
-For a start state x0 the stacked unknown z = [x; p; v] obeys
+For a start state x0 the stacked state z = [x; p; v] obeys
 
     x' = f + g u,   p' = -(J_f^T p + d(gu)/dx^T p + grad r),   v' = -(r + u^T R u),
 
 with u = -R^{-1} g^T p / 2, x(0) = x0, and p, v -> 0 as t -> infinity.  The
 infinite horizon is mapped onto the unit interval by t = tau / (1 - tau), the
 grid stops one step delta_tau short of tau = 1, and the missing step is closed
-by an explicit Euler extrapolation whose p and v components must land on zero.
-That extrapolated condition is the far-end boundary residual.
+by an explicit Euler extrapolation whose p and v components must land on zero
+(the tail closure).
 
 Discretization is Hermite-Simpson collocation on a mesh graded toward both
 ends (fast initial transients live near tau = 0, the algebraic tail near
-tau = 1), solved by a simplified Newton method on the kept banded LU.  The
-residual lists the x-boundary rows, then the collocation rows interval by
-interval, then the tail rows; each interval couples only its two end nodes,
-so in this order the Jacobian is banded.  Its blocks come from the model's
-closed-form ``pmp_jacobian`` at all nodes and all midpoints, are written
-straight into LAPACK band storage, and the system is factored by banded LU
-with partial pivoting (``dgbtrf``; Ascher, Mattheij & Russell, ch. 7).
+tau = 1), solved by a simplified Newton method on the kept banded LU.
+
+No right-hand side depends on v, so v is not a Newton unknown: Newton solves
+for [x; p], 2n unknowns per node, node by node.  Every residual evaluation
+fills the v column of the iterate from the rows that pin it, with the slopes
+the [x; p] rows evaluate anyway: the tail closure gives v_K = -delta_tau v'_K
+at the last node, and each interval's Simpson rule v_k = v_{k+1} - (h_k / 6)
+(v'_k + 4 v'_mid + v'_{k+1}) gives the others, backwards from there.  So the v
+rows hold to rounding at every iterate, where Newton, when it solved them with
+the rest, left its own residual in the stored values.  The residual lists the
+n x-boundary rows, then the 2n collocation rows of each interval, then the n
+p rows of the tail closure; each interval couples only its two end nodes, so
+in this order the Jacobian is banded.  Its blocks are the [x; p] block of the
+model's closed-form ``pmp_jacobian`` at all nodes and all midpoints, written
+straight into LAPACK band storage.  The band widths (kl, ku) are read off the
+nonzeros the blocks hold, as the union over the intervals: a model with dense
+blocks gets (3n - 1, 3n - 1), and ``nhe``, whose Laplacian couples a grid
+node only to its neighbours, (2n + side, 2n + side).  The system is factored
+by banded LU with partial pivoting (``dgbtrf``; Ascher, Mattheij & Russell,
+ch. 7).
 
 After a full, undamped Newton step the factor is kept, and the next step
 solves with it at the new iterate (a chord step; Deuflhard, *Newton Methods
@@ -28,9 +41,11 @@ one; otherwise the Jacobian is re-assembled and re-factored at the current
 iterate for a Newton step, damped by halving as needed.  A damped step
 (length below 1) drops the factor, so the step after it factors afresh.
 Once the iterate is in Newton's quadratic basin, one factorization per mesh
-usually suffices.  A midpoint-rule defect flags intervals whose local
-truncation error is still large; those get split and the solve repeats on
-the refined mesh.
+usually suffices.  A midpoint-rule defect, taken over every column of z and
+so over v's as well, flags intervals whose local truncation error is still
+large; those get split and the solve repeats on the refined mesh.  For v the
+defect is the gap between the midpoint and the Simpson quadrature of v', as
+it was, up to Newton's residual, when v was solved for.
 """
 
 from __future__ import annotations
@@ -81,6 +96,12 @@ CHORD_CONTRACTION = 0.25
 # halving and refinement counts of rel 1e-6, and a stack of the 6 explored
 # starts takes 16 ms instead of 24 on amp and 17 ms instead of 39 on nhe.
 GUESS_TOL = (1e-4, 1e-6)
+# Bytes of each work array of the Jacobian assembly, which runs through the
+# intervals in chunks of that size.  On nhe (grid side 6) whole-mesh work
+# arrays, 4 MB each, made the assembly of an exploration about a third
+# slower, with the time going to cache misses and to the page faults of
+# fresh memory; 128 KB to 1 MB measured alike.
+WORK_BYTES = 2**19
 
 
 def time_stretch(tau):
@@ -107,17 +128,24 @@ def graded_mesh(n_intervals: int, tau_end: float = 1.0 - 1e-3) -> np.ndarray:
 
 
 def bvp_residual(model: ControlAffineModel, taus: np.ndarray, z: np.ndarray, x0: np.ndarray, delta_tau: float) -> np.ndarray:
-    """Stacked residual: x-boundary rows, one block of collocation rows per interval, tail rows.
+    """Residual of the [x; p] rows: x-boundary rows, one block of collocation rows per interval, the tail's p rows.
 
     The interval rule is Hermite-Simpson: the midpoint state interpolates the
     cubic through the endpoint values and slopes, and Simpson quadrature over
-    endpoint and midpoint slopes closes the fourth-order defect.
+    endpoint and midpoint slopes closes the fourth-order defect.  The v column
+    of ``z`` (nodes, 2n + 1) is not read; it is overwritten in place with the
+    values its rows pin, the tail closure at the last node and the Simpson
+    rule of each interval backwards from there.
     """
     n = model.dim_state
+    m = 2 * n
     _, ft, h, z_mid, mid_rate = _midpoints(model, taus, z)
     ft_mid = mid_rate[:, None] * pmp_rhs(model, z_mid)
-    coll = z[1:] - z[:-1] - (h / 6.0) * (ft[:-1] + 4.0 * ft_mid + ft[1:])
-    tail = (z[-1] + delta_tau * ft[-1])[n:]
+    quad = (h / 6.0) * (ft[:-1] + 4.0 * ft_mid + ft[1:])
+    # v_K = -delta_tau v'_K, then v_k = v_{k+1} - quad_k one subtraction at a time
+    z[::-1, m] = np.subtract.accumulate(np.concatenate([[-delta_tau * ft[-1, m]], quad[::-1, m]]))
+    coll = z[1:, :m] - z[:-1, :m] - quad[:, :m]
+    tail = (z[-1] + delta_tau * ft[-1])[n:m]
     return np.concatenate([z[0, :n] - x0, coll.ravel(), tail])
 
 
@@ -132,69 +160,83 @@ def _midpoints(model, taus, z):
     return rate, ft, h, z_mid, mid_rate
 
 
-def _band_widths(n: int) -> tuple[int, int]:
-    """Sub- and superdiagonal counts (kl, ku) of the collocation Jacobian for state dimension n.
-
-    With nz = 2n + 1 unknowns per node, the collocation rows of interval k
-    start at row n + k nz and reach the columns of nodes k and k + 1, so
-    they span the diagonals -(n + nz - 1) to 2 nz - 1 - n; the x-boundary and
-    tail rows lie inside that band.
-    """
-    nz = 2 * n + 1
-    return n + nz - 1, 2 * nz - 1 - n
-
-
 def _assemble_jacobian(model, taus, z, delta_tau):
-    """Jacobian of :func:`bvp_residual` in LAPACK band storage, ready for ``dgbtrf``.
+    """Jacobian of :func:`bvp_residual` over the [x; p] unknowns in LAPACK band storage.
 
-    Entry (r, c) sits at ``ab[kl + ku + r - c, c]``; the first kl rows are
-    the room ``dgbtrf`` needs for the fill of its row interchanges.  In
-    column-major order that is flat position kl + ku + r + c (ldab - 1), so
-    the blocks of one kind, one per interval and each shifted by nz rows and
-    nz columns from the last, form a single strided view of the storage and
-    land with one assignment.
+    Returns ``(ab, kl, ku)``, ready for ``dgbtrf``.  Entry (r, c) sits at
+    ``ab[kl + ku + r - c, c]``; the first kl rows are the room ``dgbtrf``
+    needs for the fill of its row interchanges.  In column-major order that
+    is flat position kl + ku + r + c (ldab - 1), so the blocks of one kind,
+    one per interval and each shifted by 2n rows and 2n columns from the
+    last, form a single strided view of the storage and land with one
+    assignment.
     """
     n = model.dim_state
-    n_nodes, nz = z.shape
+    m = 2 * n
+    n_nodes = z.shape[0]
     k_intervals = n_nodes - 1
-    kl, ku = _band_widths(n)
 
     rate, _, h, z_mid, mid_rate = _midpoints(model, taus, z)
-    # scaled copies: pmp_jacobian may return a read-only view
-    a = rate[:, None, None] * model.pmp_jacobian(z)
-    a_mid = mid_rate[:, None, None] * model.pmp_jacobian(z_mid)
+    # the [x; p] blocks; v's column is zero, since no right-hand side reads v
+    jac = model.pmp_jacobian(z)[:, :m, :m]
+    jac_mid = model.pmp_jacobian(z_mid)[:, :m, :m]
+
+    # Offsets r - c of the entries a block can hold in any interval: the
+    # identity's, a's and those of a_mid (I + a), the nonzeros of the
+    # products below, over all nodes and midpoints (the rates that scale jac
+    # to a lie in [1, inf), so a holds the nonzeros of jac).  Interval k's
+    # blocks start at row n + 2n k, columns 2n k and 2n (k + 1), the tail at
+    # row n + 2n K, column 2n K, and the x rows sit on the diagonal.  Blocks
+    # are written whole; an exact zero past the band lands in the fill rows,
+    # which dgbtrf does not read on entry (its own column's above the band,
+    # the next one's below), as long as 2 kl and kl + ku reach 3n - 1, the
+    # farthest offset in a block.  No bundled model's nonzeros give less.
+    eye = np.eye(m)
+    near = eye + np.any(jac, axis=0)
+    held = (np.any(jac_mid, axis=0) @ near + near) > 0
+    i, j = np.indices((m, m))
+    offsets = np.concatenate([(n + i - j)[held], (i - j - n)[held], (n + i - j)[:n][near[n:] > 0], [0]])
+    kl = max(int(offsets.max()), (3 * n) // 2)
+    ku = max(int(-offsets.min()), 3 * n - 1 - kl)
 
     ldab = 2 * kl + ku + 1
-    flat = np.zeros(ldab * n_nodes * nz)
+    flat = np.zeros(ldab * n_nodes * m)
     step = flat.itemsize
 
     def blocks(row, col, count, rows):
-        """``count`` blocks of ``rows`` x nz entries at rows row + k nz + i, columns col + k nz + j."""
+        """``count`` blocks of ``rows`` x 2n entries at rows row + 2n k + i, columns col + 2n k + j."""
         start = kl + ku + row + col * (ldab - 1)
-        return as_strided(flat[start:], shape=(count, rows, nz), strides=(step * nz * ldab, step, step * (ldab - 1)))
+        return as_strided(flat[start:], shape=(count, rows, m), strides=(step * m * ldab, step, step * (ldab - 1)))
 
     # Interval k's left block is -I - h/6 (a_k + 4 a_mid (I/2 + h/8 a_k)) and
-    # its right block I - h/6 (a_k+1 + 4 a_mid (I/2 - h/8 a_k+1)).  Both run
-    # through the same two work arrays, operation by operation in that order
-    # (so the bits are those of the plain expression), and the last operation
-    # writes the band.  The product goes to a contiguous array: matmul into
-    # the strided band view skips BLAS.
-    eye = np.eye(nz)
+    # its right block I - h/6 (a_k+1 + 4 a_mid (I/2 - h/8 a_k+1)), where a and
+    # a_mid are jac and jac_mid times their rates.  Both run through the same
+    # work arrays, operation by operation in that order (so the bits are
+    # those of the plain expression), and the last operation writes the band.
+    # The product goes to a contiguous array: matmul into the strided band
+    # view skips BLAS.  The work arrays hold WORK_BYTES of intervals at a
+    # time, so they stay in cache from the scaling to the band.
     hh = h[:, :, None]
-    dmid = np.empty((k_intervals, nz, nz))
-    work = np.empty_like(dmid)
-    for col, ends, sign, ident in ((0, a[:-1], np.add, -eye), (nz, a[1:], np.subtract, eye)):
-        np.multiply(hh / 8.0, ends, out=dmid)
-        sign(0.5 * eye, dmid, out=dmid)
-        np.matmul(a_mid, dmid, out=work)
-        np.multiply(4.0, work, out=work)
-        np.add(ends, work, out=work)
-        np.multiply(hh / 6.0, work, out=work)
-        np.subtract(ident, work, out=blocks(n, col, k_intervals, nz))
+    chunk = min(max(1, WORK_BYTES // (8 * m * m)), k_intervals)
+    a = np.empty((chunk + 1, m, m))
+    a_mid, dmid, work = (np.empty((chunk, m, m)) for _ in range(3))
+    for lo in range(0, k_intervals, chunk):
+        c = min(chunk, k_intervals - lo)
+        hc, d, w = hh[lo : lo + c], dmid[:c], work[:c]
+        np.multiply(rate[lo : lo + c + 1, None, None], jac[lo : lo + c + 1], out=a[: c + 1])
+        np.multiply(mid_rate[lo : lo + c, None, None], jac_mid[lo : lo + c], out=a_mid[:c])
+        for col, ends, sign, ident in ((0, a[:c], np.add, -eye), (m, a[1 : c + 1], np.subtract, eye)):
+            np.multiply(hc / 8.0, ends, out=d)
+            sign(0.5 * eye, d, out=d)
+            np.matmul(a_mid[:c], d, out=w)
+            np.multiply(4.0, w, out=w)
+            np.add(ends, w, out=w)
+            np.multiply(hc / 6.0, w, out=w)
+            np.subtract(ident, w, out=blocks(n + lo * m, col + lo * m, c, m))
     # x rows pin node 0; the extrapolated tail rows pin the last node
     flat[kl + ku + ldab * np.arange(n)] = 1.0
-    blocks(n + k_intervals * nz, k_intervals * nz, 1, n + 1)[0] = (eye + delta_tau * a[-1])[n:]
-    return flat.reshape((ldab, n_nodes * nz), order="F")
+    blocks(n + k_intervals * m, k_intervals * m, 1, n)[0] = (eye + delta_tau * (rate[-1] * jac[-1]))[n:]
+    return flat.reshape((ldab, n_nodes * m), order="F"), kl, ku
 
 
 def splu(ab: np.ndarray, kl: int, ku: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +321,9 @@ def initial_guess(model: ControlAffineModel, starts: np.ndarray, taus: np.ndarra
     ``starts`` is a (k, n) stack, as :func:`~vfcontrol.numerics.integrate_ivp`
     takes it, and the k rollouts are one stacked LSODA system; the result
     has shape (k, nodes, 2 n + 1), one iterate per start.  States come from
-    integrating x' = f + g u with u fed back from the value model x^T Q x;
-    costates and values are that model's gradient and value.  If a rollout
+    integrating x' = f + g u with u fed back from the value model x^T Q x,
+    and costates are that model's gradient; values stay zero, since
+    :func:`bvp_residual` fills them from states and costates.  If a rollout
     escapes the radius of :func:`~vfcontrol.numerics.integrate_ivp` (the
     quadratic feedback need not stabilize far out), or its integrator fails,
     everything past its last valid time is padded with zeros, which is the
@@ -294,10 +337,9 @@ def initial_guess(model: ControlAffineModel, starts: np.ndarray, taus: np.ndarra
     """
     starts = np.asarray(starts, dtype=float)
     n = model.dim_state
-    qm = np.asarray(q_matrix, dtype=float)
     # the value model's gradient is x @ (2 Q); doubling is exact, so it has
     # the bits of (2 x) @ Q
-    grad_matrix = 2.0 * qm
+    grad_matrix = 2.0 * np.asarray(q_matrix, dtype=float)
 
     def rhs(_t, x):
         u = optimal_control(model, x, x @ grad_matrix)
@@ -312,7 +354,6 @@ def initial_guess(model: ControlAffineModel, starts: np.ndarray, taus: np.ndarra
         xs = sol.at(times[inside])
         guess[inside, :n] = xs
         guess[inside, n : 2 * n] = xs @ grad_matrix
-        guess[inside, 2 * n] = np.einsum("ij,jk,ik->i", xs, qm, xs)
         guess[0, :n] = x0
     return z
 
@@ -333,7 +374,9 @@ def solve_pmp(
     down, the Jacobian is assembled and factored at the current iterate, and
     the Newton step is damped by halving until the residual decreases.  The
     factor is kept only after a full step.  ``newton_iterations`` counts the
-    factorizations and :data:`NEWTON_MAX_ITER` bounds them.
+    factorizations and :data:`NEWTON_MAX_ITER` bounds them.  Newton steps
+    move the [x; p] columns of the iterate; the v column of ``guess`` is not
+    read, since every residual evaluation fills it.
     """
     x0 = np.asarray(x0, dtype=float)
     z = np.array(guess, dtype=float)
@@ -345,7 +388,6 @@ def solve_pmp(
     if not np.isfinite(norm):
         raise BvpFailure("initial iterate produces a non-finite residual", residual=norm)
 
-    kl, ku = _band_widths(model.dim_state)
     iteration = 0
     halvings = 0
     chords = 0
@@ -353,7 +395,7 @@ def solve_pmp(
     while norm > NEWTON_TOL * (1.0 + float(np.max(np.abs(z)))):
         if kept:
             chords += 1
-            z_new = z + dgbtrs(lu, kl, ku, -res, piv, overwrite_b=True)[0].reshape(z.shape)
+            z_new = _advanced(z, dgbtrs(lu, kl, ku, -res, piv, overwrite_b=True)[0])
             res_new = bvp_residual(model, taus, z_new, x0, config.delta_tau)
             norm_new = float(np.max(np.abs(res_new)))
             # a non-finite residual compares False and is turned down
@@ -369,17 +411,18 @@ def solve_pmp(
             )
         iteration += 1
         try:
-            lu, piv = splu(_assemble_jacobian(model, taus, z, config.delta_tau), kl, ku)
+            ab, kl, ku = _assemble_jacobian(model, taus, z, config.delta_tau)
+            lu, piv = splu(ab, kl, ku)
         except np.linalg.LinAlgError as err:
             raise BvpFailure(f"singular collocation Jacobian: {err}", residual=norm, iterations=iteration) from err
-        step = dgbtrs(lu, kl, ku, -res, piv, overwrite_b=True)[0].reshape(z.shape)
+        step = dgbtrs(lu, kl, ku, -res, piv, overwrite_b=True)[0]
         if not np.all(np.isfinite(step)):
             raise BvpFailure("non-finite Newton step", residual=norm, iterations=iteration)
 
         lam = 1.0
         accepted = False
         while lam >= 2.0 ** -12:
-            z_new = z + lam * step
+            z_new = _advanced(z, lam * step)
             res_new = bvp_residual(model, taus, z_new, x0, config.delta_tau)
             norm_new = float(np.max(np.abs(res_new)))
             if np.isfinite(norm_new) and norm_new < norm * (1.0 - 1e-4 * lam):
@@ -401,6 +444,13 @@ def solve_pmp(
         line_search_halvings=halvings,
         chord_steps=chords,
     )
+
+
+def _advanced(z, step):
+    """A copy of the iterate z with the flat [x; p] step added; :func:`bvp_residual` fills its v column."""
+    z_new = z.copy()
+    z_new[:, :-1] += step.reshape(z.shape[0], -1)
+    return z_new
 
 
 def _interval_defects(model, taus, z, scale):

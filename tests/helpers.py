@@ -18,7 +18,7 @@ from vfcontrol.hermite import MIN_SPACING
 from vfcontrol.kernels import StructuredKernel
 from vfcontrol.models import AmpParameters, optimal_control
 from vfcontrol.numerics import FD_STEP, fd_jacobian
-from vfcontrol.openloop import _band_widths, _midpoints
+from vfcontrol.openloop import _midpoints
 
 
 def hermite_apply(kernel, centers, alphas, betas, points):
@@ -368,35 +368,40 @@ def composed_pmp_rhs(model, z):
 
 
 def band_jacobian_reference(model, taus, z, delta_tau):
-    """Jacobian of ``openloop.bvp_residual`` in LAPACK band storage, ``ab[kl + ku + r - c, c]``.
+    """Jacobian of ``openloop.bvp_residual`` over the [x; p] unknowns as ``(ab, kl, ku)``,
+    in LAPACK band storage ``ab[kl + ku + r - c, c]``.
 
-    The Hermite-Simpson blocks come from the plain expression, one temporary
-    per term, and are placed interval by interval through index arrays; the
-    library assembles the same arithmetic with reused work arrays and strided
-    views, so the two must agree bit for bit.
+    The Hermite-Simpson blocks come from the plain expression on the [x; p]
+    block of ``pmp_jacobian``, one temporary per term, and are placed interval
+    by interval into a dense matrix, whose nonzeros give (kl, ku); the library
+    assembles the same arithmetic with reused work arrays and strided views,
+    so the two must agree bit for bit in the band rows.
     """
     n = model.dim_state
-    n_nodes, nz = z.shape
-    kl, ku = _band_widths(n)
+    m = 2 * n
+    n_nodes = z.shape[0]
     rate, _, h, z_mid, mid_rate = _midpoints(model, taus, z)
-    a = rate[:, None, None] * model.pmp_jacobian(z)
-    a_mid = mid_rate[:, None, None] * model.pmp_jacobian(z_mid)
-    eye = np.eye(nz)
+    a = rate[:, None, None] * model.pmp_jacobian(z)[:, :m, :m]
+    a_mid = mid_rate[:, None, None] * model.pmp_jacobian(z_mid)[:, :m, :m]
+    eye = np.eye(m)
     hh = h[:, :, None]
     dmid_left = 0.5 * eye + (hh / 8.0) * a[:-1]
     dmid_right = 0.5 * eye - (hh / 8.0) * a[1:]
     left = -eye - (hh / 6.0) * (a[:-1] + 4.0 * np.matmul(a_mid, dmid_left))
     right = eye - (hh / 6.0) * (a[1:] + 4.0 * np.matmul(a_mid, dmid_right))
 
-    ab = np.zeros((2 * kl + ku + 1, n_nodes * nz))
-
-    def put(row, col, block):
-        i, j = np.indices(block.shape)
-        ab[kl + ku + row + i - col - j, col + j] = block
-
-    put(0, 0, np.eye(n))
+    dense = np.zeros((n_nodes * m, n_nodes * m))
+    dense[:n, :n] = np.eye(n)
     for k in range(n_nodes - 1):
-        put(n + k * nz, k * nz, left[k])
-        put(n + k * nz, (k + 1) * nz, right[k])
-    put(n + (n_nodes - 1) * nz, (n_nodes - 1) * nz, (eye + delta_tau * a[-1])[n:])
-    return ab
+        rows = slice(n + k * m, n + (k + 1) * m)
+        dense[rows, k * m : (k + 1) * m] = left[k]
+        dense[rows, (k + 1) * m : (k + 2) * m] = right[k]
+    dense[n + (n_nodes - 1) * m :, (n_nodes - 1) * m :] = (eye + delta_tau * a[-1])[n:]
+
+    r, c = np.nonzero(dense)
+    kl, ku = int(np.max(r - c)), int(np.max(c - r))
+    ab = np.zeros((2 * kl + ku + 1, dense.shape[1]))
+    i, j = np.indices(dense.shape)
+    inside = (i - j <= kl) & (j - i <= ku)
+    ab[kl + ku + i[inside] - j[inside], j[inside]] = dense[inside]
+    return ab, kl, ku

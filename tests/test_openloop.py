@@ -2,17 +2,28 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import vfcontrol.openloop as openloop
 from helpers import band_jacobian_reference
-from vfcontrol.models import NheParameters, build_amp, build_linear, build_nhe, nhe_node_coords, optimal_control
+from vfcontrol.models import (
+    AmpParameters,
+    NheParameters,
+    build_amp,
+    build_linear,
+    build_nhe,
+    nhe_node_coords,
+    optimal_control,
+    pmp_rhs,
+)
 from vfcontrol.numerics import FD_STEP, fd_jacobian, integrate_ivp
 from vfcontrol.openloop import (
     NEWTON_TOL,
     BvpFailure,
     OpenLoopConfig,
     _assemble_jacobian,
-    _band_widths,
     bvp_residual,
     graded_mesh,
     initial_guess,
@@ -177,7 +188,7 @@ def test_initial_guess_pads_with_zeros_after_an_escape():
     np.testing.assert_array_equal(z[0, :1], x0)
     before, after = z[:23], z[23:]
     assert np.all(np.isfinite(before))
-    assert np.all(before != 0.0)
+    assert np.all(before[:, :2] != 0.0)
     assert np.all(np.abs(before[:, 0]) < 10.0 * (1.0 + abs(x0[0])))
     assert np.all(after == 0.0)
 
@@ -201,7 +212,7 @@ def test_initial_guess_keeps_the_valid_path_of_a_failed_rollout():
 
 
 def tight_rollout(model, x0, taus, q_matrix):
-    """The quadratic-feedback rollout of ``initial_guess``, integrated at rel 1e-10, abs 1e-12."""
+    """The quadratic-feedback rollout of ``initial_guess``, integrated at rel 1e-10, abs 1e-12, with v left zero."""
     n = model.dim_state
 
     def rhs(_t, x):
@@ -210,7 +221,7 @@ def tight_rollout(model, x0, taus, q_matrix):
     (sol,) = integrate_ivp(rhs, x0[None], (0.0, float(time_stretch(taus[-1]))), rel_tol=1e-10, abs_tol=1e-12)
     assert sol.failure is None and sol.times[-1] == time_stretch(taus[-1])  # no escape from these starts
     xs = sol.at(time_stretch(taus))
-    z = np.column_stack([xs, 2.0 * xs @ q_matrix, np.einsum("ij,jk,ik->i", xs, q_matrix, xs)])
+    z = np.column_stack([xs, 2.0 * xs @ q_matrix, np.zeros(len(xs))])
     z[0, :n] = x0
     return z
 
@@ -220,13 +231,12 @@ def test_newton_does_not_depend_on_the_guess_tolerance(name):
     """The loose rollout of ``initial_guess`` and the same rollout at rel 1e-10
     differ by about 1e-4 of their largest entry at ``GUESS_TOL``, yet Newton
     takes the same factorizations, chord steps and halvings from both and
-    lands on the same solution to 1e-10 relative."""
+    lands on the same solution to 1e-10 relative.  The nhe start is large
+    enough that Newton takes a chord step after its factorization."""
     if name == "amp":
         model, x0 = build_amp(), np.array([1.0, -1.0])
     else:
-        model = build_nhe(NheParameters(grid_side=3))
-        xi = nhe_node_coords(3)
-        x0 = 0.4 * np.cos(np.pi * xi[:, 0]) * np.cos(np.pi * xi[:, 1])
+        model, x0 = build_nhe(NheParameters(grid_side=3)), 1.5 / 0.4 * nhe_start(3)
     qm = quadratic_matrix(model)
     config = OpenLoopConfig()
     taus = graded_mesh(config.n_nodes, tau_end=1.0 - config.delta_tau)
@@ -276,53 +286,78 @@ def band_to_dense(ab, kl, ku):
     return dense
 
 
-@pytest.mark.parametrize("name", ["lqr", "amp"])
-def test_band_jacobian_equals_finite_differences_of_the_residual(name):
-    """Row order and band placement: the banded analytic Jacobian, expanded, is
-    the finite-difference Jacobian of ``bvp_residual`` over every unknown, and
-    no unknown outside the band moves any row."""
-    if name == "lqr":
-        model = build_linear([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], control_weight=[[0.5]])
-    else:
-        model = build_amp()
-    delta_tau = 1e-2
-    taus = graded_mesh(5, tau_end=1.0 - delta_tau)
-    x0 = np.array([0.5, -0.3])
-    # a perturbed quadratic-feedback rollout: an iterate Newton would meet
-    rng = np.random.default_rng(31)
-    z = initial_guess(model, x0[None], taus, quadratic_matrix(model))[0]
-    z += rng.uniform(-0.05, 0.05, size=z.shape)
-    kl, ku = _band_widths(model.dim_state)
-    dense = band_to_dense(_assemble_jacobian(model, taus, z, delta_tau), kl, ku)
-
-    def residuals(rows):
-        return np.stack([bvp_residual(model, taus, row.reshape(z.shape), x0, delta_tau) for row in rows])
-
-    fd = fd_jacobian(residuals, z.ravel())
-    assert fd.shape == dense.shape == (z.size, z.size)
-    i, j = np.indices(fd.shape)
-    assert np.all(fd[(j - i > ku) | (i - j > kl)] == 0.0)
-    scale = float(np.max(np.abs(residuals(z.ravel()[None])))) / FD_STEP + float(np.max(np.abs(dense)))
-    np.testing.assert_allclose(dense, fd, rtol=1e-7, atol=64.0 * np.finfo(float).eps * scale)
-
-
 def nhe_start(grid_side):
     xi = nhe_node_coords(grid_side)
     return 0.4 * np.cos(np.pi * xi[:, 0]) * np.cos(np.pi * xi[:, 1])
 
 
+def band_case(name):
+    """(model, x0) of the band tests: a dense 2-state lqr, amp and nhe on a 3 x 3 grid."""
+    if name == "lqr":
+        return build_linear([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], control_weight=[[0.5]]), np.array([0.5, -0.3])
+    if name == "amp":
+        return build_amp(), np.array([0.5, -0.3])
+    return build_nhe(NheParameters(grid_side=3)), nhe_start(3)
+
+
+@pytest.mark.parametrize("name", ["lqr", "amp", "nhe"])
+def test_band_jacobian_equals_finite_differences_of_the_residual(name):
+    """Row order and band placement: the banded analytic Jacobian, expanded, is
+    the finite-difference Jacobian of ``bvp_residual`` over every [x; p]
+    unknown, and no unknown outside the (kl, ku) the assembly returns moves
+    any row.  Dense blocks give (3n - 1, 3n - 1); nhe's 5-point Laplacian on
+    a 3 x 3 grid gives (2n + 3, 2n + 3) = (21, 21), against (26, 26) dense."""
+    model, x0 = band_case(name)
+    delta_tau = 1e-2
+    taus = graded_mesh(5, tau_end=1.0 - delta_tau)
+    # a perturbed quadratic-feedback rollout: an iterate Newton would meet
+    rng = np.random.default_rng(31)
+    z = initial_guess(model, x0[None], taus, quadratic_matrix(model))[0]
+    z += rng.uniform(-0.05, 0.05, size=z.shape)
+    ab, kl, ku = _assemble_jacobian(model, taus, z, delta_tau)
+    assert (kl, ku) == {"lqr": (5, 5), "amp": (5, 5), "nhe": (21, 21)}[name]
+    dense = band_to_dense(ab, kl, ku)
+    m = 2 * model.dim_state
+
+    def residuals(rows):
+        iterates = np.zeros((len(rows),) + z.shape)
+        iterates[:, :, :m] = rows.reshape(len(rows), -1, m)
+        return np.stack([bvp_residual(model, taus, iterate, x0, delta_tau) for iterate in iterates])
+
+    w = z[:, :m].ravel()
+    fd = fd_jacobian(residuals, w)
+    assert fd.shape == dense.shape == (w.size, w.size)
+    i, j = np.indices(fd.shape)
+    assert np.all(fd[(j - i > ku) | (i - j > kl)] == 0.0)
+    scale = float(np.max(np.abs(residuals(w[None])))) / FD_STEP + float(np.max(np.abs(dense)))
+    np.testing.assert_allclose(dense, fd, rtol=1e-7, atol=64.0 * np.finfo(float).eps * scale)
+
+
+def test_nhe_at_grid_side_10_factors_on_the_band_its_nonzeros_occupy():
+    """At N = 100 the nhe blocks fill the band (2n + 10, 2n + 10) = (210, 210),
+    so one Jacobian takes 2 kl + ku + 1 = 631 rows of band storage a column,
+    against 902 for the (300, 301) of blocks that hold v."""
+    model = build_nhe(NheParameters(grid_side=10))
+    taus = graded_mesh(4)
+    z = np.random.default_rng(5).uniform(-0.5, 0.5, size=(taus.size, 201))
+    ab, kl, ku = _assemble_jacobian(model, taus, z, 1e-3)
+    assert (kl, ku) == (210, 210)
+    assert ab.shape == (631, taus.size * 200)
+
+
 @pytest.mark.parametrize("name", ["lqr", "amp", "nhe"])
 @pytest.mark.parametrize("refined", [False, True])
-def test_band_jacobian_is_bitwise_the_block_expression(name, refined):
+@pytest.mark.parametrize("chunked", [False, True])
+def test_band_jacobian_is_bitwise_the_block_expression(monkeypatch, name, refined, chunked):
     """The assembly through reused work arrays and strided band views gives
-    the bits of the plain block expression, on a graded mesh and on a
-    refined one whose split intervals break the grading."""
-    if name == "lqr":
-        model, x0 = build_linear([[0.0, 1.0], [-2.0, -0.5]], [[0.0], [1.0]], control_weight=[[0.5]]), np.array([0.5, -0.3])
-    elif name == "amp":
-        model, x0 = build_amp(), np.array([0.5, -0.3])
-    else:
-        model, x0 = build_nhe(NheParameters(grid_side=3)), nhe_start(3)
+    the band of the dense expression's nonzeros and, in every row ``dgbtrf``
+    reads, the bits of the plain block expression, on a graded mesh and on a
+    refined one whose split intervals break the grading, and with work arrays
+    of 5 intervals, so that the last chunk is a short one.  (The fill rows
+    above may hold the exact zeros of whole blocks written past the band.)"""
+    model, x0 = band_case(name)
+    if chunked:
+        monkeypatch.setattr(openloop, "WORK_BYTES", 5 * 8 * (2 * model.dim_state) ** 2)
     delta_tau = 1e-3
     taus = graded_mesh(24, tau_end=1.0 - delta_tau)
     if refined:
@@ -330,10 +365,84 @@ def test_band_jacobian_is_bitwise_the_block_expression(name, refined):
     rng = np.random.default_rng(7)
     z = initial_guess(model, x0[None], taus, quadratic_matrix(model))[0]
     z += rng.uniform(-0.05, 0.05, size=z.shape)
-    ab = _assemble_jacobian(model, taus, z, delta_tau)
-    reference = band_jacobian_reference(model, taus, z, delta_tau)
+    ab, kl, ku = _assemble_jacobian(model, taus, z, delta_tau)
+    reference, ref_kl, ref_ku = band_jacobian_reference(model, taus, z, delta_tau)
+    assert (kl, ku) == (ref_kl, ref_ku)
     assert ab.shape == reference.shape
-    assert np.array_equal(ab.view(np.int64), reference.view(np.int64))
+    assert np.array_equal(ab[kl:].view(np.int64), reference[kl:].view(np.int64))
+
+
+def test_blocks_written_past_a_narrow_band_leave_it_intact():
+    """With a Jacobian of -I/2 every block is diagonal and the nonzeros span
+    only (n, n).  Blocks are written whole, so the assembly widens the band to
+    (3n // 2, 3n - 1 - 3n // 2), where the zeros past it land in the fill
+    rows; the band then holds exactly the block expression's Jacobian."""
+    n, nz = 2, 5
+    model = replace(
+        build_linear(-np.eye(n), np.eye(n)),
+        pmp_jacobian=lambda z: np.broadcast_to(-0.5 * np.eye(nz), z.shape[:-1] + (nz, nz)),
+    )
+    taus = graded_mesh(6)
+    z = np.zeros((taus.size, nz))
+    ab, kl, ku = _assemble_jacobian(model, taus, z, 1e-3)
+    reference, ref_kl, ref_ku = band_jacobian_reference(model, taus, z, 1e-3)
+    assert (ref_kl, ref_ku) == (n, n)
+    assert (kl, ku) == (3, 2)
+    np.testing.assert_array_equal(band_to_dense(ab, kl, ku), band_to_dense(reference, ref_kl, ref_ku))
+
+
+GENERATED_CASES = ["lqr", "amp2", "amp3", "nhe"]
+
+
+def generated_case(name, data):
+    """(model, quadratic matrix, start) for a generated case: lqr with a dense
+    random 3 x 3 A and B = I, amp in dimension 2 or 3, nhe on a 3 x 3 grid."""
+    if name == "lqr":
+        entry = st.one_of(st.floats(-1.0, -0.1), st.floats(0.1, 1.0))
+        model = build_linear(data.draw(arrays(float, (3, 3), elements=entry), label="A"), np.eye(3))
+    elif name.startswith("amp"):
+        model = build_amp(AmpParameters(dim=int(name[3:])))
+    else:
+        model = build_nhe(NheParameters(grid_side=3))
+    radius = 0.5 if name == "nhe" else 0.8
+    x0 = data.draw(arrays(float, model.dim_state, elements=st.floats(-radius, radius)), label="x0")
+    return model, quadratic_matrix(model), x0 / max(1.0, np.linalg.norm(x0) / radius)
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(GENERATED_CASES), data=st.data())
+def test_the_filled_values_satisfy_the_value_rows(name, data):
+    """On a random iterate, the v column ``bvp_residual`` fills satisfies,
+    to rounding, the rows that pinned v when it was a Newton unknown: each
+    interval's Hermite-Simpson row and the tail closure."""
+    model, _, _ = generated_case(name, data)
+    n = model.dim_state
+    delta_tau = 1e-3
+    taus = graded_mesh(6, tau_end=1.0 - delta_tau)
+    # decaying toward the tail as a solution does, so that the stretched slopes stay finite
+    z = data.draw(arrays(float, (taus.size, 2 * n + 1), elements=st.floats(-1.0, 1.0)), label="z")
+    z *= (1.0 - taus[:, None]) ** 2
+    bvp_residual(model, taus, z, z[0, :n], delta_tau)
+    v = z[:, 2 * n]
+    ft = time_stretch_rate(taus)[:, None] * pmp_rhs(model, z)
+    h = np.diff(taus)[:, None]
+    z_mid = 0.5 * (z[:-1] + z[1:]) + (h / 8.0) * (ft[:-1] - ft[1:])
+    ft_mid = time_stretch_rate(0.5 * (taus[:-1] + taus[1:]))[:, None] * pmp_rhs(model, z_mid)
+    quad = (h[:, 0] / 6.0) * (ft[:-1, 2 * n] + 4.0 * ft_mid[:, 2 * n] + ft[1:, 2 * n])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(v[1:] - v[:-1] - quad) <= 4.0 * eps * (np.abs(v[1:]) + np.abs(v[:-1]) + np.abs(quad)))
+    assert v[-1] + delta_tau * ft[-1, 2 * n] == 0.0
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(GENERATED_CASES), data=st.data())
+def test_values_do_not_increase_along_a_converged_solution(name, data):
+    """v' = -(r + u^T R u) <= 0, and the filled v follows it: no stored value
+    exceeds the one before it, and the last one is not negative."""
+    model, qm, x0 = generated_case(name, data)
+    sol = solve_open_loop(model, x0, qm, OpenLoopConfig(n_nodes=30, refine_rounds=0))
+    assert np.all(np.diff(sol.values) <= 0.0)
+    assert sol.values[-1] >= 0.0
 
 
 def logged_solve(monkeypatch, model, x0, taus, guess, config):
