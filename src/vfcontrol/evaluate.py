@@ -137,7 +137,10 @@ def simulate_feedback_batch(
         grad = surrogate.gradient(x.reshape(-1, n)).reshape(x.shape)
         u = optimal_control(model, x, grad)
         dx = model.f(x) + model.g_apply(x, u)
-        dj = model.r(x) + np.einsum("...i,ij,...j->...", u, model.R, u)
+        # u^T R u from one product
+        ru = u @ model.R
+        ru *= u
+        dj = model.r(x) + np.add.reduce(ru, axis=-1)
         return np.concatenate([dx, dj[..., None]], axis=-1)
 
     y0 = np.concatenate([starts, np.zeros((starts.shape[0], 1))], axis=1)

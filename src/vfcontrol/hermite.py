@@ -50,10 +50,12 @@ value as a square:
 fit through the linearized right-hand side of ``assemble_rhs``; it vanishes
 with vanishing gradient at the origin and is nonnegative by construction.
 ``Surrogate.value_and_gradient`` forms the square twice: on scalars for one
-state and vectorized for a batch.  The vectorized form costs a single state
-too much: at N = 36 it took 23-27 us against 5-11 us for the scalar form
-(timeit minima on a 2-core shared host), next to about 40 us for the whole
-one-state expansion.
+state and vectorized for a batch, which reads x^T Q x and Q x from one
+product and pins the rows below the smallest normal number to the origin.
+The vectorized form costs a single state too much: at N = 36 with 18
+centers it took about 11 us against about 5 us for the scalar form, next to
+about 33 us for the whole one-state expansion (lower deciles of per-call
+timings on a 2-core shared host, numpy 2.4).
 The kernel is the variant: a ``Surrogate`` over a ``StructuredKernel`` is
 the square and needs Q, one over a plain kernel is the expansion and takes
 none, ``assemble_rhs`` is structured exactly when it is given Q, and only a
@@ -100,6 +102,8 @@ SCHUR_FLOOR = 1e-12
 # x^T Q x below the smallest normal number counts as the origin on both
 # evaluation paths, which round it apart there by whole subnormal units
 _TINY = float(np.finfo(float).tiny)
+# 2 as a 0-d array, the faster scalar operand (see ``kernels._ZERO``)
+_TWO = np.array(2.0)
 
 
 class FitError(RuntimeError):
@@ -129,8 +133,8 @@ def _geometry(profile, sqnorms, stacked, y):
     n = sqnorms.shape[0]
     proj = y @ stacked.T
     ip = proj[..., :n]
-    sq = sqnorms - 2.0 * ip
-    sq += (y * y).sum(axis=-1, keepdims=True)
+    sq = sqnorms - _TWO * ip
+    sq += np.add.reduce(y * y, axis=-1, keepdims=True)
     return ip, proj[..., n:], profile(sq)
 
 
@@ -149,32 +153,41 @@ def _expand(structured, alphas, offsets, stacked, y, ip, bg, profile):
     al = alphas
     n = dpsi.shape[-1]
     cg = offsets - bg
-    cg *= 2.0                               # 2 <x_i - y, beta_i>
+    cg *= _TWO                              # 2 <x_i - y, beta_i>
     # t: per center, half its coefficient of y in the gradient
     t = ddpsi * cg
-    t += dpsi * al
     # h: half the coefficients of [x; beta], written in place of a concatenate
     h = np.empty(dpsi.shape[:-1] + (2 * n,))
+    hx, hb = h[..., :n], h[..., n:]
     if not structured:
-        value = None if psi is None else psi @ al + (dpsi * cg).sum(axis=-1)
-        np.negative(t, out=h[..., :n])
-        np.negative(dpsi, out=h[..., n:])
+        t += dpsi * al
+        value = None if psi is None else psi @ al + np.add.reduce(dpsi * cg, axis=-1)
+        np.negative(t, out=hx)
+        np.negative(dpsi, out=hb)
     else:
-        ip_psi = ip * psi
-        ip_dpsi = ip * dpsi
-        ip2_dpsi = ip * ip_dpsi
-        bg2 = 2.0 * bg
-        t *= ip * ip
-        t += ip_dpsi * bg2
-        value = (ip_psi * (al * ip + bg2) + ip2_dpsi * cg).sum(axis=-1)
-        cx = al * ip_psi
-        cx += psi * bg
-        cx += ip_dpsi * cg
-        np.subtract(cx, t, out=h[..., :n])
-        np.subtract(ip_psi, ip2_dpsi, out=h[..., n:])
+        # with s = <x_i, y> and b = <beta_i, y>: cx = psi (alpha s + b) + s psi' cg
+        # (built in hx), the value sum_i s (cx + psi b),
+        # t = s (s psi'' cg + psi' (alpha s + 2 b)) and h = [cx - t, s (psi - s psi')]
+        s_dpsi = ip * dpsi
+        u = al * ip
+        u += bg
+        np.multiply(u, psi, out=hx)
+        hx += s_dpsi * cg
+        value = psi * bg
+        value += hx
+        value *= ip
+        value = np.add.reduce(value, axis=-1)
+        t *= ip
+        u += bg
+        u *= dpsi
+        t += u
+        t *= ip
+        hx -= t
+        np.subtract(psi, s_dpsi, out=hb)
+        hb *= ip
     grad = h @ stacked
-    grad += t.sum(axis=-1, keepdims=True) * y
-    grad *= 2.0
+    grad += np.add.reduce(t, axis=-1, keepdims=True) * y
+    grad *= _TWO
     return value, grad
 
 
@@ -469,40 +482,46 @@ class Surrogate:
         and kept (no code mutates a surrogate's arrays)."""
         return _center_terms(self.centers, self.betas)
 
-    def value_and_gradient(self, points):
+    def value_and_gradient(self, points, *, _with_value=True):
         """Values (m,) and gradients (m, N) at ``points``.
 
         One state runs the expansion on its 1-D row and the structured
         square on scalars; a batch runs both vectorized (see the module
-        docstring).
+        docstring).  :meth:`gradient` passes ``_with_value=False``: the
+        structured square then skips its value, which is None.
         """
         points = np.asarray(points, dtype=float)
         y, vals, grads = self._expansion(points, self._base.profile)
-        if y.ndim == 1:
-            if self._structured:
-                qy = y @ self.q_matrix
-                yqy = float(qy @ y)
-                if yqy < _TINY:
-                    # at the origin the correction vanishes identically; pin the limit
-                    return np.zeros(1), np.zeros((1, y.size))
-                root = math.sqrt(yqy)
-                h = root + vals
-                vals = h * h
-                grads += qy / root
-                grads *= 2.0 * h
-            return np.array([vals]), grads[None, :]
         if not self._structured:
-            return vals, grads
-        qm = self.q_matrix
-        xqx = np.einsum("ij,jk,ik->i", points, qm, points)
+            return (np.array([vals]), grads[None, :]) if y.ndim == 1 else (vals, grads)
+        if y.ndim == 1:
+            qy = y @ self.q_matrix
+            yqy = float(qy @ y)
+            if yqy < _TINY:
+                # at the origin the correction vanishes identically; pin the limit
+                return np.zeros(1), np.zeros((1, y.size))
+            root = math.sqrt(yqy)
+            h = root + vals
+            qy /= root
+            grads += qy
+            grads *= 2.0 * h
+            return (np.array([h * h]) if _with_value else None), grads[None, :]
+        # x^T Q x from one product; a row below _TINY is the origin, whose
+        # root is floored there so that no row divides by zero
+        gradient = points @ self.q_matrix
+        xqx = np.add.reduce(gradient * points, axis=-1)
         origin = xqx < _TINY
-        root = np.sqrt(np.where(origin, 1.0, xqx))
-        h = np.where(origin, 0.0, root) + vals
-        value = h * h
-        qgrad = np.where(origin[:, None], 0.0, (points @ qm) / root[:, None])
-        gradient = 2.0 * h[:, None] * (qgrad + grads)
+        root = np.maximum(xqx, _TINY)
+        np.sqrt(root, out=root)
+        h = root + vals
+        gradient /= root[:, None]
+        gradient += grads
+        gradient *= (h + h)[:, None]
         # at the origin the correction vanishes identically; pin the limit
         gradient[origin] = 0.0
+        if not _with_value:
+            return None, gradient
+        value = h * h
         value[origin] = 0.0
         return value, gradient
 
@@ -522,10 +541,11 @@ class Surrogate:
         """Gradients (m, N) at ``points``, bit for bit those of
         :meth:`value_and_gradient`.  A plain surrogate reads only the
         profile's slopes and skips the value; a structured one needs the
-        correction's value for its square."""
+        correction's value for its square, but not the square's."""
+        points = np.asarray(points, dtype=float)
         if self._structured:
-            return self.value_and_gradient(points)[1]
-        y, _, grads = self._expansion(np.asarray(points, dtype=float), self._base.slopes)
+            return self.value_and_gradient(points, _with_value=False)[1]
+        y, _, grads = self._expansion(points, self._base.slopes)
         return grads[None, :] if y.ndim == 1 else grads
 
 

@@ -105,6 +105,40 @@ def ek_apply(kernel, x: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -2.0 * float(dpsi) * b - 4.0 * float(ddpsi) * d * float(d @ b)
 
 
+def reference_profile(kernel, s):
+    """psi, psi', psi'' of a :class:`WendlandC4` by the arithmetic its
+    ``profile`` has always used, written out operation by operation with
+    every constant recomputed on the call: ``profile`` and ``slopes`` must
+    keep these bits, which the fit's and every feedback's digests rest on."""
+    s = np.asarray(s, dtype=float)
+    l = kernel.dim // 2 + 3
+    m = l + 2
+    g = kernel.gamma
+    r = np.sqrt(np.maximum(s, 0.0))
+    r *= g
+    t = np.maximum(1.0 - r, 0.0)
+    # t^(m-2) by repeated squaring, lowest bit first
+    t_m2, square, e = None, t, m - 2
+    while e:
+        if e & 1:
+            t_m2 = square if t_m2 is None else t_m2 * square
+        e >>= 1
+        if e:
+            square = square * square
+    t_m1 = t_m2 * t
+    dpsi = (-0.5 * g * g * (m + 2) * (m * m - 1)) * r
+    dpsi += -0.5 * g * g * (m + 1) * (m + 2)
+    dpsi *= t_m1
+    ddpsi = (0.25 * g**4 * m * (m * m - 1) * (m + 2)) * t_m2
+    psi = (l + 1) * (l + 3) * r
+    psi += 3.0 * (l + 2)
+    psi *= r
+    psi += 3.0
+    psi *= t_m1
+    psi *= t
+    return psi, dpsi, ddpsi
+
+
 def dense_hermite_matrix(kernel, centers):
     """Assemble the full interpolation matrix entry by entry.
 

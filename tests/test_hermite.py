@@ -2,6 +2,7 @@ import json
 from dataclasses import FrozenInstanceError, replace
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -776,3 +777,32 @@ def test_every_evaluation_is_one_expand_call(monkeypatch):
             calls.clear()
             evaluate()
             assert calls == [shape]
+
+
+def test_a_batch_square_pins_origin_and_subnormal_rows():
+    """The batch square reads x^T Q x from one product and floors the root
+    on rows below the smallest normal number: a batch of origins alone, and
+    one whose x^T Q x is subnormal or underflows to zero on some rows,
+    evaluate without a warning, give exact zeros on those rows, stay
+    nonnegative, and ``gradient`` keeps the bits of ``value_and_gradient``."""
+    rng = np.random.default_rng(47)
+    _, sur = small_surrogates(rng)
+    dim = sur.centers.shape[1]
+    tiny = np.finfo(float).tiny
+    edge = np.array([np.zeros(dim), np.full(dim, 5e-156), np.full(dim, -3e-156), np.full(dim, 1e-170)])
+    assert np.all(np.einsum("ij,jk,ik->i", edge, sur.q_matrix, edge) < tiny)
+    regular = rng.normal(size=(2, dim))
+    for points, pinned in (
+        (np.zeros((3, dim)), [0, 1, 2]),
+        (np.vstack([regular[:1], edge, regular[1:]]), [1, 2, 3, 4]),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = sur.value_and_gradient(points)
+            only = sur.gradient(points)
+        assert np.all(value[pinned] == 0.0) and np.all(grad[pinned] == 0.0)
+        assert np.all(value >= 0.0)
+        assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
+        assert only.shape == grad.shape and only.tobytes() == grad.tobytes()
+        if len(pinned) < len(points):
+            assert np.all(value[[0, -1]] > 0.0)

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import dense_hermite_matrix, ek_apply, kernel_eval, kernel_grad1, kernel_grad2, lattice_centers
+from helpers import (
+    dense_hermite_matrix,
+    ek_apply,
+    kernel_eval,
+    kernel_grad1,
+    kernel_grad2,
+    lattice_centers,
+    reference_profile,
+)
 from vfcontrol.kernels import StructuredKernel, WendlandC4, _int_power, kernel_from_spec, kernel_to_spec
 
 
@@ -188,3 +198,39 @@ def test_kernel_spec_roundtrip():
     assert isinstance(again, StructuredKernel) and again.base == plain
     with pytest.raises(ValueError):
         kernel_from_spec({"family": "gaussian", "dim": 2, "gamma": 1.0})
+
+
+def edge_radii(gamma, fractions):
+    """Squared radii at the edges of a profile of width gamma: 0 and -0,
+    tiny negatives (the rounding of ||x||^2 - 2 <x, y> + ||y||^2 near y = x),
+    1 / gamma^2 and its neighbours, points past the support, and the given
+    fractions of the support."""
+    edge = 1.0 / (gamma * gamma)
+    return np.concatenate([
+        [0.0, -0.0, -5e-324, -1e-300, -1e-17 * edge],
+        [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 2.0 * edge, 1e6 * edge],
+        np.asarray(fractions, dtype=float) * edge,
+    ])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.floats(0.02, 50.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+)
+def test_profile_and_slopes_keep_the_reference_bits(dim, gamma, fractions):
+    """``profile`` and ``slopes`` give the bits of ``reference_profile``,
+    on one radius, on a vector and on a table, at the origin, on both sides
+    of the support's edge and at tiny negative squared radii."""
+    kern = WendlandC4(dim=dim, gamma=gamma)
+    s = edge_radii(gamma, fractions)
+    for radii in (s, s[::-1].reshape(1, -1), np.stack([s, s[::-1]]), s[5]):
+        want = reference_profile(kern, radii)
+        got = kern.profile(radii)
+        assert len(got) == 3
+        assert all(np.shape(a) == np.shape(radii) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   for a, b in zip(got, want))
+        slopes = kern.slopes(radii)
+        assert len(slopes) == 2
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(slopes, want[1:]))
