@@ -330,11 +330,11 @@ class HermiteFactor:
     L, with L L^T = M + nugget I in that order; it takes 8 (n (1+N))^2 bytes.
     """
 
-    def __init__(self, kernel, dim: int, nugget: float = 0.0):
+    def __init__(self, kernel, nugget: float = 0.0):
         self.kernel = kernel
-        self.dim = dim
+        self.dim = kernel.dim
         self.nugget = nugget
-        self.centers = np.zeros((0, dim))
+        self.centers = np.zeros((0, self.dim))
         self.lower = np.zeros((0, 0))
 
     @property
@@ -379,48 +379,17 @@ class HermiteFactor:
         return np.concatenate([z[:, 0], z[:, 1:].ravel()])
 
 
-def fit(
-    kernel,
-    centers,
-    rhs: np.ndarray,
-    cg_tol: float = 1e-10,
-    max_iter: Optional[int] = None,
-    nugget: float = 0.0,
-    factor: Optional[HermiteFactor] = None,
-):
-    """Solve the interpolation system by CG preconditioned with a Cholesky factor.
+def fit(factor: HermiteFactor, rhs: np.ndarray, cg_tol: float = 1e-10, max_iter: Optional[int] = None):
+    """Solve the interpolation system on ``factor``'s centers, kernel and
+    nugget by CG preconditioned with the factor.
 
-    ``factor`` is a :class:`HermiteFactor` of these centers and this nugget;
-    without one, a factor is built by appending the centers in order, and a
-    center the factor turns away is a :class:`FitError` that names it and
-    its nearest earlier center.  CG runs on the matrix-free operator and
-    stops once its true residual is below ``cg_tol`` relative to ``rhs``.
-    Returns ``(alphas, betas, info)`` where info records iterations and the
-    final relative residual.
+    CG runs on the matrix-free operator and stops once its true residual is
+    below ``cg_tol`` relative to ``rhs``; a CG that stalls is a
+    :class:`FitError`.  Returns ``(alphas, betas, info)`` where info records
+    iterations, the final relative residual and the nugget.
     """
-    centers = np.asarray(centers, dtype=float)
-    n, dim = centers.shape
-    if n == 0:
-        return np.zeros(0), np.zeros((0, dim)), {"iterations": 0, "residual": 0.0}
-    if factor is None:
-        factor = HermiteFactor(kernel, dim, nugget)
-        for k, center in enumerate(centers):
-            if factor.append(center):
-                continue
-            if k == 0:
-                raise FitError("center 0 has a numerically singular Gram block")
-            gaps = np.linalg.norm(centers[:k] - center, axis=1)
-            near = int(np.argmin(gaps))
-            raise FitError(
-                f"center {k} is spanned by the centers before it; "
-                f"the nearest, center {near}, is {gaps[near]:.3e} away"
-            )
-    elif factor.n != n or factor.nugget != nugget:
-        raise ValueError(
-            f"factor of {factor.n} centers and nugget {factor.nugget} for {n} centers and nugget {nugget}"
-        )
-
-    bound = HermiteOperator(kernel, centers)
+    nugget = factor.nugget
+    bound = HermiteOperator(factor.kernel, factor.centers)
 
     def apply(vec):
         out = bound.matvec(vec)
@@ -434,7 +403,7 @@ def fit(
         raise FitError(
             f"CG stalled at relative residual {err.residual:.3e} after {err.iterations} iterations"
         ) from err
-    alphas, betas = unstack_coeffs(res.x, n, dim)
+    alphas, betas = unstack_coeffs(res.x, factor.n, factor.dim)
     return alphas, betas, {"iterations": res.iterations, "residual": res.residual, "nugget": nugget}
 
 

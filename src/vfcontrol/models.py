@@ -6,13 +6,14 @@ A model describes
 
 with f(0) = 0 and r >= 0, r(0) = 0, so the origin is the target equilibrium.
 A model writes its Pontryagin optimality system in closed form: the
-right-hand side ``optimality_rhs`` (see :func:`pmp_rhs`) and its Jacobian
-``pmp_jacobian``, which Newton collocation needs, so terms the rows share are
-computed once.  ``f``, ``g_apply``, ``gT_apply`` and ``r`` serve the closed
-loop and the HJB residual.  Every map broadcasts over leading batch axes with
-the state on the last axis.  A model declares its maps, R and the cost
-matrix; R^{-1}, A = J_f(0) (read off ``pmp_jacobian``), B = g(0) and the
-control dimension are computed from them.
+right-hand side ``optimality_rhs`` (see :func:`pmp_rhs`) and the Jacobian
+``pmp_jacobian`` of its state and costate rows with respect to [x; p], which
+Newton collocation factors, so terms the rows share are computed once.
+``f``, ``g_apply``, ``gT_apply`` and ``r`` serve the closed loop and the HJB
+residual.  Every map broadcasts over leading batch axes with the state on
+the last axis.  A model declares its maps, R and the cost matrix; R^{-1},
+A = J_f(0) (read off ``pmp_jacobian``), B = g(0) and the control dimension
+are computed from them.
 
 Bundled models:
 
@@ -65,8 +66,9 @@ class ControlAffineModel:
     gT_apply: Callable         # (x, p) -> g(x)^T p
     r: Callable
     optimality_rhs: Callable   # z = [x; p; v] -> [x'; p'; v'], see pmp_rhs
-    # z -> d pmp_rhs / dz, shape (..., 2n+1, 2n+1); the control weight R is
-    # taken to be symmetric, as every cost weight is
+    # z -> d[x'; p'] / d[x; p], shape (..., 2n, 2n): no right-hand side reads
+    # v, and Newton solves for [x; p] alone.  R is taken to be symmetric, as
+    # every cost weight is: d x' / dp = -g R^{-1} g^T / 2 only then
     pmp_jacobian: Callable
     R: np.ndarray
     cost_matrix: np.ndarray    # quadratic part of r at the origin
@@ -202,7 +204,7 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
         return np.concatenate([rate * x, dp, -(alpha * e_q * qq * qq + 0.5 * c * s)], axis=-1)
 
     def pmp_jacobian(z):
-        # the derivative of optimality_rhs, with kappa = e^{-q} / (2 beta)
+        # the derivative of optimality_rhs's x and p rows, with kappa = e^{-q} / (2 beta)
         x, p = z[..., :n], z[..., n : 2 * n]
         qq = q(x)[..., None]
         s = np.add.reduce(x * p, axis=-1)[..., None, None]
@@ -215,15 +217,13 @@ def build_amp(params: AmpParameters = AmpParameters()) -> ControlAffineModel:
         xr, pr = x[..., None, :], p[..., None, :]
         dc_dx = kappa * (pr - 2.0 * s * xr)
         eye = np.eye(n)
-        jac = np.zeros(z.shape[:-1] + (2 * n + 1, 2 * n + 1))
+        jac = np.zeros(z.shape[:-1] + (2 * n, 2 * n))
         jac[..., :n, :n] = (qq - c) * eye + xc * (2.0 * xr - dc_dx)
         jac[..., :n, n : 2 * n] = -kappa * xc * xr
         jac[..., n : 2 * n, :n] = -(
             pc * (2.0 * xr - dc_dx) + s * xc * dc_dx + (2.0 + c) * (xc * pr + s * eye) + rho * eye + 2.0 * drho * xc * xr
         )
         jac[..., n : 2 * n, n : 2 * n] = -((qq - c) * eye - kappa * pc * xr + (2.0 + 2.0 * c) * xc * xr)
-        jac[..., 2 * n, :n] = -(rho * xr + c * (pr - s * xr))[..., 0, :]
-        jac[..., 2 * n, n : 2 * n] = -(c * xr)[..., 0, :]
         return jac
 
     c = amp_value_factor(params)
@@ -395,22 +395,11 @@ def build_linear(
     def costate_rate(x, p):
         return p @ a + 2.0 * x @ c
 
-    gain = -0.5 * b @ np.linalg.inv(rw) @ b.T
-    c_sym = c + c.T
-    # the state and costate rows do not depend on z
-    rows = np.zeros((2 * n + 1, 2 * n + 1))
-    rows[:n, :n] = a
-    rows[:n, n : 2 * n] = gain
-    rows[n : 2 * n, :n] = -2.0 * c.T
-    rows[n : 2 * n, n : 2 * n] = -a.T
+    # the Jacobian does not depend on z
+    const = np.block([[a, -0.5 * b @ np.linalg.inv(rw) @ b.T], [-2.0 * c.T, -a.T]])
 
     def pmp_jacobian(z):
-        x, p = z[..., :n], z[..., n : 2 * n]
-        jac = np.empty(z.shape[:-1] + rows.shape)
-        jac[...] = rows
-        jac[..., 2 * n, :n] = -(x @ c_sym)
-        jac[..., 2 * n, n : 2 * n] = p @ gain.T
-        return jac
+        return np.broadcast_to(const, z.shape[:-1] + const.shape).copy()
 
     return ControlAffineModel(
         name="lqr",

@@ -80,8 +80,8 @@ def cg_solve(
     from the true one on ill-conditioned systems, so the true residual is
     recomputed before declaring convergence; when it misses, the iteration
     restarts from it along the preconditioned residual.  Raises
-    :class:`CgError` when the iteration budget (default ``50 * size``) is
-    exhausted.
+    :class:`CgError` when the iteration budget (default the larger of 500
+    and ``50 * size``) is exhausted.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
@@ -239,8 +239,9 @@ def integrate_ivp(
     """Integrate x' = rhs(t, x) from a stack of starts with scipy's LSODA.
 
     ``x0`` of shape (k, n) holds k independent starts, integrated as one
-    LSODA system of size k n; any other shape is a ValueError.  ``rel_tol``
-    and ``abs_tol`` are LSODA's tolerances; each caller names its own.
+    LSODA system of size k n; any other shape, or a start that is not
+    finite, is a ValueError that names it.  ``rel_tol`` and ``abs_tol`` are
+    LSODA's tolerances; each caller names its own.
     ``rhs`` must broadcast over a leading batch axis: given states of shape
     (k, n) it returns the k right-hand sides, shape (k, n), and it gets
     every evaluation as such rows.  This is checked once on the starts at entry,
@@ -279,6 +280,10 @@ def integrate_ivp(
     starts = np.asarray(x0, dtype=float)
     if starts.ndim != 2 or 0 in starts.shape:
         raise ValueError(f"integrate_ivp takes a (k, n) stack of starts, got shape {starts.shape}")
+    finite = np.isfinite(starts).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"integrate_ivp takes finite starts, but row {row} is {starts[row].tolist()}")
     t0, t_end = (float(t) for t in t_span)
     contract = f"rhs must broadcast over a leading batch axis: states of shape {starts.shape}"
     try:

@@ -24,12 +24,13 @@ rows hold to rounding at every iterate, where Newton, when it solved them with
 the rest, left its own residual in the stored values.  The residual lists the
 n x-boundary rows, then the 2n collocation rows of each interval, then the n
 p rows of the tail closure; each interval couples only its two end nodes, so
-in this order the Jacobian is banded.  Its blocks are the [x; p] block of the
-model's closed-form ``pmp_jacobian`` at all nodes and all midpoints, written
-straight into LAPACK band storage.  The band widths (kl, ku) are read off the
-nonzeros the blocks hold, as the union over the intervals: a model with dense
-blocks gets (3n - 1, 3n - 1), and ``nhe``, whose Laplacian couples a grid
-node only to its neighbours, (2n + side, 2n + side).  The system is factored
+in this order the Jacobian is banded.  Its blocks come from the model's
+closed-form ``pmp_jacobian``, d[x'; p'] / d[x; p], at all nodes and all
+midpoints, written straight into LAPACK band storage.  The band widths
+(kl, ku) are read off the nonzeros the blocks hold, as the union over the
+intervals: a model with dense blocks gets (3n - 1, 3n - 1), and ``nhe``,
+whose Laplacian couples a grid node only to its neighbours,
+(2n + side, 2n + side).  The system is factored
 by banded LU with partial pivoting (``dgbtrf``; Ascher, Mattheij & Russell,
 ch. 7).
 
@@ -181,9 +182,11 @@ def _assemble_jacobian(model, taus, z, delta_tau):
     k_intervals = n_nodes - 1
 
     rate, _, h, z_mid, mid_rate = _midpoints(model, taus, z)
-    # the [x; p] blocks; v's column is zero, since no right-hand side reads v
-    jac = model.pmp_jacobian(z)[:, :m, :m]
-    jac_mid = model.pmp_jacobian(z_mid)[:, :m, :m]
+    jac = model.pmp_jacobian(z)
+    if jac.shape != (n_nodes, m, m):
+        expected = (n_nodes, m, m)
+        raise ValueError(f"pmp_jacobian of model {model.name!r} gave shape {jac.shape}, expected (..., 2n, 2n) = {expected}")
+    jac_mid = model.pmp_jacobian(z_mid)
 
     # Offsets r - c of the entries a block can hold in any interval: the
     # identity's, a's and those of a_mid (I + a), the nonzeros of the

@@ -122,7 +122,7 @@ def run_vkoga(
         warnings.warn(f"{dropped} of {m} samples are not admissible as centers", stacklevel=2)
     result = VkogaResult(surrogate=surrogate)
     selected: list[int] = []
-    factor = HermiteFactor(kernel, dim, config.nugget)
+    factor = HermiteFactor(kernel, config.nugget)
 
     rho = None
     while True:
@@ -144,22 +144,13 @@ def run_vkoga(
             continue
 
         selected.append(best)
-        centers = points[selected]
-        rhs, data = assemble_rhs(values[selected], grads[selected], q_matrix=qm, centers=centers)
+        rhs, data = assemble_rhs(values[selected], grads[selected], q_matrix=qm, centers=factor.centers)
         cg_tol = config.cg_tol
         data_norm, rhs_norm = np.linalg.norm(data), np.linalg.norm(rhs)
         if data_norm > rhs_norm > 0.0:
             cg_tol *= data_norm / rhs_norm
         try:
-            alphas, betas, info = fit(
-                kernel,
-                centers,
-                rhs,
-                cg_tol=cg_tol,
-                max_iter=config.cg_max_iter,
-                nugget=config.nugget,
-                factor=factor,
-            )
+            alphas, betas, info = fit(factor, rhs, cg_tol=cg_tol, max_iter=config.cg_max_iter)
         except FitError as err:
             factor.centers, factor.lower = kept
             selected.pop()
@@ -167,7 +158,7 @@ def run_vkoga(
             continue
         surrogate = Surrogate(
             kernel=kernel,
-            centers=centers,
+            centers=factor.centers,
             alphas=alphas,
             betas=betas,
             q_matrix=qm,

@@ -176,6 +176,15 @@ def lattice_centers(rng, n, dim, avoid_origin=False):
     return mesh[pick] + rng.uniform(-0.15, 0.15, size=(len(pick), dim))
 
 
+def factor_of(kernel, centers, nugget=0.0):
+    """The :class:`~vfcontrol.hermite.HermiteFactor` of ``centers`` in order,
+    each of which it must take."""
+    factor = hermite.HermiteFactor(kernel, nugget)
+    for k, center in enumerate(np.asarray(centers, dtype=float)):
+        assert factor.append(center), f"the factor turned center {k} away"
+    return factor
+
+
 def centers_with_twins(rng, n, dim, n_twins):
     """``lattice_centers`` plus a near-copy of up to ``n_twins`` of them, each
     moved by less than ``MIN_SPACING`` and inserted at a random position.
@@ -405,8 +414,8 @@ def band_jacobian_reference(model, taus, z, delta_tau):
     """Jacobian of ``openloop.bvp_residual`` over the [x; p] unknowns as ``(ab, kl, ku)``,
     in LAPACK band storage ``ab[kl + ku + r - c, c]``.
 
-    The Hermite-Simpson blocks come from the plain expression on the [x; p]
-    block of ``pmp_jacobian``, one temporary per term, and are placed interval
+    The Hermite-Simpson blocks come from the plain expression on
+    ``pmp_jacobian``, one temporary per term, and are placed interval
     by interval into a dense matrix, whose nonzeros give (kl, ku); the library
     assembles the same arithmetic with reused work arrays and strided views,
     so the two must agree bit for bit in the band rows.
@@ -415,8 +424,8 @@ def band_jacobian_reference(model, taus, z, delta_tau):
     m = 2 * n
     n_nodes = z.shape[0]
     rate, _, h, z_mid, mid_rate = _midpoints(model, taus, z)
-    a = rate[:, None, None] * model.pmp_jacobian(z)[:, :m, :m]
-    a_mid = mid_rate[:, None, None] * model.pmp_jacobian(z_mid)[:, :m, :m]
+    a = rate[:, None, None] * model.pmp_jacobian(z)
+    a_mid = mid_rate[:, None, None] * model.pmp_jacobian(z_mid)
     eye = np.eye(m)
     hh = h[:, :, None]
     dmid_left = 0.5 * eye + (hh / 8.0) * a[:-1]

@@ -258,6 +258,21 @@ def test_simulate_rejects_a_misshapen_start(tmp_path, capsys):
     assert "shape" in err["error"]
 
 
+@pytest.mark.parametrize("x0", ["[NaN]", "[Infinity]", "[-Infinity]"])
+def test_simulate_names_a_start_that_is_not_finite(artifacts, tmp_path, capsys, x0):
+    """One JSON line on stderr naming the start and no run file; the suite
+    turns any warning on the way into an error."""
+    config, _, plain = artifacts
+    run = tmp_path / "run.json"
+    capsys.readouterr()
+    assert main(["simulate", "--config", config, "--surrogate", plain, "--x0", x0, "--out", str(run)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    value = {"[NaN]": "nan", "[Infinity]": "inf", "[-Infinity]": "-inf"}[x0]
+    assert json.loads(err)["error"].endswith(f"row 0 is [{value}, 0.0]")
+    assert not run.exists()
+
+
 @pytest.mark.parametrize("command", [["fit", "--centers", "6"], ["cv", "--folds", "2"], ["evaluate"]])
 def test_a_dataset_of_another_dimension_is_rejected(tmp_path, capsys, command):
     """A 1-D lqr dataset given to the 2-D amp model is a config error that

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, hermite_apply, lattice_centers
+from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, factor_of, hermite_apply, lattice_centers
 from vfcontrol import hermite
 from vfcontrol.hermite import (
     MIN_SPACING,
@@ -115,7 +115,7 @@ def test_fit_equals_dense_solve():
         centers = lattice_centers(rng, 4, 2, avoid_origin=True)
         m = dense_hermite_matrix(kern, centers)
         rhs = rng.normal(size=m.shape[0])
-        alphas, betas, info = fit(kern, centers, rhs, cg_tol=1e-12)
+        alphas, betas, info = fit(factor_of(kern, centers), rhs, cg_tol=1e-12)
         ref = scipy.linalg.solve(m, rhs)
         got = stack_coeffs(alphas, betas)
         assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
@@ -124,54 +124,51 @@ def test_fit_equals_dense_solve():
         assert info["nugget"] == 0.0
 
 
-def test_fit_rejects_duplicate_centers():
+def turned_away(factor, center):
+    """Whether ``factor`` turns ``center`` away, checked to leave the factor as it was."""
+    centers, lower = factor.centers.copy(), factor.lower.copy()
+    taken = factor.append(center)
+    if not taken:
+        np.testing.assert_array_equal(factor.centers, centers)
+        np.testing.assert_array_equal(factor.lower, lower)
+    return not taken
+
+
+def test_the_factor_turns_away_a_duplicate_center():
     kern = WendlandC4(dim=2, gamma=1.0)
-    centers = np.array([[0.5, 0.5], [0.1, -0.2], [0.5, 0.5]])
-    with pytest.raises(FitError, match="center 2 is spanned .* center 0, is 0.000e"):
-        fit(kern, centers, np.zeros(9))
-    # a factor turns the duplicate away and stays as it was
-    factor = HermiteFactor(kern, 2)
-    assert [factor.append(center) for center in centers] == [True, True, False]
+    factor = factor_of(kern, [[0.5, 0.5], [0.1, -0.2]])
+    assert turned_away(factor, np.array([0.5, 0.5]))
     assert factor.n == 2
-    with pytest.raises(ValueError, match="factor of 2 centers"):
-        fit(kern, centers, np.ones(9), factor=factor)
-    with pytest.raises(ValueError, match="nugget"):
-        fit(kern, centers[:2], np.ones(6), nugget=1e-9, factor=factor)
 
 
-def test_fit_names_centers_at_rounding_distance():
-    """Two trajectory tails 2.5e-16 apart at the origin: the fit names the pair
-    instead of running CG into a singular system."""
+def test_the_factor_turns_away_centers_at_rounding_distance():
+    """Two trajectory tails 2.5e-16 apart at the origin: the factor turns the
+    second away, with a nugget or without, instead of leaving CG a singular
+    system."""
     kern = WendlandC4(dim=1, gamma=1.0)
-    centers = np.array([[0.5], [2.5e-16], [-0.4], [5.0e-16]])
     for nugget in (0.0, 1e-3):
-        with pytest.raises(FitError, match="center 3 is spanned .* center 1, is 2.500e-16 away"):
-            fit(kern, centers, np.ones(8), nugget=nugget)
+        factor = factor_of(kern, [[0.5], [2.5e-16], [-0.4]], nugget)
+        assert turned_away(factor, np.array([5.0e-16]))
 
 
-def test_structured_fit_rejects_a_center_at_the_origin():
+def test_a_structured_center_at_the_origin_has_a_vanishing_gram_block():
     # <x, y>^2 k(x, y) vanishes with all its derivatives at x = 0
     kern = StructuredKernel(WendlandC4(dim=2, gamma=0.5))
+    factor = factor_of(kern, [[0.5, 0.2]])
     with pytest.raises(FitError, match="center 1 has a vanishing Gram block"):
-        fit(kern, np.array([[0.5, 0.2], [0.0, 0.0]]), np.ones(6))
+        factor.append(np.zeros(2))
 
 
 def test_nearly_coincident_centers_fail_the_schur_test():
     """Centers 1e-7 apart, farther than MIN_SPACING, leave a Schur block that
     is not numerically positive definite: the factor turns the second one
-    away unchanged, and fit names the pair."""
+    away unchanged and takes the next."""
     kern = WendlandC4(dim=2, gamma=0.5)
     centers = np.array([[0.3, -0.2], [0.3 + 1e-7, -0.2], [-0.5, 0.4]])
     assert np.linalg.norm(centers[1] - centers[0]) > MIN_SPACING
-    factor = HermiteFactor(kern, 2)
-    assert factor.append(centers[0])
-    lower = factor.lower.copy()
-    assert not factor.append(centers[1])
-    assert factor.n == 1
-    np.testing.assert_array_equal(factor.lower, lower)
+    factor = factor_of(kern, centers[:1])
+    assert turned_away(factor, centers[1])
     assert factor.append(centers[2])
-    with pytest.raises(FitError, match="center 1 is spanned .* center 0, is 1.000e-07 away"):
-        fit(kern, centers, np.ones(9))
 
 
 def test_fit_nugget_shifts_the_system():
@@ -181,7 +178,7 @@ def test_fit_nugget_shifts_the_system():
     m = dense_hermite_matrix(kern, centers)
     rhs = rng.normal(size=m.shape[0])
     nugget = 1e-3
-    alphas, betas, info = fit(kern, centers, rhs, cg_tol=1e-12, nugget=nugget)
+    alphas, betas, info = fit(factor_of(kern, centers, nugget), rhs, cg_tol=1e-12)
     ref = scipy.linalg.solve(m + nugget * np.eye(m.shape[0]), rhs)
     np.testing.assert_allclose(stack_coeffs(alphas, betas), ref, atol=1e-8)
     assert info["nugget"] == nugget
@@ -196,7 +193,7 @@ def test_plain_interpolation_conditions():
     values = rng.normal(size=5)
     grads = rng.normal(size=(5, 2))
     cg_tol = 1e-10
-    alphas, betas, _ = fit(kern, centers, assemble_rhs(values, grads)[0], cg_tol=cg_tol)
+    alphas, betas, _ = fit(factor_of(kern, centers), assemble_rhs(values, grads)[0], cg_tol=cg_tol)
     sur = Surrogate(kernel=kern, centers=centers, alphas=alphas, betas=betas)
     sv, sg = sur.value_and_gradient(centers)
     scale = float(np.max(np.abs(values) + np.linalg.norm(grads, axis=1)))
@@ -215,7 +212,7 @@ def test_structured_interpolation_conditions():
     grads = rng.normal(size=(5, 2))
     cg_tol = 1e-11
     rhs, _ = assemble_rhs(values, grads, q_matrix=qm, centers=centers)
-    alphas, betas, _ = fit(kern, centers, rhs, cg_tol=cg_tol)
+    alphas, betas, _ = fit(factor_of(kern, centers), rhs, cg_tol=cg_tol)
     sur = Surrogate(kernel=kern, centers=centers, alphas=alphas, betas=betas, q_matrix=qm)
     sv, sg = sur.value_and_gradient(centers)
     scale = float(np.max(np.abs(values) + np.linalg.norm(grads, axis=1)))
@@ -314,7 +311,7 @@ def test_native_norm_is_monotone_under_nesting():
     grads = rng.normal(size=(6, 2))
     norms = []
     for n in (2, 4, 6):
-        alphas, betas, _ = fit(kern, centers[:n], assemble_rhs(values[:n], grads[:n])[0], cg_tol=1e-12)
+        alphas, betas, _ = fit(factor_of(kern, centers[:n]), assemble_rhs(values[:n], grads[:n])[0], cg_tol=1e-12)
         norms.append(native_norm_sq(Surrogate(kernel=kern, centers=centers[:n], alphas=alphas, betas=betas)))
     assert norms[0] <= norms[1] + 1e-8
     assert norms[1] <= norms[2] + 1e-8
@@ -504,8 +501,7 @@ def test_factor_and_matvec_match_dense_algebra_on_generated_centers(dim, n, stru
     got = HermiteOperator(kern, centers).matvec(vec)
     np.testing.assert_allclose(got, m @ vec, rtol=0, atol=1e-12 * scale * np.linalg.norm(vec))
 
-    factor = HermiteFactor(kern, dim, nugget)
-    assert all(factor.append(c) for c in centers)
+    factor = factor_of(kern, centers, nugget)
     # the factor runs in center order: each center's value slot, then its gradient slots
     order = np.concatenate([[i, *range(n + i * dim, n + (i + 1) * dim)] for i in range(n)])
     shifted = (m + nugget * np.eye(m.shape[0]))[np.ix_(order, order)]
@@ -526,15 +522,15 @@ def test_factor_and_matvec_match_dense_algebra_on_generated_centers(dim, n, stru
 )
 def test_the_factor_turns_away_exactly_the_near_duplicates(dim, n, n_twins, structured, nugget, gamma, seed):
     """On centers with injected pairs closer than MIN_SPACING, the factor of
-    the centers it keeps is the dense Cholesky factor, and fit either matches
-    the dense solve or names such a pair."""
+    the centers it keeps is the dense Cholesky factor, and fit on it matches
+    the dense solve."""
     rng = np.random.default_rng(seed)
     base, kern = both_kernels(dim, gamma)
     kern = kern if structured else base
     centers = centers_with_twins(rng, n, dim, n_twins)
     close = close_pairs(centers)
 
-    factor = HermiteFactor(kern, dim, nugget)
+    factor = HermiteFactor(kern, nugget)
     kept = [i for i, c in enumerate(centers) if factor.append(c)]
     # turned away: the centers close to one kept before them
     expected = []
@@ -548,16 +544,8 @@ def test_the_factor_turns_away_exactly_the_near_duplicates(dim, n, n_twins, stru
     dense = np.linalg.cholesky(m[np.ix_(order, order)])
     np.testing.assert_allclose(factor.lower, dense, rtol=0, atol=1e-10 * np.max(np.abs(dense)))
 
-    rhs = rng.normal(size=len(centers) * (1 + dim))
-    try:
-        alphas, betas, _ = fit(kern, centers, rhs, cg_tol=1e-12, nugget=nugget)
-    except FitError as err:
-        named = re.search(r"center (\d+) is spanned .* center (\d+),", str(err))
-        assert named is not None, str(err)
-        later, earlier = int(named[1]), int(named[2])
-        assert (earlier, later) in close
-        return
-    assert not close
+    rhs = rng.normal(size=k * (1 + dim))
+    alphas, betas, _ = fit(factor, rhs, cg_tol=1e-12)
     ref = np.linalg.solve(m, rhs)
     got = stack_coeffs(alphas, betas)
     assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))

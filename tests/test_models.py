@@ -340,23 +340,27 @@ def test_closed_form_optimality_system_matches_the_composition(name, k, data):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(BUNDLED)), st.integers(1, 4), st.data())
 def test_pmp_jacobian_matches_finite_differences(name, k, data):
-    """The closed-form Jacobian of every bundled model against ``fd_jacobian`` of ``pmp_rhs``.
+    """The closed-form Jacobian of every bundled model against ``fd_jacobian``
+    of the [x'; p'] rows of ``pmp_rhs`` in the [x; p] columns.
 
-    With h = FD_STEP (1 + |z|), a central difference of F loses
+    Those rows do not read v: their differences in v's column are exactly
+    zero.  With h = FD_STEP (1 + |z|), a central difference of F loses
     eps (|F| + h |J|) / h to rounding and h^2 |D^3 F| / 6 to truncation; the
     second difference J(z + h e_j) - 2 J(z) + J(z - h e_j) of the closed form
     is about h^2 D^3 F and stands in for the latter.  ``pmp_jacobian`` also
     broadcasts over the batch axis.
     """
     model = BUNDLED[name]
-    nz = 2 * model.dim_state + 1
-    z = data.draw(arrays(float, (k, nz), elements=st.floats(-1.0, 1.0)))
+    m = 2 * model.dim_state
+    z = data.draw(arrays(float, (k, m + 1), elements=st.floats(-1.0, 1.0)))
     jac = model.pmp_jacobian(z)
-    fd = fd_jacobian(lambda rows: pmp_rhs(model, rows), z)
-    assert jac.shape == (k, nz, nz)
+    fd = fd_jacobian(lambda rows: pmp_rhs(model, rows)[:, :m], z)
+    assert jac.shape == (k, m, m)
+    assert np.all(fd[:, :, m] == 0.0)
+    fd = fd[:, :, :m]
     np.testing.assert_allclose(model.pmp_jacobian(z[0]), jac[0], rtol=1e-13, atol=1e-12)
-    shift = (FD_STEP * (1.0 + np.abs(z)))[:, :, None] * np.eye(nz)
+    shift = (FD_STEP * (1.0 + np.abs(z)))[:, :m, None] * np.eye(m + 1)[:m]
     second = model.pmp_jacobian(z[:, None] + shift) - 2.0 * jac[:, None] + model.pmp_jacobian(z[:, None] - shift)
-    scale = float(np.max(np.abs(pmp_rhs(model, z)))) / FD_STEP + float(np.max(np.abs(jac)))
+    scale = float(np.max(np.abs(pmp_rhs(model, z)[:, :m]))) / FD_STEP + float(np.max(np.abs(jac)))
     atol = 16.0 * np.finfo(float).eps * scale + float(np.max(np.abs(second)))
     np.testing.assert_allclose(jac, fd, rtol=0.0, atol=atol)

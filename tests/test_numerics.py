@@ -516,6 +516,21 @@ def test_integrate_takes_only_a_stack_of_starts(starts):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_integrate_names_a_start_that_is_not_finite(bad):
+    """A non-finite start is a ValueError naming its row and value, before ``rhs`` is called."""
+    calls = []
+
+    def rhs(t, x):
+        calls.append(np.shape(x))
+        return -x
+
+    starts = np.array([[0.5, 1.0], [0.2, bad]])
+    with pytest.raises(ValueError, match=re.escape(f"row 1 is {[0.2, bad]}")):
+        integrate_ivp(rhs, starts, (0.0, 1.0), **TOL)
+    assert calls == []
+
+
 JACOBIAN_MODELS = {
     "amp": build_amp(),
     "nhe": build_nhe(NheParameters(grid_side=6)),

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -377,13 +378,13 @@ def test_blocks_written_past_a_narrow_band_leave_it_intact():
     only (n, n).  Blocks are written whole, so the assembly widens the band to
     (3n // 2, 3n - 1 - 3n // 2), where the zeros past it land in the fill
     rows; the band then holds exactly the block expression's Jacobian."""
-    n, nz = 2, 5
+    n = 2
     model = replace(
         build_linear(-np.eye(n), np.eye(n)),
-        pmp_jacobian=lambda z: np.broadcast_to(-0.5 * np.eye(nz), z.shape[:-1] + (nz, nz)),
+        pmp_jacobian=lambda z: np.broadcast_to(-0.5 * np.eye(2 * n), z.shape[:-1] + (2 * n, 2 * n)),
     )
     taus = graded_mesh(6)
-    z = np.zeros((taus.size, nz))
+    z = np.zeros((taus.size, 2 * n + 1))
     ab, kl, ku = _assemble_jacobian(model, taus, z, 1e-3)
     reference, ref_kl, ref_ku = band_jacobian_reference(model, taus, z, 1e-3)
     assert (ref_kl, ref_ku) == (n, n)
@@ -562,13 +563,23 @@ def test_a_damped_step_drops_the_factor(monkeypatch):
     assert damped >= 1 and sol.chord_steps >= 1
 
 
+def test_a_jacobian_with_a_v_row_names_both_shapes():
+    """A ``pmp_jacobian`` still written as d pmp_rhs / dz, (..., 2n+1, 2n+1),
+    is a ValueError naming the shape Newton needs and the one it got."""
+    model = build_linear([[-1.0]], [[1.0]])
+    model = replace(model, pmp_jacobian=lambda z: np.zeros(z.shape[:-1] + (3, 3)))
+    taus = graded_mesh(4)
+    with pytest.raises(ValueError, match=re.escape("gave shape (5, 3, 3), expected (..., 2n, 2n) = (5, 2, 2)")):
+        solve_pmp(model, np.array([0.5]), taus, np.full((5, 3), 0.1), OpenLoopConfig())
+
+
 def test_singular_collocation_jacobian_is_a_bvp_failure():
     """A model whose Jacobian is -2^-10 I makes the tail rows I + dt dtau/dt J
     vanish exactly on a two-interval mesh with dt = 2^-10 (the last node's
     rate is then 2^20), so the banded LU meets an exactly zero pivot."""
     delta_tau = 2.0**-10
     model = build_linear([[-1.0]], [[1.0]])
-    model = replace(model, pmp_jacobian=lambda z: np.broadcast_to(-delta_tau * np.eye(3), z.shape[:-1] + (3, 3)))
+    model = replace(model, pmp_jacobian=lambda z: np.broadcast_to(-delta_tau * np.eye(2), z.shape[:-1] + (2, 2)))
     taus = graded_mesh(2, tau_end=1.0 - delta_tau)
     assert time_stretch_rate(taus[-1]) == 2.0**20
     with pytest.raises(BvpFailure, match="singular collocation Jacobian") as err:

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, lattice_centers, selected_indices
+from helpers import centers_with_twins, close_pairs, dense_hermite_matrix, factor_of, lattice_centers, selected_indices
 from vfcontrol.hermite import FitError, HermiteFactor, Surrogate, assemble_rhs, fit, unstack_coeffs
 from vfcontrol.kernels import StructuredKernel, WendlandC4
 from vfcontrol.vkoga import VkogaConfig, run_vkoga, write_trace
@@ -269,12 +269,13 @@ def test_a_refit_that_misses_cg_tol_turns_its_sample_away(monkeypatch):
         rhs, data = assemble_rhs(values[chosen], grads[chosen], q_matrix=q, centers=points[chosen])
         scale = max(1.0, np.linalg.norm(data) / np.linalg.norm(rhs))
         assert step.cg_residual <= config.cg_tol * scale
-    # a direct fit of all three still fails loudly
+    # a direct fit on the factor of all three still fails loudly
     order = [0, 2, 1]
     rhs, data = assemble_rhs(values[order], grads[order], q_matrix=q, centers=points[order])
     scale = max(1.0, np.linalg.norm(data) / np.linalg.norm(rhs))
+    factor = factor_of(StructuredKernel(WendlandC4(1, 0.5)), points[order])
     with pytest.raises(FitError, match="CG stalled"):
-        fit(StructuredKernel(WendlandC4(1, 0.5)), points[order], rhs, cg_tol=config.cg_tol * scale)
+        fit(factor, rhs, cg_tol=config.cg_tol * scale)
 
 
 def test_exact_copies_cost_no_rescan(monkeypatch):
