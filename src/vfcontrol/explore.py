@@ -10,7 +10,10 @@ iterates of the solves are rolled out in batches: the rest of the
 farthest-first order, planned as if every pick were kept, is one stacked
 :func:`~vfcontrol.openloop.initial_guess` call.  A stored trajectory depends
 on its start state and, through its guess only, on the starts guessed with
-it; no solve starts from another's solution.  Solutions that fail their
+it; no solve starts from another's solution.  The solves of one call share
+a :class:`~vfcontrol.openloop.SharedFactor`, so each starts on the initial
+mesh with a chord step on the factor the previous solve kept there, which
+enters the trajectory below the Newton tolerance.  Solutions that fail their
 sanity checks are quarantined: the candidate is dropped, exploration moves
 on, and the order is replanned from what is covered, keeping the guesses
 already made.  Every sample of a kept trajectory stays in the
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import openloop
 from .models import ControlAffineModel, hjb_residual, nhe_node_coords
-from .numerics import require
+from .numerics import read_artifact, require
 from .openloop import BvpFailure, BvpSolution, OpenLoopConfig, Trajectory, solve_open_loop, to_trajectory
 
 __all__ = [
@@ -264,6 +267,7 @@ def run_exploration(
     taus = openloop.initial_mesh(config.solver)
     # guesses rolled out but not yet solved from, by candidate index
     guesses: dict[int, np.ndarray] = {}
+    shared = openloop.SharedFactor()
 
     while dataset.n_trajectories < config.n_trajectories and np.any(dmin > -np.inf):
         best = int(np.argmax(dmin))
@@ -280,7 +284,7 @@ def run_exploration(
         dmin[best] = -np.inf
 
         try:
-            sol = solve_open_loop(model, x0, q_matrix, config.solver, guess=guesses.pop(best))
+            sol = solve_open_loop(model, x0, q_matrix, config.solver, guess=guesses.pop(best), shared=shared)
         except BvpFailure as err:
             dataset.meta["quarantined"].append({"index": best, "reason": str(err)})
             continue
@@ -297,6 +301,7 @@ def run_exploration(
                 "newton_iterations": sol.newton_iterations,
                 "line_search_halvings": sol.line_search_halvings,
                 "chord_steps": sol.chord_steps,
+                "shared_start": sol.shared_start,
                 "refine_rounds": sol.refine_rounds,
                 "max_defect": sol.max_defect,
                 "hjb_margin": margin,
@@ -326,13 +331,15 @@ def solve_testset(
 
     The guesses of all the states are one :func:`~vfcontrol.openloop.initial_guess`
     call, so a reference depends on its start and, through its guess only,
-    on the other states.
+    on the other states; the solves share one
+    :class:`~vfcontrol.openloop.SharedFactor`, in the order of ``states``.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if not len(states):
         return []
     guesses = openloop.initial_guess(model, states, openloop.initial_mesh(config), q_matrix)
-    return [solve_open_loop(model, x0, q_matrix, config, guess=guess) for x0, guess in zip(states, guesses)]
+    shared = openloop.SharedFactor()
+    return [solve_open_loop(model, x0, q_matrix, config, guess=guess, shared=shared) for x0, guess in zip(states, guesses)]
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -358,11 +365,9 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """The dataset saved at ``path``; a key it lacks is a ValueError naming the file and the key."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != DATASET_SCHEMA:
-        raise ValueError(f"unsupported dataset schema {doc.get('schema')!r}")
+    """The dataset saved at ``path``; a file that is not a dataset, or a key
+    it lacks, is a ValueError naming the file and the schema or the key."""
+    doc = read_artifact(path, "dataset", DATASET_SCHEMA)
     try:
         trajectories = [
             Trajectory(

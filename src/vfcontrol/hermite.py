@@ -74,7 +74,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import StructuredKernel, WendlandC4, kernel_from_spec, kernel_to_spec
-from .numerics import CgError, cg_solve
+from .numerics import CgError, cg_solve, read_artifact
 
 __all__ = [
     "HermiteOperator",
@@ -553,11 +553,9 @@ def save_surrogate(surrogate: Surrogate, path) -> None:
 
 
 def load_surrogate(path) -> Surrogate:
-    """The surrogate saved at ``path``; a key it lacks is a ValueError naming the file and the key."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != SURROGATE_SCHEMA:
-        raise ValueError(f"unsupported surrogate schema {doc.get('schema')!r}")
+    """The surrogate saved at ``path``; a file that is not a surrogate, or a
+    key it lacks, is a ValueError naming the file and the schema or the key."""
+    doc = read_artifact(path, "surrogate", SURROGATE_SCHEMA)
     try:
         dim = int(doc["kernel"]["dim"])
         centers = np.asarray(doc["centers"], dtype=float).reshape(-1, dim)

@@ -1,5 +1,6 @@
 """Preconditioned matrix-free conjugate gradients, batched finite-difference
-Jacobians and adaptive ODE integration.
+Jacobians and adaptive ODE integration, and the input checks of parameters
+and saved artifacts.
 
 Everything here is deterministic and side-effect free; the rest of the package
 builds on these primitives.
@@ -7,6 +8,7 @@ builds on these primitives.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -162,6 +164,21 @@ def require(holds: bool, name: str, value, needs: str) -> None:
     """The input check of every parameter dataclass: a ValueError naming ``name`` unless ``holds``."""
     if not holds:
         raise ValueError(f"{name} must be {needs}, got {value!r}")
+
+
+def read_artifact(path, kind: str, schema: str) -> dict:
+    """The JSON object saved at ``path``; a file that is not JSON, or not of
+    ``schema``, is a ValueError naming the ``kind`` of artifact, the file
+    and the schema it needs."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{kind} {path} is not JSON ({err}); expected schema {schema!r}") from None
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != schema:
+        raise ValueError(f"{kind} {path} has schema {found!r}; expected {schema!r}")
+    return doc
 
 
 @dataclass

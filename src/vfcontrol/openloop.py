@@ -42,7 +42,18 @@ one; otherwise the Jacobian is re-assembled and re-factored at the current
 iterate for a Newton step, damped by halving as needed.  A damped step
 (length below 1) drops the factor, so the step after it factors afresh.
 Once the iterate is in Newton's quadratic basin, one factorization per mesh
-usually suffices.  A midpoint-rule defect, taken over every column of z and
+usually suffices.  A caller that solves several starts with one config (an
+exploration, a test set) can share a factor across them through a
+:class:`SharedFactor`: every solve starts on the same initial mesh, and there
+its steps are chord steps on the factor the previous solve kept, under the
+same contraction test, so the simplified Newton method runs across solves
+as it does within one.  Where the collocation Jacobian barely changes from
+one start to the next (``nhe``), the first of them is in effect a Newton
+step, and the initial mesh takes no factorization.  The first time a shared
+factor is turned down, the solve starts over without it and the call stops
+sharing (``amp`` turns it down within a call's first two solves).  A shared
+factor enters a solution only below the Newton tolerance.  A
+midpoint-rule defect, taken over every column of z and
 so over v's as well, flags intervals whose local truncation error is still
 large; those get split and the solve repeats on the refined mesh.  It
 starts from the old nodes and, at each new node, from its interval's
@@ -73,6 +84,7 @@ __all__ = [
     "OpenLoopConfig",
     "BvpSolution",
     "BvpFailure",
+    "SharedFactor",
     "initial_mesh",
     "initial_guess",
     "solve_pmp",
@@ -105,7 +117,13 @@ GUESS_TOL = (1e-4, 1e-6)
 # intervals in chunks of that size.  On nhe (grid side 6) whole-mesh work
 # arrays, 4 MB each, made the assembly of an exploration about a third
 # slower, with the time going to cache misses and to the page faults of
-# fresh memory; 128 KB to 1 MB measured alike.
+# fresh memory; 128 KB to 1 MB measured alike.  On a mesh longer than one
+# chunk the values of pmp_jacobian are evaluated a chunk at a time too.  On
+# nhe's refined meshes its two whole-mesh arrays (4.5 MB each at 109 nodes),
+# held next to the band and a shared factor (see SharedFactor), put the
+# traced peak of the benchmark's nhe36 exploration at 38 MB, against 27
+# without the shared factor and 31 a chunk at a time; evaluating twice costs
+# about 1 ms of the 8-12 of an assembly.
 WORK_BYTES = 2**19
 
 
@@ -205,6 +223,13 @@ def _assemble_jacobian(model, taus, z, delta_tau):
     offsets = np.concatenate([(n + i - j)[held], (i - j - n)[held], (n + i - j)[:n][near[n:] > 0], [0]])
     kl = max(int(offsets.max()), (3 * n) // 2)
     ku = max(int(-offsets.min()), 3 * n - 1 - kl)
+    # The intervals run in chunks of WORK_BYTES of blocks.  A mesh longer
+    # than one chunk (nhe's are; no amp or lqr mesh is) drops its whole-mesh
+    # Jacobians before the band is allocated, and evaluates them again a
+    # chunk at a time below.
+    chunk = min(max(1, WORK_BYTES // (8 * m * m)), k_intervals)
+    if chunk < k_intervals:
+        jac = jac_mid = None
 
     ldab = 2 * kl + ku + 1
     flat = np.zeros(ldab * n_nodes * m)
@@ -221,17 +246,20 @@ def _assemble_jacobian(model, taus, z, delta_tau):
     # work arrays, operation by operation in that order (so the bits are
     # those of the plain expression), and the last operation writes the band.
     # The product goes to a contiguous array: matmul into the strided band
-    # view skips BLAS.  The work arrays hold WORK_BYTES of intervals at a
-    # time, so they stay in cache from the scaling to the band.
+    # view skips BLAS.  The work arrays hold one chunk, so they stay in cache
+    # from the scaling to the band.
     hh = h[:, :, None]
-    chunk = min(max(1, WORK_BYTES // (8 * m * m)), k_intervals)
     a = np.empty((chunk + 1, m, m))
     a_mid, dmid, work = (np.empty((chunk, m, m)) for _ in range(3))
     for lo in range(0, k_intervals, chunk):
         c = min(chunk, k_intervals - lo)
+        if jac is None:
+            nodes, mids = model.pmp_jacobian(z[lo : lo + c + 1]), model.pmp_jacobian(z_mid[lo : lo + c])
+        else:
+            nodes, mids = jac[lo : lo + c + 1], jac_mid[lo : lo + c]
         hc, d, w = hh[lo : lo + c], dmid[:c], work[:c]
-        np.multiply(rate[lo : lo + c + 1, None, None], jac[lo : lo + c + 1], out=a[: c + 1])
-        np.multiply(mid_rate[lo : lo + c, None, None], jac_mid[lo : lo + c], out=a_mid[:c])
+        np.multiply(rate[lo : lo + c + 1, None, None], nodes, out=a[: c + 1])
+        np.multiply(mid_rate[lo : lo + c, None, None], mids, out=a_mid[:c])
         for col, ends, sign, ident in ((0, a[:c], np.add, -eye), (m, a[1 : c + 1], np.subtract, eye)):
             np.multiply(hc / 8.0, ends, out=d)
             sign(0.5 * eye, d, out=d)
@@ -240,9 +268,10 @@ def _assemble_jacobian(model, taus, z, delta_tau):
             np.add(ends, w, out=w)
             np.multiply(hc / 6.0, w, out=w)
             np.subtract(ident, w, out=blocks(n + lo * m, col + lo * m, c, m))
-    # x rows pin node 0; the extrapolated tail rows pin the last node
+    # x rows pin node 0; the extrapolated tail rows pin the last node, the
+    # last chunk's last
     flat[kl + ku + ldab * np.arange(n)] = 1.0
-    blocks(n + k_intervals * m, k_intervals * m, 1, n)[0] = (eye + delta_tau * (rate[-1] * jac[-1]))[n:]
+    blocks(n + k_intervals * m, k_intervals * m, 1, n)[0] = (eye + delta_tau * (rate[-1] * nodes[-1]))[n:]
     return flat.reshape((ldab, n_nodes * m), order="F"), kl, ku
 
 
@@ -295,6 +324,9 @@ class BvpSolution:
     line_search_halvings: int = 0
     # chord steps tried on a kept factor, accepted or not, summed likewise
     chord_steps: int = 0
+    # whether the solve on the initial mesh started on a factor that an
+    # earlier solve of the same call kept there (see SharedFactor)
+    shared_start: bool = False
 
     @property
     def dim_state(self) -> int:
@@ -315,6 +347,24 @@ class BvpSolution:
     @property
     def values(self) -> np.ndarray:
         return self.z[:, 2 * self.dim_state]
+
+
+@dataclass
+class SharedFactor:
+    """The one slot through which the solves of one call share a factor on the initial mesh.
+
+    A caller that solves several starts with one config owns a holder for
+    the call and hands it to each :func:`solve_open_loop`.  ``factor`` is
+    the banded LU, as ``(lu, piv, kl, ku)``, that the call's last solve kept
+    on :func:`initial_mesh`, or None.  The first time a solve turns a shared
+    factor's chord step down, ``declined`` is set and the slot emptied: the
+    call shares no more, that solve starts over from its guess, and it and
+    the later solves are bit for bit unshared ones, but for the chord steps
+    it counts on the shared factor.
+    """
+
+    factor: Optional[tuple] = None
+    declined: bool = False
 
 
 def initial_mesh(config: OpenLoopConfig) -> np.ndarray:
@@ -371,6 +421,8 @@ def solve_pmp(
     taus: np.ndarray,
     guess: np.ndarray,
     config: OpenLoopConfig = OpenLoopConfig(),
+    *,
+    shared: Optional[SharedFactor] = None,
 ) -> BvpSolution:
     """Simplified Newton on the collocation system from the supplied iterate.
 
@@ -384,6 +436,21 @@ def solve_pmp(
     factorizations and :data:`NEWTON_MAX_ITER` bounds them.  Newton steps
     move the [x; p] columns of the iterate; the v column of ``guess`` is not
     read, since every residual evaluation fills it.
+
+    With a ``shared`` holder that has not declined, the solve starts with
+    the holder's factor kept, so its steps are chord steps on it until one
+    is turned down, and on return it leaves its own kept factor (None after
+    a damped last step) in the slot.  A turned-down chord step on the
+    holder's factor sets ``declined``, and the solve starts over from
+    ``guess`` as an unshared one: so a shared solve either converges on the
+    holder's factor alone or takes the unshared solve's every step, and
+    never fails where that one converges.  A solve that raises leaves the
+    slot as it found it, but for that strike.  The holder belongs to one
+    mesh: ``taus`` must be the one its factor was kept on.
+
+    Trial residuals, of chord steps and of line-search steps, are evaluated
+    with floating-point overflow and invalid operations quiet: a non-finite
+    trial residual is turned down like any other that does not decrease.
     """
     x0 = np.asarray(x0, dtype=float)
     z = np.array(guess, dtype=float)
@@ -395,20 +462,38 @@ def solve_pmp(
     if not np.isfinite(norm):
         raise BvpFailure("initial iterate produces a non-finite residual", residual=norm)
 
+    def trial(step):
+        """The iterate advanced by ``step``, its residual and the residual's max norm."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_new = _advanced(z, step)
+            res_new = bvp_residual(model, taus, z_new, x0, config.delta_tau)
+            return z_new, res_new, float(np.max(np.abs(res_new)))
+
+    if shared is not None and shared.declined:
+        shared = None
+    # the factor in use is the holder's until one of its steps is turned down
+    borrowed = kept = shared is not None and shared.factor is not None
+    if kept:
+        lu, piv, kl, ku = shared.factor
+    shared_start = kept
+    start = z, res, norm
     iteration = 0
     halvings = 0
     chords = 0
-    kept = False
     while norm > NEWTON_TOL * (1.0 + float(np.max(np.abs(z)))):
         if kept:
             chords += 1
-            z_new = _advanced(z, dgbtrs(lu, kl, ku, -res, piv, overwrite_b=True)[0])
-            res_new = bvp_residual(model, taus, z_new, x0, config.delta_tau)
-            norm_new = float(np.max(np.abs(res_new)))
+            z_new, res_new, norm_new = trial(dgbtrs(lu, kl, ku, -res, piv, overwrite_b=True)[0])
             # a non-finite residual compares False and is turned down
             if norm_new <= CHORD_CONTRACTION * norm:
                 z, res, norm = z_new, res_new, norm_new
                 continue
+            if borrowed:
+                # one strike: the call shares no more, and this solve starts
+                # over as an unshared one, with a factorization at its guess
+                shared.factor, shared.declined = None, True
+                shared, borrowed = None, False
+                z, res, norm = start
 
         if iteration == NEWTON_MAX_ITER:
             raise BvpFailure(
@@ -429,9 +514,7 @@ def solve_pmp(
         lam = 1.0
         accepted = False
         while lam >= 2.0 ** -12:
-            z_new = _advanced(z, lam * step)
-            res_new = bvp_residual(model, taus, z_new, x0, config.delta_tau)
-            norm_new = float(np.max(np.abs(res_new)))
+            z_new, res_new, norm_new = trial(lam * step)
             if np.isfinite(norm_new) and norm_new < norm * (1.0 - 1e-4 * lam):
                 z, res, norm = z_new, res_new, norm_new
                 accepted = True
@@ -444,12 +527,15 @@ def solve_pmp(
             )
         kept = lam == 1.0
 
+    if shared is not None:
+        shared.factor = (lu, piv, kl, ku) if kept else None
     return BvpSolution(
         taus=taus,
         z=z,
         newton_iterations=iteration,
         line_search_halvings=halvings,
         chord_steps=chords,
+        shared_start=shared_start,
     )
 
 
@@ -486,18 +572,25 @@ def solve_open_loop(
     config: OpenLoopConfig = OpenLoopConfig(),
     *,
     guess: Optional[np.ndarray] = None,
+    shared: Optional[SharedFactor] = None,
 ) -> BvpSolution:
     """Full pipeline for one start state: guess, solve, refine until the defect is small.
 
     The first iterate is the quadratic-value rollout of :func:`initial_guess`
     on :func:`initial_mesh`: ``guess`` when the caller rolled it out with
-    other starts, else the rollout of ``x0`` as a stack of one.  No other
-    solve enters the answer.
+    other starts, else the rollout of ``x0`` as a stack of one.  ``shared``,
+    the holder of a caller that solves several starts, goes to the solve on
+    the initial mesh only; refined meshes differ from solve to solve and
+    share nothing.  A shared factor enters the answer only below the Newton
+    tolerance: a chord step on it is accepted only if it contracts like one
+    on the solve's own factor.  Without a holder no other solve enters the
+    answer.
     """
     taus = initial_mesh(config)
     if guess is None:
         (guess,) = initial_guess(model, np.asarray(x0, dtype=float)[None], taus, q_matrix)
-    sol = solve_pmp(model, x0, taus, guess, config)
+    sol = solve_pmp(model, x0, taus, guess, config, shared=shared)
+    shared_start = sol.shared_start
     newton_iterations = sol.newton_iterations
     halvings = sol.line_search_halvings
     chords = sol.chord_steps
@@ -518,6 +611,7 @@ def solve_open_loop(
     sol.newton_iterations = newton_iterations
     sol.line_search_halvings = halvings
     sol.chord_steps = chords
+    sol.shared_start = shared_start
     sol.refine_rounds = rounds
     sol.max_defect = worst
     return sol

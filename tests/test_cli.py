@@ -423,3 +423,21 @@ def test_simulate_rejects_a_horizon_that_is_not_positive(tmp_path, capsys, artif
     argv = ["simulate", "--config", config, "--surrogate", plain, "--x0", "[0.5]", "--horizon", horizon, "--out", str(out)]
     error = fails_with_one_json_line(capsys, argv, out)
     assert "horizon must be finite and > 0" in error
+
+
+@pytest.mark.parametrize("kind", ["dataset", "surrogate"])
+def test_an_artifact_that_is_not_json_is_named(tmp_path, capsys, artifacts, kind):
+    """An empty file given as a dataset or a surrogate (``/dev/null``, say) is
+    one JSON line naming the file and the schema it needs, where it used to
+    be the JSON parser's bare ``Expecting value: line 1 column 1``."""
+    config, data, plain = artifacts
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    out = tmp_path / "out.json"
+    if kind == "dataset":
+        argv, schema = ["fit", "--config", config, "--in", str(empty), "--out", str(out)], "vfcontrol-dataset-v1"
+    else:
+        argv = ["simulate", "--config", config, "--surrogate", str(empty), "--x0", "[0.5]", "--out", str(out)]
+        schema = "vfcontrol-surrogate-v1"
+    error = fails_with_one_json_line(capsys, argv, out)
+    assert error.startswith(f"{kind} {empty} is not JSON") and error.endswith(f"expected schema {schema!r}")

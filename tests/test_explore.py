@@ -25,7 +25,7 @@ from vfcontrol.explore import (
     save_dataset,
     solve_testset,
 )
-from vfcontrol.models import build_linear, hjb_residual
+from vfcontrol.models import NheParameters, build_amp, build_linear, build_nhe, hjb_residual
 from vfcontrol.openloop import OpenLoopConfig, Trajectory, solve_open_loop, to_trajectory
 from vfcontrol.riccati import quadratic_matrix
 
@@ -282,9 +282,12 @@ def test_dataset_roundtrips_through_json(tmp_path, lqr_setup):
     assert len(data.meta["solves"]) == data.n_trajectories
     for solve in data.meta["solves"]:
         assert set(solve) == {
-            "newton_iterations", "line_search_halvings", "chord_steps", "refine_rounds", "max_defect", "hjb_margin"
+            "newton_iterations", "line_search_halvings", "chord_steps", "shared_start", "refine_rounds", "max_defect",
+            "hjb_margin",
         }
-        assert solve["newton_iterations"] >= 1 and solve["refine_rounds"] == 0
+        # a solve that starts on the factor its predecessor kept may take no factorization of its own
+        steps = solve["newton_iterations"] + (solve["chord_steps"] if solve["shared_start"] else 0)
+        assert steps >= 1 and solve["refine_rounds"] == 0
         assert solve["line_search_halvings"] >= 0 and solve["chord_steps"] >= 0
         assert 0.0 < solve["max_defect"] < 1.0
         assert 0.0 <= solve["hjb_margin"] <= 1.0
@@ -364,15 +367,18 @@ def spy_on_guesses(monkeypatch):
     return calls
 
 
-SOLVER_COUNTS = ("newton_iterations", "line_search_halvings", "chord_steps", "refine_rounds")
+SOLVER_COUNTS = ("newton_iterations", "line_search_halvings", "chord_steps", "shared_start", "refine_rounds")
 
 
 def test_each_stored_trajectory_is_its_own_solve(monkeypatch):
     """Exploration adds nothing to a solve but the batch its guess was rolled
-    out in: every stored trajectory is bit for bit the solve from its start
-    and its row of the batch guess.  A lone solve, whose guess is rolled out
-    alone, takes the same Newton, chord, halving and refinement counts and
-    agrees to 1e-12 relative."""
+    out in and the factor the solve before it kept on the initial mesh:
+    every stored trajectory, and its every solver count, is bit for bit the
+    solve from its start and its row of the batch guess, handed a holder
+    that the solves before it filled in the same order.  A lone solve, whose
+    guess is rolled out alone and which factors for itself, takes the same
+    refinement rounds and at least the same factorizations, and agrees to
+    1e-12 relative."""
     cfg = load_config(CONFIGS / "lqr.json")
     model, config, candidates = cfg.model, cfg.explore, cfg.candidates
     qm = quadratic_matrix(model)
@@ -384,15 +390,15 @@ def test_each_stored_trajectory_is_its_own_solve(monkeypatch):
     order, _ = farthest_point_order(candidates, config.n_trajectories)
     np.testing.assert_array_equal(starts, candidates[order])
     np.testing.assert_array_equal(start_states(data), starts)
+    shared = openloop.SharedFactor()
     for traj, solve, guess in zip(data.trajectories, data.meta["solves"], guesses):
-        batched = to_trajectory(
-            solve_open_loop(model, traj.x0, qm, config.solver, guess=guess),
-            samples=config.solver.samples,
-            horizon=config.horizon,
-        )
+        replay = solve_open_loop(model, traj.x0, qm, config.solver, guess=guess, shared=shared)
+        batched = to_trajectory(replay, samples=config.solver.samples, horizon=config.horizon)
+        assert {name: getattr(replay, name) for name in SOLVER_COUNTS} == {name: solve[name] for name in SOLVER_COUNTS}
         lone_sol = solve_open_loop(model, traj.x0, qm, config.solver)
         lone = to_trajectory(lone_sol, samples=config.solver.samples, horizon=config.horizon)
-        assert {name: getattr(lone_sol, name) for name in SOLVER_COUNTS} == {name: solve[name] for name in SOLVER_COUNTS}
+        assert lone_sol.refine_rounds == solve["refine_rounds"]
+        assert lone_sol.newton_iterations >= solve["newton_iterations"]
         for name in ("x0", "times", "states", "grads", "values"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(batched, name), err_msg=name)
             stored, alone = getattr(traj, name), getattr(lone, name)
@@ -428,12 +434,12 @@ def test_quarantines_keep_the_one_at_a_time_order(case, monkeypatch):
     visits = []
     real_solve = explore.solve_open_loop
 
-    def solve(model, x0, q_matrix, solver, *, guess):
+    def solve(model, x0, q_matrix, solver, *, guess, shared):
         (index,) = np.flatnonzero(np.all(candidates == x0, axis=1))
         visits.append(int(index))
         if index in doomed:
             raise openloop.BvpFailure("forced failure")
-        return real_solve(model, x0, q_matrix, solver, guess=guess)
+        return real_solve(model, x0, q_matrix, solver, guess=guess, shared=shared)
 
     monkeypatch.setattr(explore, "solve_open_loop", solve)
     calls = spy_on_guesses(monkeypatch)
@@ -457,3 +463,90 @@ def test_quarantines_keep_the_one_at_a_time_order(case, monkeypatch):
         planned.update(farthest_first_visits(candidates, config.n_trajectories, config.eps_tol_d, set(failed[:j]))[0])
     assert len(guessed) <= len(planned)
     assert len(calls) <= 1 + len(failed)
+
+
+def counted_factorizations(monkeypatch):
+    """A list that gets one entry per banded LU ``openloop.splu`` runs."""
+    calls = []
+    real = openloop.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(openloop, "splu", counting)
+    return calls
+
+
+def nhe_exploration_case():
+    """(model, quadratic matrix, candidates, config) of an nhe exploration on a
+    3 x 3 grid whose four picks pass their checks."""
+    model = build_nhe(NheParameters(grid_side=3))
+    solver = OpenLoopConfig(n_nodes=60, refine_rounds=1, refine_tol=1e-6, samples=10)
+    return model, quadratic_matrix(model), candidate_modes(3), ExploreConfig(n_trajectories=4, horizon=3.0, solver=solver)
+
+
+def test_an_nhe_exploration_factors_fewer_times_than_it_has_meshes(monkeypatch):
+    """On nhe the collocation Jacobian barely changes from one start to the
+    next, so every solve after the first converges on the initial mesh by
+    chord steps on the factor the one before it kept there: the exploration
+    takes fewer factorizations than it has meshes, one per refined mesh and
+    one for the first initial mesh."""
+    model, qm, candidates, config = nhe_exploration_case()
+    calls = counted_factorizations(monkeypatch)
+    data = run_exploration(model, candidates, qm, config)
+    solves = data.meta["solves"]
+    assert data.n_trajectories == config.n_trajectories and data.meta["quarantined"] == []
+    meshes = sum(solve["refine_rounds"] + 1 for solve in solves)
+    assert len(calls) == sum(solve["newton_iterations"] for solve in solves) < meshes
+    assert [solve["shared_start"] for solve in solves] == [False] + [True] * (config.n_trajectories - 1)
+    assert len(calls) == solves[0]["newton_iterations"] + sum(solve["refine_rounds"] for solve in solves[1:])
+
+
+def test_after_the_first_turned_down_shared_step_the_solves_are_unshared(monkeypatch):
+    """On amp (the bench's amp2d exploration at seed 11) the second solve
+    converges on the first one's factor, and the third turns the factor the
+    second kept down.  From that strike on the exploration shares nothing:
+    the third solve starts over unshared, and it and every later solve are
+    bit for bit the solve from the same guess without a holder, in the
+    trajectory and in every count but the third's chord steps, which
+    include the turned-down one."""
+    model = build_amp()
+    qm = quadratic_matrix(model)
+    solver = OpenLoopConfig(n_nodes=240, delta_tau=1e-5, refine_rounds=3, refine_tol=1e-8, samples=40)
+    config = ExploreConfig(n_trajectories=6, horizon=99.0, solver=solver)
+    calls = spy_on_guesses(monkeypatch)
+    data = run_exploration(model, candidate_sobol([(-1.0, 1.0)] * 2, 512, seed=11), qm, config)
+    assert data.n_trajectories == config.n_trajectories
+    ((_, guesses),) = calls
+    solves = data.meta["solves"]
+    assert [solve["shared_start"] for solve in solves] == [False, True, True, False, False, False]
+    for k, (traj, solve, guess) in enumerate(zip(data.trajectories, solves, guesses)):
+        alone = solve_open_loop(model, traj.x0, qm, solver, guess=guess)
+        counts = {name: getattr(alone, name) for name in SOLVER_COUNTS}
+        if k == 1:
+            # converged on the shared factor: no factorization on the initial mesh
+            assert solve["newton_iterations"] < alone.newton_iterations
+            continue
+        if k == 2:
+            counts.update(chord_steps=alone.chord_steps + 1, shared_start=True)
+        assert {name: solve[name] for name in SOLVER_COUNTS} == counts, k
+        unshared = to_trajectory(alone, samples=solver.samples, horizon=config.horizon)
+        for name in ("times", "states", "grads", "values"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(unshared, name), err_msg=f"{k} {name}")
+
+
+def test_two_calls_in_one_process_give_byte_identical_results(tmp_path):
+    """The holder lives for one call: a second exploration, and a second
+    test set, in the same process start without a factor and repeat the
+    first bit for bit."""
+    model, qm, candidates, config = nhe_exploration_case()
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        save_dataset(run_exploration(model, candidates, qm, config), path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    first, second = (solve_testset(model, candidates[[3, 400, 700]], qm, config.solver) for _ in range(2))
+    assert [sol.shared_start for sol in first] == [False, True, True]
+    for a, b in zip(first, second):
+        assert a.z.tobytes() == b.z.tobytes() and a.taus.tobytes() == b.taus.tobytes()
+        assert {name: getattr(a, name) for name in SOLVER_COUNTS} == {name: getattr(b, name) for name in SOLVER_COUNTS}

@@ -24,6 +24,7 @@ from vfcontrol.openloop import (
     NEWTON_TOL,
     BvpFailure,
     OpenLoopConfig,
+    SharedFactor,
     _assemble_jacobian,
     bvp_residual,
     graded_mesh,
@@ -545,8 +546,7 @@ def test_a_damped_step_drops_the_factor(monkeypatch):
     factorization at the new iterate, never a chord step: the line search is
     replayed from the logged residuals (trial j has length 2^-(j-1), and the
     first that decreases the residual is taken)."""
-    with np.errstate(over="ignore"):
-        sol, events = logged_solve(monkeypatch, *amp_from_zero())
+    sol, events = logged_solve(monkeypatch, *amp_from_zero())
     damped = 0
     for i, (kind, z, _) in enumerate(events):
         if kind != "jacobian":
@@ -620,7 +620,87 @@ def test_line_search_halvings_count_the_rejected_trial_steps(monkeypatch):
 
     monkeypatch.setattr(openloop, "bvp_residual", counting)
     model, x0, taus, guess, config = amp_from_zero()
-    with np.errstate(over="ignore"):  # the rejected full steps overflow exp
-        sol = solve_pmp(model, x0, taus, guess, config)
+    # the rejected full steps overflow exp, quietly: no warning escapes
+    sol = solve_pmp(model, x0, taus, guess, config)
     assert sol.line_search_halvings == 16
     assert len(calls) == 1 + sol.newton_iterations + sol.line_search_halvings + sol.chord_steps
+
+
+def same_solution(a, b):
+    """Whether two solutions agree bit for bit, mesh, iterate and counts."""
+    counts = ("newton_iterations", "line_search_halvings", "chord_steps", "shared_start", "refine_rounds")
+    return (
+        a.taus.tobytes() == b.taus.tobytes()
+        and a.z.tobytes() == b.z.tobytes()
+        and all(getattr(a, name) == getattr(b, name) for name in counts)
+    )
+
+
+def test_a_shared_solve_that_turns_the_factor_down_is_the_unshared_solve():
+    """On amp the second of these starts takes a chord step on the first
+    one's factor, then turns the next one down; the strike empties the
+    holder, and the solve starts over from its guess.  It and the solves
+    after it are bit for bit the solves without a holder, but for the two
+    chord steps on the shared factor.  (Going on from the iterate the
+    shared steps left, the second solve stalled in its line search.)"""
+    model = build_amp()
+    qm = quadratic_matrix(model)
+    config = OpenLoopConfig(n_nodes=60, refine_rounds=2, delta_tau=1e-5)
+    starts = np.array([[-0.29304864, -0.01689915], [0.04718976, 0.1735856], [0.68255691, -0.93385683]])
+    guesses = initial_guess(model, starts, initial_mesh(config), qm)
+    shared = SharedFactor()
+    sols = [solve_open_loop(model, x0, qm, config, guess=guess, shared=shared) for x0, guess in zip(starts, guesses)]
+    assert shared.declined and shared.factor is None
+    assert [sol.shared_start for sol in sols] == [False, True, False]
+    for k, (x0, guess, sol) in enumerate(zip(starts, guesses, sols)):
+        alone = solve_open_loop(model, x0, qm, config, guess=guess)
+        if k == 1:
+            assert sol.chord_steps == alone.chord_steps + 2
+            alone.chord_steps, alone.shared_start = sol.chord_steps, True
+        assert same_solution(sol, alone), k
+
+
+@pytest.mark.parametrize("failure", ["non-finite guess", "refined mesh", "after a strike"])
+def test_a_solve_that_raises_leaves_the_sharing_correct(monkeypatch, failure):
+    """A solve that raises keeps the holder as its steps left it: a guess
+    with a non-finite residual fails before it reads the holder, a solve
+    that fails on its refined mesh has converged on the shared factor and
+    leaves it in place, and one that raises after turning the shared factor
+    down has struck.  The next solve is then bit for bit the one that follows
+    the failed solve's initial-mesh solve (the first two cases), or the
+    unshared one (the strike)."""
+    model, x0 = build_nhe(NheParameters(grid_side=3)), nhe_start(3)
+    qm = quadratic_matrix(model)
+    config = OpenLoopConfig(n_nodes=40, refine_rounds=1, refine_tol=1e-12)
+    starts = np.array([x0, 0.5 * x0, -0.7 * x0])
+    guesses = initial_guess(model, starts, initial_mesh(config), qm)
+
+    shared = SharedFactor()
+    solve_open_loop(model, starts[0], qm, config, guess=guesses[0], shared=shared)
+    kept = shared.factor
+    with monkeypatch.context() as patch:
+        if failure == "non-finite guess":
+            guesses[1, 1:, 0] = np.nan
+        else:
+            patch.setattr(openloop, "NEWTON_MAX_ITER", 0)
+            if failure == "after a strike":
+                patch.setattr(openloop, "CHORD_CONTRACTION", 0.0)
+        with pytest.raises(BvpFailure):
+            solve_open_loop(model, starts[1], qm, config, guess=guesses[1], shared=shared)
+    if failure == "after a strike":
+        assert shared.declined and shared.factor is None
+    else:
+        # a failed solve that converged on the initial mesh took no factorization of its own there
+        assert not shared.declined and shared.factor[0] is kept[0]
+    after = solve_open_loop(model, starts[2], qm, config, guess=guesses[2], shared=shared)
+
+    if failure == "after a strike":
+        assert not after.shared_start
+        assert same_solution(after, solve_open_loop(model, starts[2], qm, config, guess=guesses[2]))
+        return
+    assert after.shared_start
+    replay = SharedFactor()
+    solve_open_loop(model, starts[0], qm, config, guess=guesses[0], shared=replay)
+    if failure == "refined mesh":
+        solve_pmp(model, starts[1], initial_mesh(config), guesses[1], config, shared=replay)
+    assert same_solution(after, solve_open_loop(model, starts[2], qm, config, guess=guesses[2], shared=replay))
