@@ -36,6 +36,7 @@ from .explore import (
 from .hermite import load_surrogate, save_surrogate, takes_origin_sample
 from .kernels import StructuredKernel, WendlandC4
 from .models import ControlAffineModel, build_model
+from .numerics import read_artifact
 from .openloop import OpenLoopConfig
 from .riccati import quadratic_matrix
 from .vkoga import VkogaConfig, run_vkoga, write_trace
@@ -133,10 +134,10 @@ def _pool(section: str, spec, model, extra=()) -> np.ndarray:
 
 def load_config(path) -> Config:
     """The config at ``path``, built and checked section by section."""
-    with open(path) as fh:
-        cfg = _object("config", json.load(fh))
-    if cfg.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}, expected {CONFIG_SCHEMA!r}")
+    try:
+        cfg = read_artifact(path, "config", CONFIG_SCHEMA)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     unknown = cfg.keys() - TOP_LEVEL_KEYS
     if unknown:
         raise ConfigError(f"unknown top-level keys {sorted(unknown)}")

@@ -303,6 +303,7 @@ def run_exploration(
                 "chord_steps": sol.chord_steps,
                 "shared_start": sol.shared_start,
                 "refine_rounds": sol.refine_rounds,
+                "nodes": sol.taus.size,
                 "max_defect": sol.max_defect,
                 "hjb_margin": margin,
             }

@@ -46,17 +46,9 @@ class CgError(RuntimeError):
 
 
 class IvpFailure(RuntimeError):
-    """The integrator could not continue; ``partial`` is the run up to the last valid step.
-
-    No code in this package raises it: :func:`integrate_ivp` reports a failed
-    run in :attr:`IvpResult.failure`.  It stays only for the benchmark
-    tracer's ``ivp_failed`` hook, and goes together with that hook when the
-    benchmark reads its counts from the results instead of from the tracer.
-    """
-
-    def __init__(self, message: str, partial: IvpResult):
-        super().__init__(message)
-        self.partial = partial
+    """Raised by nothing: :func:`integrate_ivp` reports a failed run in
+    :attr:`IvpResult.failure`.  The name stays because the benchmark tracer
+    (``bench/tracing.py``) imports it."""
 
 
 @dataclass
@@ -82,8 +74,10 @@ def cg_solve(
     from the true one on ill-conditioned systems, so the true residual is
     recomputed before declaring convergence; when it misses, the iteration
     restarts from it along the preconditioned residual.  Raises
-    :class:`CgError` when the iteration budget (default the larger of 500
-    and ``50 * size``) is exhausted.
+    :class:`CgError` at a restart whose true residual is not below the
+    previous restart's (the iteration has reached its rounding floor, and
+    further restarts only repeat it), and when the iteration budget
+    (default the larger of 500 and ``50 * size``) is exhausted.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
@@ -98,6 +92,8 @@ def cg_solve(
     z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
+    # true residual norm at the last restart
+    floor = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         ap = op(p)
@@ -118,6 +114,15 @@ def cg_solve(
             true_norm = np.linalg.norm(true_r)
             if true_norm <= tol * bnorm:
                 return CgResult(x, iterations, float(true_norm / bnorm))
+            if not true_norm < floor:
+                raise CgError(
+                    f"no progress since the last restart at iteration {iterations} "
+                    f"(relative residual {true_norm / bnorm:.3e})",
+                    x,
+                    iterations,
+                    float(true_norm / bnorm),
+                )
+            floor = true_norm
             # rz belongs to the drifted residual, so the old direction
             # cannot be continued
             r = true_r

@@ -20,8 +20,7 @@ fills the v column of the iterate from the rows that pin it, with the slopes
 the [x; p] rows evaluate anyway: the tail closure gives v_K = -delta_tau v'_K
 at the last node, and each interval's Simpson rule v_k = v_{k+1} - (h_k / 6)
 (v'_k + 4 v'_mid + v'_{k+1}) gives the others, backwards from there.  So the v
-rows hold to rounding at every iterate, where Newton, when it solved them with
-the rest, left its own residual in the stored values.  The residual lists the
+rows hold to rounding at every iterate.  The residual lists the
 n x-boundary rows, then the 2n collocation rows of each interval, then the n
 p rows of the tail closure; each interval couples only its two end nodes, so
 in this order the Jacobian is banded.  Its blocks come from the model's
@@ -58,10 +57,9 @@ so over v's as well, flags intervals whose local truncation error is still
 large; those get split and the solve repeats on the refined mesh.  It
 starts from the old nodes and, at each new node, from its interval's
 Hermite-Simpson midpoint state, the cubic through the endpoint values and
-slopes, where a linear interpolation of the nodes took the bench's amp2d
-solves about 1.5 times the chord steps.  For v the defect is the gap between
-the midpoint and the Simpson quadrature of v', as it was, up to Newton's
-residual, when v was solved for.
+slopes, whose error is O(h^4) where a line between the nodes has O(h^2).
+For v the defect is the gap between the midpoint and the Simpson quadrature
+of v'.
 """
 
 from __future__ import annotations
@@ -280,7 +278,7 @@ def splu(ab: np.ndarray, kl: int, ku: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the factor and pivots for ``dgbtrs``; an exactly zero pivot is a
     ``LinAlgError``.  The name is the one the benchmark tracer's
-    ``openloop.splu`` span binds, kept from when this step was a sparse LU.
+    ``openloop.splu`` span binds.
     """
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
     if info > 0:
@@ -310,6 +308,10 @@ class BvpFailure(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+# the counts of a BvpSolution that solve_open_loop sums over every mesh of the refinement
+SUMMED_COUNTS = ("newton_iterations", "line_search_halvings", "chord_steps")
 
 
 @dataclass
@@ -471,28 +473,27 @@ def solve_pmp(
 
     if shared is not None and shared.declined:
         shared = None
-    # the factor in use is the holder's until one of its steps is turned down
-    borrowed = kept = shared is not None and shared.factor is not None
-    if kept:
-        lu, piv, kl, ku = shared.factor
-    shared_start = kept
+    # the factor a chord step tries, as (lu, piv, kl, ku): the holder's until
+    # one of its steps is turned down, then the one the last full step kept
+    factor = shared.factor if shared is not None else None
+    shared_start = factor is not None
     start = z, res, norm
-    iteration = 0
-    halvings = 0
-    chords = 0
+    iteration = halvings = chords = 0
     while norm > NEWTON_TOL * (1.0 + float(np.max(np.abs(z)))):
-        if kept:
+        if factor is not None:
             chords += 1
+            lu, piv, kl, ku = factor
             z_new, res_new, norm_new = trial(dgbtrs(lu, kl, ku, -res, piv, overwrite_b=True)[0])
             # a non-finite residual compares False and is turned down
             if norm_new <= CHORD_CONTRACTION * norm:
                 z, res, norm = z_new, res_new, norm_new
                 continue
-            if borrowed:
-                # one strike: the call shares no more, and this solve starts
-                # over as an unshared one, with a factorization at its guess
+            if shared is not None and iteration == 0:
+                # one strike on the holder's factor: the call shares no more,
+                # and this solve starts over as an unshared one, with a
+                # factorization at its guess
                 shared.factor, shared.declined = None, True
-                shared, borrowed = None, False
+                shared = None
                 z, res, norm = start
 
         if iteration == NEWTON_MAX_ITER:
@@ -512,23 +513,20 @@ def solve_pmp(
             raise BvpFailure("non-finite Newton step", residual=norm, iterations=iteration)
 
         lam = 1.0
-        accepted = False
         while lam >= 2.0 ** -12:
             z_new, res_new, norm_new = trial(lam * step)
             if np.isfinite(norm_new) and norm_new < norm * (1.0 - 1e-4 * lam):
                 z, res, norm = z_new, res_new, norm_new
-                accepted = True
                 break
             lam *= 0.5
             halvings += 1
-        if not accepted:
-            raise BvpFailure(
-                f"line search stalled at residual {norm:.3e}", residual=norm, iterations=iteration
-            )
-        kept = lam == 1.0
+        else:
+            raise BvpFailure(f"line search stalled at residual {norm:.3e}", residual=norm, iterations=iteration)
+        # a damped step drops the factor
+        factor = (lu, piv, kl, ku) if lam == 1.0 else None
 
     if shared is not None:
-        shared.factor = (lu, piv, kl, ku) if kept else None
+        shared.factor = factor
     return BvpSolution(
         taus=taus,
         z=z,
@@ -589,32 +587,17 @@ def solve_open_loop(
     taus = initial_mesh(config)
     if guess is None:
         (guess,) = initial_guess(model, np.asarray(x0, dtype=float)[None], taus, q_matrix)
-    sol = solve_pmp(model, x0, taus, guess, config, shared=shared)
-    shared_start = sol.shared_start
-    newton_iterations = sol.newton_iterations
-    halvings = sol.line_search_halvings
-    chords = sol.chord_steps
-
-    rounds = 0
+    sols = []
     for rounds in range(config.refine_rounds + 1):
-        scale = 1.0 + float(np.max(np.abs(sol.z)))
-        defects = _interval_defects(model, sol.taus, sol.z, scale)
+        sols.append(solve_pmp(model, x0, taus, guess, config, shared=None if rounds else shared))
+        z = sols[-1].z
+        defects = _interval_defects(model, taus, z, 1.0 + float(np.max(np.abs(z))))
         worst = float(np.max(defects))
         if worst <= config.refine_tol or rounds == config.refine_rounds:
             break
-        taus_new, guess = _refined(model, sol.taus, sol.z, defects > config.refine_tol)
-        sol = solve_pmp(model, x0, taus_new, guess, config)
-        newton_iterations += sol.newton_iterations
-        halvings += sol.line_search_halvings
-        chords += sol.chord_steps
-
-    sol.newton_iterations = newton_iterations
-    sol.line_search_halvings = halvings
-    sol.chord_steps = chords
-    sol.shared_start = shared_start
-    sol.refine_rounds = rounds
-    sol.max_defect = worst
-    return sol
+        taus, guess = _refined(model, taus, z, defects > config.refine_tol)
+    sums = {name: sum(getattr(sol, name) for sol in sols) for name in SUMMED_COUNTS}
+    return replace(sols[-1], **sums, shared_start=sols[0].shared_start, refine_rounds=rounds, max_defect=worst)
 
 
 @dataclass

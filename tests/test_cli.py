@@ -425,17 +425,20 @@ def test_simulate_rejects_a_horizon_that_is_not_positive(tmp_path, capsys, artif
     assert "horizon must be finite and > 0" in error
 
 
-@pytest.mark.parametrize("kind", ["dataset", "surrogate"])
+@pytest.mark.parametrize("kind", ["dataset", "surrogate", "config"])
 def test_an_artifact_that_is_not_json_is_named(tmp_path, capsys, artifacts, kind):
-    """An empty file given as a dataset or a surrogate (``/dev/null``, say) is
-    one JSON line naming the file and the schema it needs, where it used to
-    be the JSON parser's bare ``Expecting value: line 1 column 1``."""
+    """An empty file given as a dataset, a surrogate or a config
+    (``/dev/null``, say) is one JSON line naming the file and the schema it
+    needs, where it used to be the JSON parser's bare ``Expecting value:
+    line 1 column 1``."""
     config, data, plain = artifacts
     empty = tmp_path / "empty.json"
     empty.write_text("")
     out = tmp_path / "out.json"
     if kind == "dataset":
         argv, schema = ["fit", "--config", config, "--in", str(empty), "--out", str(out)], "vfcontrol-dataset-v1"
+    elif kind == "config":
+        argv, schema = ["explore", "--config", str(empty), "--out", str(out)], "vfcontrol-config-v1"
     else:
         argv = ["simulate", "--config", config, "--surrogate", str(empty), "--x0", "[0.5]", "--out", str(out)]
         schema = "vfcontrol-surrogate-v1"

@@ -282,12 +282,14 @@ def test_dataset_roundtrips_through_json(tmp_path, lqr_setup):
     assert len(data.meta["solves"]) == data.n_trajectories
     for solve in data.meta["solves"]:
         assert set(solve) == {
-            "newton_iterations", "line_search_halvings", "chord_steps", "shared_start", "refine_rounds", "max_defect",
-            "hjb_margin",
+            "newton_iterations", "line_search_halvings", "chord_steps", "shared_start", "refine_rounds", "nodes",
+            "max_defect", "hjb_margin",
         }
         # a solve that starts on the factor its predecessor kept may take no factorization of its own
         steps = solve["newton_iterations"] + (solve["chord_steps"] if solve["shared_start"] else 0)
         assert steps >= 1 and solve["refine_rounds"] == 0
+        # without a refinement the final mesh is the initial one
+        assert solve["nodes"] == solver.n_nodes + 1
         assert solve["line_search_halvings"] >= 0 and solve["chord_steps"] >= 0
         assert 0.0 < solve["max_defect"] < 1.0
         assert 0.0 <= solve["hjb_margin"] <= 1.0
@@ -395,6 +397,7 @@ def test_each_stored_trajectory_is_its_own_solve(monkeypatch):
         replay = solve_open_loop(model, traj.x0, qm, config.solver, guess=guess, shared=shared)
         batched = to_trajectory(replay, samples=config.solver.samples, horizon=config.horizon)
         assert {name: getattr(replay, name) for name in SOLVER_COUNTS} == {name: solve[name] for name in SOLVER_COUNTS}
+        assert solve["nodes"] == replay.taus.size
         lone_sol = solve_open_loop(model, traj.x0, qm, config.solver)
         lone = to_trajectory(lone_sol, samples=config.solver.samples, horizon=config.horizon)
         assert lone_sol.refine_rounds == solve["refine_rounds"]

@@ -519,10 +519,8 @@ def test_a_solve_in_the_quadratic_basin_factors_once(monkeypatch):
     assert sol.chord_steps >= 1 and sol.line_search_halvings == 0
 
 
-def test_factorizations_and_chord_steps_add_up_over_the_refinement(monkeypatch):
-    """Over every mesh of a refined solve, the banded LU runs once per Newton
-    iteration, and its triangular solve once per Newton iteration and once
-    per chord step: the solution's counts are sums over the meshes."""
+def count_lu_calls(monkeypatch):
+    """Counts of the banded LU (``splu``) and its triangular solve (``dgbtrs``), filled as the solver calls them."""
     counts = {"splu": 0, "dgbtrs": 0}
     for name in counts:
         original = getattr(openloop, name)
@@ -532,6 +530,14 @@ def test_factorizations_and_chord_steps_add_up_over_the_refinement(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(openloop, name, counting)
+    return counts
+
+
+def test_factorizations_and_chord_steps_add_up_over_the_refinement(monkeypatch):
+    """Over every mesh of a refined solve, the banded LU runs once per Newton
+    iteration, and its triangular solve once per Newton iteration and once
+    per chord step: the solution's counts are sums over the meshes."""
+    counts = count_lu_calls(monkeypatch)
     model = build_amp()
     config = OpenLoopConfig(n_nodes=40, refine_rounds=2, refine_tol=1e-12)
     sol = solve_open_loop(model, np.array([1.0, -1.0]), quadratic_matrix(model), config)
@@ -704,3 +710,20 @@ def test_a_solve_that_raises_leaves_the_sharing_correct(monkeypatch, failure):
     if failure == "refined mesh":
         solve_pmp(model, starts[1], initial_mesh(config), guesses[1], config, shared=replay)
     assert same_solution(after, solve_open_loop(model, starts[2], qm, config, guess=guesses[2], shared=replay))
+
+
+def test_a_solve_that_raises_after_a_full_step_leaves_an_empty_holder_empty(monkeypatch):
+    """The holder is written only on return: a solve on the initial mesh
+    that factors, takes a full Newton step (so it keeps the factor and tries
+    a chord step on it) and then runs out of Newton iterations leaves an
+    empty holder empty and undeclined."""
+    counts = count_lu_calls(monkeypatch)
+    monkeypatch.setattr(openloop, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(openloop, "CHORD_CONTRACTION", 0.0)
+    model, x0, taus, guess, config = nhe_from_rollout()
+    shared = SharedFactor()
+    with pytest.raises(BvpFailure, match="no convergence in 1 Newton iterations"):
+        solve_pmp(model, x0, taus, guess, config, shared=shared)
+    # one factorization, its Newton step and a chord step on the kept factor
+    assert counts == {"splu": 1, "dgbtrs": 2}
+    assert shared.factor is None and not shared.declined
