@@ -12,11 +12,12 @@ farthest-first order, planned as if every pick were kept, is one stacked
 on its start state and, through its guess only, on the starts guessed with
 it; no solve starts from another's solution.  The solves of one call share
 a :class:`~vfcontrol.openloop.SharedFactor`, so each starts on the initial
-mesh with a chord step on the factor the previous solve kept there, which
-enters the trajectory below the Newton tolerance.  Solutions that fail their
-sanity checks are quarantined: the candidate is dropped, exploration moves
-on, and the order is replanned from what is covered, keeping the guesses
-already made.  Every sample of a kept trajectory stays in the
+mesh, and on each refined mesh that is bitwise the one the last solve to
+reach its round refined to, with a chord step on the factor kept there,
+which enters the trajectory below the Newton tolerance.  Solutions that
+fail their sanity checks are quarantined: the candidate is dropped,
+exploration moves on, and the order is replanned from what is covered,
+keeping the guesses already made.  Every sample of a kept trajectory stays in the
 dataset, near-duplicates included; the greedy fit decides which samples
 become centers.
 
@@ -301,7 +302,7 @@ def run_exploration(
                 "newton_iterations": sol.newton_iterations,
                 "line_search_halvings": sol.line_search_halvings,
                 "chord_steps": sol.chord_steps,
-                "shared_start": sol.shared_start,
+                "shared_meshes": sol.shared_meshes,
                 "refine_rounds": sol.refine_rounds,
                 "nodes": sol.taus.size,
                 "max_defect": sol.max_defect,

@@ -384,9 +384,10 @@ def fit(factor: HermiteFactor, rhs: np.ndarray, cg_tol: float = 1e-10, max_iter:
     nugget by CG preconditioned with the factor.
 
     CG runs on the matrix-free operator and stops once its true residual is
-    below ``cg_tol`` relative to ``rhs``; a CG that stalls is a
-    :class:`FitError`.  Returns ``(alphas, betas, info)`` where info records
-    iterations, the final relative residual and the nugget.
+    below ``cg_tol`` relative to ``rhs``; a CG that fails is a
+    :class:`FitError` carrying the reason :class:`CgError` gives.  Returns
+    ``(alphas, betas, info)`` where info records iterations, the final
+    relative residual and the nugget.
     """
     nugget = factor.nugget
     bound = HermiteOperator(factor.kernel, factor.centers)
@@ -400,9 +401,7 @@ def fit(factor: HermiteFactor, rhs: np.ndarray, cg_tol: float = 1e-10, max_iter:
     try:
         res = cg_solve(apply, rhs, factor.solve, tol=cg_tol, max_iter=max_iter)
     except CgError as err:
-        raise FitError(
-            f"CG stalled at relative residual {err.residual:.3e} after {err.iterations} iterations"
-        ) from err
+        raise FitError(f"CG failed after {err.iterations} iterations: {err}") from err
     alphas, betas = unstack_coeffs(res.x, factor.n, factor.dim)
     return alphas, betas, {"iterations": res.iterations, "residual": res.residual, "nugget": nugget}
 

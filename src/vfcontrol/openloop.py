@@ -42,18 +42,21 @@ iterate for a Newton step, damped by halving as needed.  A damped step
 (length below 1) drops the factor, so the step after it factors afresh.
 Once the iterate is in Newton's quadratic basin, one factorization per mesh
 usually suffices.  A caller that solves several starts with one config (an
-exploration, a test set) can share a factor across them through a
-:class:`SharedFactor`: every solve starts on the same initial mesh, and there
-its steps are chord steps on the factor the previous solve kept, under the
-same contraction test, so the simplified Newton method runs across solves
-as it does within one.  Where the collocation Jacobian barely changes from
-one start to the next (``nhe``), the first of them is in effect a Newton
-step, and the initial mesh takes no factorization.  The first time a shared
-factor is turned down, the solve starts over without it and the call stops
-sharing (``amp`` turns it down within a call's first two solves).  A shared
-factor enters a solution only below the Newton tolerance.  A
-midpoint-rule defect, taken over every column of z and
-so over v's as well, flags intervals whose local truncation error is still
+exploration, a test set) can share factors across them through a
+:class:`SharedFactor`, one slot per refinement round: every solve starts on
+the same initial mesh, and a round whose mesh is bitwise the one its slot's
+factor was kept on takes chord steps on that factor, under the same
+contraction test, so the simplified Newton method runs across solves as it
+does within one.  Where the collocation Jacobian barely changes from one
+start to the next (``nhe``), the first of them is in effect a Newton step,
+and such a mesh takes no factorization.  A round on another mesh empties
+its slot before it assembles, so next to the band it factors the holder
+keeps only the other rounds' factors.  The first time a shared factor is
+turned down, the solve starts over without it and the call stops sharing
+on every round (``amp`` turns it down within a call's first two solves).
+A shared factor enters a solution only below the Newton tolerance.  A
+midpoint-rule defect, taken over every column of z and so over v's as
+well, flags intervals whose local truncation error is still
 large; those get split and the solve repeats on the refined mesh.  It
 starts from the old nodes and, at each new node, from its interval's
 Hermite-Simpson midpoint state, the cubic through the endpoint values and
@@ -64,7 +67,7 @@ of v'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -118,10 +121,11 @@ GUESS_TOL = (1e-4, 1e-6)
 # fresh memory; 128 KB to 1 MB measured alike.  On a mesh longer than one
 # chunk the values of pmp_jacobian are evaluated a chunk at a time too.  On
 # nhe's refined meshes its two whole-mesh arrays (4.5 MB each at 109 nodes),
-# held next to the band and a shared factor (see SharedFactor), put the
-# traced peak of the benchmark's nhe36 exploration at 38 MB, against 27
-# without the shared factor and 31 a chunk at a time; evaluating twice costs
-# about 1 ms of the 8-12 of an assembly.
+# held next to the band and the initial mesh's shared factor (see
+# SharedFactor, whose slot for the refined mesh is emptied before the
+# assembly), put the traced peak of the benchmark's nhe36 exploration at 38
+# MB, against 27 without the shared factor and 31 a chunk at a time;
+# evaluating twice costs about 1 ms of the 8-12 of an assembly.
 WORK_BYTES = 2**19
 
 
@@ -311,7 +315,7 @@ class BvpFailure(RuntimeError):
 
 
 # the counts of a BvpSolution that solve_open_loop sums over every mesh of the refinement
-SUMMED_COUNTS = ("newton_iterations", "line_search_halvings", "chord_steps")
+SUMMED_COUNTS = ("newton_iterations", "line_search_halvings", "chord_steps", "shared_meshes")
 
 
 @dataclass
@@ -326,9 +330,9 @@ class BvpSolution:
     line_search_halvings: int = 0
     # chord steps tried on a kept factor, accepted or not, summed likewise
     chord_steps: int = 0
-    # whether the solve on the initial mesh started on a factor that an
-    # earlier solve of the same call kept there (see SharedFactor)
-    shared_start: bool = False
+    # meshes whose first step was a chord step on a factor that an earlier
+    # solve of the same call kept there (see SharedFactor), summed likewise
+    shared_meshes: int = 0
 
     @property
     def dim_state(self) -> int:
@@ -353,19 +357,24 @@ class BvpSolution:
 
 @dataclass
 class SharedFactor:
-    """The one slot through which the solves of one call share a factor on the initial mesh.
+    """One slot per refinement round through which the solves of one call share a factor.
 
     A caller that solves several starts with one config owns a holder for
-    the call and hands it to each :func:`solve_open_loop`.  ``factor`` is
-    the banded LU, as ``(lu, piv, kl, ku)``, that the call's last solve kept
-    on :func:`initial_mesh`, or None.  The first time a solve turns a shared
-    factor's chord step down, ``declined`` is set and the slot emptied: the
-    call shares no more, that solve starts over from its guess, and it and
-    the later solves are bit for bit unshared ones, but for the chord steps
-    it counts on the shared factor.
+    the call and hands it to each :func:`solve_open_loop`.  ``slots`` maps
+    a round (0 for :func:`initial_mesh`) to ``(taus, factor)``: the mesh of
+    that round in the call's last solve to reach it, and the banded LU, as
+    ``(lu, piv, kl, ku)``, that solve kept there (None after a damped last
+    step).  A solve takes chord steps on a slot's factor only on that very
+    mesh, bitwise; on another mesh it empties the slot before it assembles
+    anything, and on return it leaves its mesh and kept factor there.  The
+    first time a solve turns a shared factor's chord step down, on any
+    round, ``declined`` is set and every slot emptied: the call shares no
+    more, that solve starts the round over from its guess, and it and the
+    later solves are bit for bit unshared ones, but for the chord steps it
+    counts on the shared factor.
     """
 
-    factor: Optional[tuple] = None
+    slots: dict = field(default_factory=dict)
     declined: bool = False
 
 
@@ -425,6 +434,7 @@ def solve_pmp(
     config: OpenLoopConfig = OpenLoopConfig(),
     *,
     shared: Optional[SharedFactor] = None,
+    slot: int = 0,
 ) -> BvpSolution:
     """Simplified Newton on the collocation system from the supplied iterate.
 
@@ -439,16 +449,19 @@ def solve_pmp(
     move the [x; p] columns of the iterate; the v column of ``guess`` is not
     read, since every residual evaluation fills it.
 
-    With a ``shared`` holder that has not declined, the solve starts with
-    the holder's factor kept, so its steps are chord steps on it until one
-    is turned down, and on return it leaves its own kept factor (None after
-    a damped last step) in the slot.  A turned-down chord step on the
-    holder's factor sets ``declined``, and the solve starts over from
-    ``guess`` as an unshared one: so a shared solve either converges on the
-    holder's factor alone or takes the unshared solve's every step, and
-    never fails where that one converges.  A solve that raises leaves the
-    slot as it found it, but for that strike.  The holder belongs to one
-    mesh: ``taus`` must be the one its factor was kept on.
+    With a ``shared`` holder that has not declined, the solve reads the
+    holder's ``slot`` (the refinement round of ``taus``).  If the slot's
+    factor was kept on ``taus``, bitwise, the solve starts with it kept, so
+    its steps are chord steps on it until one is turned down; if it was kept
+    on another mesh, the slot is emptied at once.  On return the solve
+    leaves its own kept factor (none after a damped last step) in the slot.
+    A turned-down chord step on the holder's factor sets ``declined`` and
+    empties every slot, and the solve starts over from ``guess`` as an
+    unshared one: so a shared solve either converges on the holder's factor
+    alone or takes the unshared solve's every step, and never fails where
+    that one converges.  A solve that raises leaves the slots as it found
+    them, but for a strike and for a slot emptied because it held another
+    mesh.
 
     Trial residuals, of chord steps and of line-search steps, are evaluated
     with floating-point overflow and invalid operations quiet: a non-finite
@@ -473,10 +486,15 @@ def solve_pmp(
 
     if shared is not None and shared.declined:
         shared = None
-    # the factor a chord step tries, as (lu, piv, kl, ku): the holder's until
-    # one of its steps is turned down, then the one the last full step kept
-    factor = shared.factor if shared is not None else None
-    shared_start = factor is not None
+    # the factor a chord step tries, as (lu, piv, kl, ku): the slot's if it
+    # was kept on this mesh, until one of its steps is turned down, then the
+    # one the last full step kept
+    mesh, factor = shared.slots.get(slot, (taus, None)) if shared is not None else (taus, None)
+    if mesh.tobytes() != taus.tobytes():
+        # another mesh's factor goes before this solve assembles its own
+        del shared.slots[slot]
+        factor = None
+    shared_meshes = int(factor is not None)
     start = z, res, norm
     iteration = halvings = chords = 0
     while norm > NEWTON_TOL * (1.0 + float(np.max(np.abs(z)))):
@@ -490,9 +508,10 @@ def solve_pmp(
                 continue
             if shared is not None and iteration == 0:
                 # one strike on the holder's factor: the call shares no more,
-                # and this solve starts over as an unshared one, with a
-                # factorization at its guess
-                shared.factor, shared.declined = None, True
+                # on any round, and this solve starts over as an unshared
+                # one, with a factorization at its guess
+                shared.slots.clear()
+                shared.declined = True
                 shared = None
                 z, res, norm = start
 
@@ -503,6 +522,9 @@ def solve_pmp(
                 iterations=iteration,
             )
         iteration += 1
+        # the last factor, turned down or damped, goes before the next one
+        # is assembled, so a solve holds one band of its own at a time
+        factor = ab = lu = None
         try:
             ab, kl, ku = _assemble_jacobian(model, taus, z, config.delta_tau)
             lu, piv = splu(ab, kl, ku)
@@ -526,14 +548,14 @@ def solve_pmp(
         factor = (lu, piv, kl, ku) if lam == 1.0 else None
 
     if shared is not None:
-        shared.factor = factor
+        shared.slots[slot] = taus, factor
     return BvpSolution(
         taus=taus,
         z=z,
         newton_iterations=iteration,
         line_search_halvings=halvings,
         chord_steps=chords,
-        shared_start=shared_start,
+        shared_meshes=shared_meshes,
     )
 
 
@@ -577,19 +599,20 @@ def solve_open_loop(
     The first iterate is the quadratic-value rollout of :func:`initial_guess`
     on :func:`initial_mesh`: ``guess`` when the caller rolled it out with
     other starts, else the rollout of ``x0`` as a stack of one.  ``shared``,
-    the holder of a caller that solves several starts, goes to the solve on
-    the initial mesh only; refined meshes differ from solve to solve and
-    share nothing.  A shared factor enters the answer only below the Newton
-    tolerance: a chord step on it is accepted only if it contracts like one
-    on the solve's own factor.  Without a holder no other solve enters the
-    answer.
+    the holder of a caller that solves several starts, goes to the solve of
+    every round, which reads and writes the round's slot: a refined mesh
+    that is bitwise the one the last solve to reach the same round refined
+    to starts on the factor that solve kept there.  A shared factor enters
+    the answer only below the Newton tolerance: a chord step on it is
+    accepted only if it contracts like one on the solve's own factor.
+    Without a holder no other solve enters the answer.
     """
     taus = initial_mesh(config)
     if guess is None:
         (guess,) = initial_guess(model, np.asarray(x0, dtype=float)[None], taus, q_matrix)
     sols = []
     for rounds in range(config.refine_rounds + 1):
-        sols.append(solve_pmp(model, x0, taus, guess, config, shared=None if rounds else shared))
+        sols.append(solve_pmp(model, x0, taus, guess, config, shared=shared, slot=rounds))
         z = sols[-1].z
         defects = _interval_defects(model, taus, z, 1.0 + float(np.max(np.abs(z))))
         worst = float(np.max(defects))
@@ -597,7 +620,7 @@ def solve_open_loop(
             break
         taus, guess = _refined(model, taus, z, defects > config.refine_tol)
     sums = {name: sum(getattr(sol, name) for sol in sols) for name in SUMMED_COUNTS}
-    return replace(sols[-1], **sums, shared_start=sols[0].shared_start, refine_rounds=rounds, max_defect=worst)
+    return replace(sols[-1], **sums, refine_rounds=rounds, max_defect=worst)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -282,11 +283,11 @@ def test_dataset_roundtrips_through_json(tmp_path, lqr_setup):
     assert len(data.meta["solves"]) == data.n_trajectories
     for solve in data.meta["solves"]:
         assert set(solve) == {
-            "newton_iterations", "line_search_halvings", "chord_steps", "shared_start", "refine_rounds", "nodes",
+            "newton_iterations", "line_search_halvings", "chord_steps", "shared_meshes", "refine_rounds", "nodes",
             "max_defect", "hjb_margin",
         }
         # a solve that starts on the factor its predecessor kept may take no factorization of its own
-        steps = solve["newton_iterations"] + (solve["chord_steps"] if solve["shared_start"] else 0)
+        steps = solve["newton_iterations"] + (solve["chord_steps"] if solve["shared_meshes"] else 0)
         assert steps >= 1 and solve["refine_rounds"] == 0
         # without a refinement the final mesh is the initial one
         assert solve["nodes"] == solver.n_nodes + 1
@@ -369,12 +370,12 @@ def spy_on_guesses(monkeypatch):
     return calls
 
 
-SOLVER_COUNTS = ("newton_iterations", "line_search_halvings", "chord_steps", "shared_start", "refine_rounds")
+SOLVER_COUNTS = ("newton_iterations", "line_search_halvings", "chord_steps", "shared_meshes", "refine_rounds")
 
 
 def test_each_stored_trajectory_is_its_own_solve(monkeypatch):
     """Exploration adds nothing to a solve but the batch its guess was rolled
-    out in and the factor the solve before it kept on the initial mesh:
+    out in and the factors the solves before it kept on its meshes:
     every stored trajectory, and its every solver count, is bit for bit the
     solve from its start and its row of the batch guess, handed a holder
     that the solves before it filled in the same order.  A lone solve, whose
@@ -491,19 +492,74 @@ def nhe_exploration_case():
 
 def test_an_nhe_exploration_factors_fewer_times_than_it_has_meshes(monkeypatch):
     """On nhe the collocation Jacobian barely changes from one start to the
-    next, so every solve after the first converges on the initial mesh by
-    chord steps on the factor the one before it kept there: the exploration
-    takes fewer factorizations than it has meshes, one per refined mesh and
-    one for the first initial mesh."""
+    next, and every start of this exploration refines to the same mesh: so
+    every solve after the first converges on both of its meshes by chord
+    steps on the factors the first one kept there, and the exploration
+    takes the first solve's two factorizations and no other."""
     model, qm, candidates, config = nhe_exploration_case()
     calls = counted_factorizations(monkeypatch)
     data = run_exploration(model, candidates, qm, config)
     solves = data.meta["solves"]
     assert data.n_trajectories == config.n_trajectories and data.meta["quarantined"] == []
-    meshes = sum(solve["refine_rounds"] + 1 for solve in solves)
-    assert len(calls) == sum(solve["newton_iterations"] for solve in solves) < meshes
-    assert [solve["shared_start"] for solve in solves] == [False] + [True] * (config.n_trajectories - 1)
-    assert len(calls) == solves[0]["newton_iterations"] + sum(solve["refine_rounds"] for solve in solves[1:])
+    assert [solve["refine_rounds"] for solve in solves] == [1] * config.n_trajectories
+    assert len({solve["nodes"] for solve in solves}) == 1
+    assert [solve["newton_iterations"] for solve in solves] == [2] + [0] * (config.n_trajectories - 1)
+    assert [solve["shared_meshes"] for solve in solves] == [0] + [2] * (config.n_trajectories - 1)
+    assert len(calls) == 2
+
+
+def traced_peak(run):
+    """The tracemalloc peak, in bytes, of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sharing_the_refined_meshes_costs_no_memory(monkeypatch):
+    """A solve empties the slot of a refined mesh other than its own before
+    it assembles, so with one refinement round the holder keeps no more
+    bands alive than one that shares the initial mesh alone, and the whole
+    cost of sharing is the initial mesh's factor, held while a refined mesh
+    assembles.  Both hold
+    for the tracemalloc peak of the nhe exploration, whose starts all refine
+    to one mesh, and of a test set whose third start refines to another mesh
+    than the second's: each is at most the peak with a holder that reaches
+    the initial mesh only, and at most the peak of the same solves run
+    without a holder plus the bytes of that factor and of its mesh.  Both
+    bounds allow 1 KB for small Python objects, whose allocations tracemalloc
+    counts too (a refined band is about 830 KB)."""
+    model, qm, candidates, config = nhe_exploration_case()
+    runs = (
+        lambda: run_exploration(model, candidates, qm, config),
+        lambda: solve_testset(model, candidates[[3, 400, 700]], qm, config.solver),
+    )
+    runs[0]()
+    refs = runs[1]()
+    assert refs[2].taus.size != refs[1].taus.size
+    shared_peaks = [traced_peak(run) for run in runs]
+
+    shared = openloop.SharedFactor()
+    taus = openloop.initial_mesh(config.solver)
+    (guess,) = openloop.initial_guess(model, candidates[:1], taus, qm)
+    openloop.solve_pmp(model, candidates[0], taus, guess, config.solver, shared=shared)
+    mesh, (lu, piv, _, _) = shared.slots[0]
+    slack = 1024
+
+    real_pmp, real_solve = openloop.solve_pmp, explore.solve_open_loop
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            openloop, "solve_pmp", lambda *args, shared, slot: real_pmp(*args, shared=shared if slot == 0 else None)
+        )
+        initial_only_peaks = [traced_peak(run) for run in runs]
+    with monkeypatch.context() as patch:
+        patch.setattr(explore, "solve_open_loop", lambda *args, guess, shared: real_solve(*args, guess=guess))
+        unshared_peaks = [traced_peak(run) for run in runs]
+    for shared_peak, initial_only_peak, unshared_peak in zip(shared_peaks, initial_only_peaks, unshared_peaks):
+        assert shared_peak <= initial_only_peak + slack
+        assert shared_peak <= unshared_peak + lu.nbytes + piv.nbytes + mesh.nbytes + slack
 
 
 def test_after_the_first_turned_down_shared_step_the_solves_are_unshared(monkeypatch):
@@ -523,7 +579,7 @@ def test_after_the_first_turned_down_shared_step_the_solves_are_unshared(monkeyp
     assert data.n_trajectories == config.n_trajectories
     ((_, guesses),) = calls
     solves = data.meta["solves"]
-    assert [solve["shared_start"] for solve in solves] == [False, True, True, False, False, False]
+    assert [solve["shared_meshes"] for solve in solves] == [0, 1, 1, 0, 0, 0]
     for k, (traj, solve, guess) in enumerate(zip(data.trajectories, solves, guesses)):
         alone = solve_open_loop(model, traj.x0, qm, solver, guess=guess)
         counts = {name: getattr(alone, name) for name in SOLVER_COUNTS}
@@ -532,7 +588,7 @@ def test_after_the_first_turned_down_shared_step_the_solves_are_unshared(monkeyp
             assert solve["newton_iterations"] < alone.newton_iterations
             continue
         if k == 2:
-            counts.update(chord_steps=alone.chord_steps + 1, shared_start=True)
+            counts.update(chord_steps=alone.chord_steps + 1, shared_meshes=1)
         assert {name: solve[name] for name in SOLVER_COUNTS} == counts, k
         unshared = to_trajectory(alone, samples=solver.samples, horizon=config.horizon)
         for name in ("times", "states", "grads", "values"):
@@ -549,7 +605,7 @@ def test_two_calls_in_one_process_give_byte_identical_results(tmp_path):
         save_dataset(run_exploration(model, candidates, qm, config), path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     first, second = (solve_testset(model, candidates[[3, 400, 700]], qm, config.solver) for _ in range(2))
-    assert [sol.shared_start for sol in first] == [False, True, True]
+    assert [sol.shared_meshes for sol in first] == [0, 1, 1]
     for a, b in zip(first, second):
         assert a.z.tobytes() == b.z.tobytes() and a.taus.tobytes() == b.taus.tobytes()
         assert {name: getattr(a, name) for name in SOLVER_COUNTS} == {name: getattr(b, name) for name in SOLVER_COUNTS}

@@ -634,7 +634,7 @@ def test_line_search_halvings_count_the_rejected_trial_steps(monkeypatch):
 
 def same_solution(a, b):
     """Whether two solutions agree bit for bit, mesh, iterate and counts."""
-    counts = ("newton_iterations", "line_search_halvings", "chord_steps", "shared_start", "refine_rounds")
+    counts = ("newton_iterations", "line_search_halvings", "chord_steps", "shared_meshes", "refine_rounds")
     return (
         a.taus.tobytes() == b.taus.tobytes()
         and a.z.tobytes() == b.z.tobytes()
@@ -656,34 +656,43 @@ def test_a_shared_solve_that_turns_the_factor_down_is_the_unshared_solve():
     guesses = initial_guess(model, starts, initial_mesh(config), qm)
     shared = SharedFactor()
     sols = [solve_open_loop(model, x0, qm, config, guess=guess, shared=shared) for x0, guess in zip(starts, guesses)]
-    assert shared.declined and shared.factor is None
-    assert [sol.shared_start for sol in sols] == [False, True, False]
+    assert shared.declined and shared.slots == {}
+    assert [sol.shared_meshes for sol in sols] == [0, 1, 0]
     for k, (x0, guess, sol) in enumerate(zip(starts, guesses, sols)):
         alone = solve_open_loop(model, x0, qm, config, guess=guess)
         if k == 1:
             assert sol.chord_steps == alone.chord_steps + 2
-            alone.chord_steps, alone.shared_start = sol.chord_steps, True
+            alone.chord_steps, alone.shared_meshes = sol.chord_steps, 1
         assert same_solution(sol, alone), k
+
+
+def nhe_shared_case(refine_tol):
+    """The nhe model (grid side 3), its quadratic matrix, a config that refines
+    once, three starts and their batch guesses.  At refine_tol 1e-12 the
+    first two starts refine to the same mesh; at 1e-6 the second refines to
+    another mesh than the first, and the third to the second's."""
+    model, x0 = build_nhe(NheParameters(grid_side=3)), nhe_start(3)
+    qm = quadratic_matrix(model)
+    config = OpenLoopConfig(n_nodes=40 if refine_tol < 1e-9 else 60, refine_rounds=1, refine_tol=refine_tol)
+    starts = np.array([x0, 0.5 * x0, -0.7 * x0])
+    return model, qm, config, starts, initial_guess(model, starts, initial_mesh(config), qm)
 
 
 @pytest.mark.parametrize("failure", ["non-finite guess", "refined mesh", "after a strike"])
 def test_a_solve_that_raises_leaves_the_sharing_correct(monkeypatch, failure):
     """A solve that raises keeps the holder as its steps left it: a guess
-    with a non-finite residual fails before it reads the holder, a solve
-    that fails on its refined mesh has converged on the shared factor and
-    leaves it in place, and one that raises after turning the shared factor
-    down has struck.  The next solve is then bit for bit the one that follows
-    the failed solve's initial-mesh solve (the first two cases), or the
-    unshared one (the strike)."""
-    model, x0 = build_nhe(NheParameters(grid_side=3)), nhe_start(3)
-    qm = quadratic_matrix(model)
-    config = OpenLoopConfig(n_nodes=40, refine_rounds=1, refine_tol=1e-12)
-    starts = np.array([x0, 0.5 * x0, -0.7 * x0])
-    guesses = initial_guess(model, starts, initial_mesh(config), qm)
-
+    with a non-finite residual fails before it reads the holder; a solve
+    that fails on a refined mesh other than the first solve's has converged
+    on the shared initial-mesh factor, leaves it in place, and has emptied
+    the refined mesh's slot before it could assemble; and one that raises
+    after turning the shared factor down has struck.  The next solve is
+    then bit for bit the one that follows the same slots built without a
+    failure (the first two cases), or the unshared one (the strike)."""
+    model, qm, config, starts, guesses = nhe_shared_case(1e-6)
     shared = SharedFactor()
     solve_open_loop(model, starts[0], qm, config, guess=guesses[0], shared=shared)
-    kept = shared.factor
+    kept = dict(shared.slots)
+    assert sorted(kept) == [0, 1]
     with monkeypatch.context() as patch:
         if failure == "non-finite guess":
             guesses[1, 1:, 0] = np.nan
@@ -694,22 +703,75 @@ def test_a_solve_that_raises_leaves_the_sharing_correct(monkeypatch, failure):
         with pytest.raises(BvpFailure):
             solve_open_loop(model, starts[1], qm, config, guess=guesses[1], shared=shared)
     if failure == "after a strike":
-        assert shared.declined and shared.factor is None
+        assert shared.declined and shared.slots == {}
     else:
         # a failed solve that converged on the initial mesh took no factorization of its own there
-        assert not shared.declined and shared.factor[0] is kept[0]
+        left = [0] if failure == "refined mesh" else [0, 1]
+        assert not shared.declined and sorted(shared.slots) == left
+        assert all(shared.slots[k][1][0] is kept[k][1][0] for k in left)
     after = solve_open_loop(model, starts[2], qm, config, guess=guesses[2], shared=shared)
 
     if failure == "after a strike":
-        assert not after.shared_start
+        assert after.shared_meshes == 0
         assert same_solution(after, solve_open_loop(model, starts[2], qm, config, guess=guesses[2]))
         return
-    assert after.shared_start
+    # the initial mesh is shared; the refined one, another than the first
+    # solve's, or found empty, takes its own factorization
+    assert (after.shared_meshes, after.newton_iterations) == (1, 1)
     replay = SharedFactor()
     solve_open_loop(model, starts[0], qm, config, guess=guesses[0], shared=replay)
     if failure == "refined mesh":
         solve_pmp(model, starts[1], initial_mesh(config), guesses[1], config, shared=replay)
+        del replay.slots[1]
     assert same_solution(after, solve_open_loop(model, starts[2], qm, config, guess=guesses[2], shared=replay))
+
+
+def test_a_refined_solve_on_its_slots_mesh_takes_no_factorization_there(monkeypatch):
+    """The first two starts refine to the same mesh, bitwise, so the second
+    solve converges on both of its meshes by chord steps on the factors the
+    first kept there, and it leaves those factors in their slots.  Its
+    solution meets the Newton tolerance on the refined mesh."""
+    model, qm, config, starts, guesses = nhe_shared_case(1e-12)
+    shared = SharedFactor()
+    first = solve_open_loop(model, starts[0], qm, config, guess=guesses[0], shared=shared)
+    kept = dict(shared.slots)
+    counts = count_lu_calls(monkeypatch)
+    second = solve_open_loop(model, starts[1], qm, config, guess=guesses[1], shared=shared)
+    assert first.refine_rounds == second.refine_rounds == 1
+    assert second.taus.tobytes() == first.taus.tobytes()
+    assert counts == {"splu": 0, "dgbtrs": second.chord_steps}
+    assert (second.newton_iterations, second.shared_meshes) == (0, 2)
+    assert all(shared.slots[k][1][0] is kept[k][1][0] for k in (0, 1))
+    z = second.z.copy()
+    res = bvp_residual(model, second.taus, z, starts[1], config.delta_tau)
+    assert np.max(np.abs(res)) <= NEWTON_TOL * (1.0 + np.max(np.abs(z)))
+
+
+def test_a_refined_solve_on_another_mesh_finds_its_slot_empty(monkeypatch):
+    """The second start refines to another mesh than the first: its solve
+    has emptied the refined mesh's slot by its first assembly, which is on
+    that mesh (the initial mesh converges on the shared factor), so no more
+    than the initial mesh's shared factor is held next to the band it
+    assembles; on return the slot holds the second solve's mesh and factor."""
+    model, qm, config, starts, guesses = nhe_shared_case(1e-6)
+    shared = SharedFactor()
+    first = solve_open_loop(model, starts[0], qm, config, guess=guesses[0], shared=shared)
+    kept = dict(shared.slots)
+    seen = []
+    assemble = openloop._assemble_jacobian
+
+    def checked(model, taus, z, delta_tau):
+        seen.append((taus.size, sorted(shared.slots)))
+        return assemble(model, taus, z, delta_tau)
+
+    monkeypatch.setattr(openloop, "_assemble_jacobian", checked)
+    second = solve_open_loop(model, starts[1], qm, config, guess=guesses[1], shared=shared)
+    assert second.taus.size != first.taus.size
+    assert seen == [(second.taus.size, [0])]
+    assert (second.newton_iterations, second.shared_meshes) == (1, 1)
+    assert shared.slots[0][1][0] is kept[0][1][0]
+    mesh, factor = shared.slots[1]
+    assert mesh.tobytes() == second.taus.tobytes() and factor[0] is not kept[1][1][0]
 
 
 def test_a_solve_that_raises_after_a_full_step_leaves_an_empty_holder_empty(monkeypatch):
@@ -726,4 +788,4 @@ def test_a_solve_that_raises_after_a_full_step_leaves_an_empty_holder_empty(monk
         solve_pmp(model, x0, taus, guess, config, shared=shared)
     # one factorization, its Newton step and a chord step on the kept factor
     assert counts == {"splu": 1, "dgbtrs": 2}
-    assert shared.factor is None and not shared.declined
+    assert shared.slots == {} and not shared.declined

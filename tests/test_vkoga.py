@@ -261,7 +261,7 @@ def test_a_refit_that_misses_cg_tol_turns_its_sample_away(monkeypatch):
     grads = -2.0 * points * values[:, None]
     q = np.array([[1.0]])
     config = VkogaConfig(max_centers=3, cg_tol=1e-10)
-    with pytest.warns(UserWarning, match=r"sample 1 turned away: CG stalled at relative residual \d") as caught:
+    with pytest.warns(UserWarning, match=r"sample 1 turned away: CG failed after \d+ iterations: no progress since the last restart") as caught:
         result = run_vkoga(StructuredKernel(WendlandC4(1, 0.5)), points, values, grads, config, q_matrix=q)
     (iterations,) = re.findall(r"after (\d+) iterations", str(caught[0].message))
     assert int(iterations) <= 10
@@ -278,7 +278,7 @@ def test_a_refit_that_misses_cg_tol_turns_its_sample_away(monkeypatch):
     rhs, data = assemble_rhs(values[order], grads[order], q_matrix=q, centers=points[order])
     scale = max(1.0, np.linalg.norm(data) / np.linalg.norm(rhs))
     factor = factor_of(StructuredKernel(WendlandC4(1, 0.5)), points[order])
-    with pytest.raises(FitError, match="CG stalled"):
+    with pytest.raises(FitError, match="no progress since the last restart"):
         fit(factor, rhs, cg_tol=config.cg_tol * scale)
 
 
